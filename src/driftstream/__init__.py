@@ -11,8 +11,7 @@ from .evaluation import (ConfusionCounts, DriftEvent, MetricsTimeline,
                          PeriodMetrics, export_reports, metrics,
                          prequential_error)
 from .features import (AttributeVocabulary, FeatureExtractorModel,
-                       FeatureVector, VocabularyDiff, fit_extractor,
-                       vocabulary_diff)
+                       VocabularyDiff, fit_extractor, vocabulary_diff)
 from .learners import (ArfEnsemble, HoeffdingTreeClassifier, PoolMember,
                        SgdClassifier, hoeffding_bound)
 from .pipeline import (CLASSIFIERS, DETECTORS, STRATEGIES, ExperimentConfig,

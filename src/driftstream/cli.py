@@ -13,15 +13,15 @@ import json
 import multiprocessing
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .errors import ConfigError, DriftStreamError
-from .evaluation import export_reports
+from .evaluation import METRIC_NAMES, export_reports, write_json, write_summary
 from .features import FeatureExtractorModel, vocabulary_diff
-from .pipeline import (CLASSIFIERS, DETECTORS, STRATEGIES, ExperimentConfig,
-                       FnFPipeline, ModelPoolPipeline, run_cross_validation,
-                       run_iwc, run_multiple_time_spans, run_temporal_split)
+from .pipeline import (ExperimentConfig, FnFPipeline, ModelPoolPipeline,
+                       run_cross_validation, run_iwc, run_multiple_time_spans,
+                       run_temporal_split)
 from .stream import load_stream, save_stream
 from .synth import SynthStreamSpec, generate_synth_stream
 
@@ -153,88 +153,65 @@ def _merge_run_config(args: argparse.Namespace) -> dict:
 
 def _print_summary(summary: dict) -> None:
     print("metric       value")
-    for key in ("accuracy", "f1", "recall", "precision"):
+    for key in METRIC_NAMES:
         print(f"{key:<12} {summary[key]:.6f}")
     print(f"{'drifts':<12} {summary['drifts']}")
 
 
+def _build_config(merged: dict) -> ExperimentConfig:
+    """The validated experiment config of a merged run config dict."""
+    config = ExperimentConfig.from_dict(
+        {key: value for key, value in merged.items()
+         if key not in _RUN_ONLY_KEYS})
+    config.validate()
+    return config
+
+
 def _execute_run(merged: dict, out_dir: Path) -> dict:
     """Run one experiment from a merged config dict; returns the summary."""
-    input_path = merged.pop("input", None)
-    fmt = merged.pop("format", None) or "jsonl"
-    if input_path is None:
+    if merged.get("input") is None:
         raise ConfigError("an --input stream file is required")
-    config = ExperimentConfig.from_dict(merged)
-    config.validate()
-    stream = load_stream(input_path, fmt)
-
-    diffs: list = []
-    if config.strategy in ("fnf-update", "fnf-retrain", "static"):
-        pipe = FnFPipeline(config)
-        timeline = pipe.run(stream)
-        diffs = pipe.vocab_diff_events
-        summary = timeline.summary()
-        export_reports(timeline, diffs, out_dir)
-        if pipe.extractor is not None:
-            pipe.extractor.save(out_dir / "extractor_final.json")
-    elif config.strategy == "pool":
-        timeline = ModelPoolPipeline(config).run(stream)
-        summary = timeline.summary()
-        export_reports(timeline, [], out_dir)
-    elif config.strategy == "iwc":
-        timeline = run_iwc(stream, config)
-        summary = timeline.summary()
-        export_reports(timeline, [], out_dir)
-        periods = [{"period": p.label,
-                    "tp": p.counts.tp, "fp": p.counts.fp,
-                    "tn": p.counts.tn, "fn": p.counts.fn}
-                   for p in timeline.periods]
-        (out_dir / "periods.json").write_text(
-            json.dumps(periods, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
-    elif config.strategy == "temporal":
-        result = run_temporal_split(stream, config)
-        summary = {key: result[key]
-                   for key in ("accuracy", "f1", "recall", "precision")}
-        summary["drifts"] = 0
-        _write_summary(summary, out_dir)
-    elif config.strategy == "cross-val":
-        result = run_cross_validation(stream, config)
-        summary = {key: result[key]
-                   for key in ("accuracy", "f1", "recall", "precision")}
-        summary["drifts"] = 0
-        _write_summary(summary, out_dir)
-        folds = [{"fold": i, "tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}
-                 for i, c in enumerate(result["per_fold"])]
-        (out_dir / "folds.json").write_text(
-            json.dumps(folds, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
-    else:  # mts
-        report = run_multiple_time_spans(stream, config)
-        folds = [{"iteration": r.iteration, "warmup_size": r.warmup_size,
-                  **{k: (round(v, 6) if isinstance(v, float) else v)
-                     for k, v in r.summary.items()}}
-                 for r in report.folds]
-        (out_dir / "mts.json").write_text(
-            json.dumps({"folds": folds,
-                        "f1_mean": round(report.f1_mean, 6),
-                        "f1_std": round(report.f1_std, 6)},
-                       sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        mean = {name: float(sum(r.summary[name] for r in report.folds)
-                            / len(report.folds))
-                for name in ("accuracy", "f1", "recall", "precision")}
-        mean["drifts"] = sum(r.summary["drifts"] for r in report.folds)
-        summary = mean
-        _write_summary(summary, out_dir)
-    return summary
-
-
-def _write_summary(summary: dict, out_dir: Path) -> None:
+    config = _build_config(merged)
+    stream = load_stream(merged["input"], merged.get("format") or "jsonl")
     out_dir.mkdir(parents=True, exist_ok=True)
-    rounded = {key: (round(value, 6) if isinstance(value, float) else value)
-               for key, value in summary.items()}
-    (out_dir / "summary.json").write_text(
-        json.dumps(rounded, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+    if config.strategy in ("temporal", "cross-val"):
+        runner = (run_temporal_split if config.strategy == "temporal"
+                  else run_cross_validation)
+        result = runner(stream, config)
+        summary = {name: result[name] for name in METRIC_NAMES}
+        summary["drifts"] = 0
+        if config.strategy == "cross-val":
+            write_json(out_dir / "folds.json",
+                       [{"fold": i, **asdict(counts)}
+                        for i, counts in enumerate(result["per_fold"])])
+    elif config.strategy == "mts":
+        report = run_multiple_time_spans(stream, config)
+        summary = report.summary
+        write_json(out_dir / "mts.json", {
+            "folds": [{"iteration": r.iteration,
+                       "warmup_size": r.warmup_size, **r.summary}
+                      for r in report.folds],
+            "f1_mean": report.f1_mean, "f1_std": report.f1_std})
+    else:
+        diffs, extractor = [], None
+        if config.strategy == "pool":
+            timeline = ModelPoolPipeline(config).run(stream)
+        elif config.strategy == "iwc":
+            timeline = run_iwc(stream, config)
+            write_json(out_dir / "periods.json",
+                       [{"period": p.label, **asdict(p.counts)}
+                        for p in timeline.periods])
+        else:
+            pipe = FnFPipeline(config)
+            timeline = pipe.run(stream)
+            diffs, extractor = pipe.vocab_diff_events, pipe.extractor
+        export_reports(timeline, diffs, out_dir)
+        if extractor is not None:
+            extractor.save(out_dir / "extractor_final.json")
+        return timeline.summary()
+    write_summary(summary, out_dir)
+    return summary
 
 
 def _resolve_out_dir(requested: str | None) -> Path:
@@ -246,8 +223,7 @@ def _resolve_out_dir(requested: str | None) -> Path:
 
 def _grid_worker(job: tuple[dict, str]) -> tuple[str, dict]:
     merged, out_dir = job
-    summary = _execute_run(dict(merged), Path(out_dir))
-    return out_dir, summary
+    return out_dir, _execute_run(merged, Path(out_dir))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -255,7 +231,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _cmd_run_grid(args)
     merged = _merge_run_config(args)
     out_dir = _resolve_out_dir(merged.pop("out", None))
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = _execute_run(merged, out_dir)
     _print_summary(summary)
     print(f"reports written to {out_dir}")
@@ -275,6 +250,7 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
     base = _merge_run_config(args)
     root = _resolve_out_dir(base.pop("out", None))
     jobs = []
+    names = set()
     allowed = set(ExperimentConfig.field_names()) | set(_RUN_ONLY_KEYS) | {"name"}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -284,14 +260,14 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
             raise ConfigError(f"grid entry {i}: unknown keys {sorted(unknown)}")
         entry = dict(entry)
         name = entry.pop("name", f"job{i:03d}")
+        if name in names:
+            raise ConfigError(f"grid entry {i}: duplicate name {name!r}; "
+                              f"entries would share one output directory")
+        names.add(name)
         merged = dict(base)
         merged.update(entry)
         merged.pop("out", None)
-        # dry validation up front so that config mistakes exit with code 2
-        probe = dict(merged)
-        probe.pop("input", None)
-        probe.pop("format", None)
-        ExperimentConfig.from_dict(probe).validate()
+        _build_config(merged)  # config mistakes exit with code 2 up front
         jobs.append((merged, str(root / name)))
     workers = args.workers or min(len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -302,7 +278,7 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
     for out_dir, summary in results:
         print(f"{out_dir}: "
               + " ".join(f"{key}={summary[key]:.6f}"
-                         for key in ("accuracy", "f1", "recall", "precision"))
+                         for key in METRIC_NAMES)
               + f" drifts={summary['drifts']}")
     return 0
 
@@ -345,10 +321,8 @@ def cmd_diff_vocab(args: argparse.Namespace) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        payload = [{"step": 0, "diffs": [d.to_dict() for d in diffs]}]
-        (out_dir / "vocab_diffs.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        write_json(out_dir / "vocab_diffs.json",
+                   [{"step": 0, "diffs": [d.to_dict() for d in diffs]}])
         print(f"wrote {out_dir / 'vocab_diffs.json'}")
     return 0
 

@@ -1,18 +1,18 @@
 """Prequential metrics accounting and report export.
 
 The timeline records, for every evaluated sample, the prediction/label pair
-and derived error bit, maintains the cumulative confusion matrix and a
-fading prequential error, and keeps drift/warning events plus fixed-size
-window snapshots for trend plots.  ``export_reports`` serializes a run into
-four stable files (metrics.csv, events.jsonl, vocab_diffs.json,
-summary.json) that byte-reproduce across reruns of the same seed.
+and derived error bit, maintains the cumulative confusion matrix, derives
+the fading prequential error from the error bits, and keeps drift/warning
+events plus fixed-size window snapshots for trend plots.  ``export_reports``
+serializes a run into four stable files (metrics.csv, events.jsonl,
+vocab_diffs.json, summary.json) that byte-reproduce across reruns of the
+same seed; ``write_json`` is the layout of every JSON report file.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import EmptyCounts
 from .features import VocabularyDiff
+
+METRIC_NAMES = ("accuracy", "f1", "recall", "precision")
 
 
 @dataclass
@@ -115,31 +117,24 @@ class MetricsTimeline:
         self.confusion = ConfusionCounts()
         self.events: list[DriftEvent] = []
         self.periods: list[PeriodMetrics] = []
-        self._faded: list[float] = []
-        self._s = 0.0
-        self._b = 0.0
 
     @property
     def n_steps(self) -> int:
         return len(self.error_bits)
 
     def record(self, prediction: int, label: int) -> None:
-        bit = int(prediction != label)
         self.predictions.append(int(prediction))
         self.labels.append(int(label))
-        self.error_bits.append(bit)
+        self.error_bits.append(int(prediction != label))
         self.confusion.update(prediction, label)
-        self._s = bit + self.fading * self._s
-        self._b = 1.0 + self.fading * self._b
-        self._faded.append(self._s / self._b)
 
     def record_event(self, step: int, detector: str, level: str) -> None:
         if self.events and step <= self.events[-1].step:
             raise ValueError("event steps must be strictly increasing")
         self.events.append(DriftEvent(step=step, detector=detector, level=level))
 
-    def faded_error(self) -> list[float]:
-        return list(self._faded)
+    def faded_error(self) -> np.ndarray:
+        return prequential_error(self.error_bits, self.fading)
 
     def drift_count(self) -> int:
         return sum(1 for e in self.events if e.level == "drift")
@@ -149,16 +144,12 @@ class MetricsTimeline:
 
     def summary(self) -> dict:
         if self.confusion.total == 0:
-            vals = {"accuracy": 0.0, "precision": 0.0, "recall": 0.0, "f1": 0.0}
+            vals = dict.fromkeys(METRIC_NAMES, 0.0)
         else:
             vals = metrics(self.confusion)
-        return {
-            "accuracy": vals["accuracy"],
-            "f1": vals["f1"],
-            "recall": vals["recall"],
-            "precision": vals["precision"],
-            "drifts": self.drift_count(),
-        }
+        summary = {name: vals[name] for name in METRIC_NAMES}
+        summary["drifts"] = self.drift_count()
+        return summary
 
     def window_snapshots(self) -> list[tuple[int, ConfusionCounts]]:
         """(end_step, counts) for each window; the last may be partial."""
@@ -174,6 +165,30 @@ class MetricsTimeline:
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
+
+
+def _rounded(value):
+    """``value`` with every float, however deeply nested, rounded to 6 places."""
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return value
+
+
+def write_json(path: str | Path, payload) -> Path:
+    """Write a JSON report: floats rounded to 6 places, keys sorted, indent 2."""
+    path = Path(path)
+    path.write_text(json.dumps(_rounded(payload), sort_keys=True, indent=2)
+                    + "\n", encoding="utf-8")
+    return path
+
+
+def write_summary(summary: dict, out_dir: str | Path) -> Path:
+    """Write a run's headline metrics and drift count as summary.json."""
+    return write_json(Path(out_dir) / "summary.json", summary)
 
 
 def export_reports(timeline: MetricsTimeline,
@@ -213,17 +228,8 @@ def export_reports(timeline: MetricsTimeline,
         for event in timeline.events:
             fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
 
-    diff_payload = [
-        {"step": step, "diffs": [d.to_dict() for d in diffs]}
-        for step, diffs in vocab_diffs
-    ]
-    paths["vocab_diffs"].write_text(
-        json.dumps(diff_payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
-
-    summary = timeline.summary()
-    rounded = {key: (round(value, 6) if isinstance(value, float) else value)
-               for key, value in summary.items()}
-    paths["summary"].write_text(
-        json.dumps(rounded, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(paths["vocab_diffs"],
+               [{"step": step, "diffs": [d.to_dict() for d in diffs]}
+                for step, diffs in vocab_diffs])
+    write_summary(timeline.summary(), out_dir)
     return paths

@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyTrainingSet, SchemaMismatch
 from .stream import RawSample, StreamSchema
-
-DEFAULT_VOCAB_SIZE = 100
 
 
 @dataclass
@@ -51,15 +48,6 @@ class AttributeVocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Dense feature vector with the originating sample's label carried along."""
-
-    values: np.ndarray
-    label: int | None = None
-    sample_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -134,7 +122,7 @@ class FeatureExtractorModel:
             vec[base:base + self.k] = block
         return vec
 
-    def transform(self, sample: RawSample) -> FeatureVector:
+    def transform(self, sample: RawSample) -> np.ndarray:
         """Map a sample to a dense vector in [0, 1]^dim.
 
         Out-of-vocabulary tokens are ignored; min-max scaling uses the
@@ -149,7 +137,7 @@ class FeatureExtractorModel:
         scale = np.where(span > 0.0, span, 1.0)
         scaled = (raw - self.minmax_min) / scale
         np.clip(scaled, 0.0, 1.0, out=scaled)
-        return FeatureVector(values=scaled, label=sample.label, sample_id=sample.id)
+        return scaled
 
     # -- serialization ----------------------------------------------------
 
@@ -224,8 +212,7 @@ def _top_k_tokens(samples: Sequence[RawSample], attribute: str,
     return chosen, [doc_freq[tok] for tok in chosen]
 
 
-def fit_extractor(samples: Sequence[RawSample],
-                  k: int = DEFAULT_VOCAB_SIZE,
+def fit_extractor(samples: Sequence[RawSample], k: int,
                   schema: StreamSchema | None = None) -> FeatureExtractorModel:
     """Fit a fresh extractor on a batch of samples.
 

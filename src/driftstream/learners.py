@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch
 
 _SQRT2 = math.sqrt(2.0)
+_SPLIT_POINTS = 10  # candidate thresholds per feature in a split attempt
 
 
 def _check_dim(x: np.ndarray, dim: int) -> np.ndarray:
@@ -150,25 +151,22 @@ class HoeffdingTreeClassifier:
     """
 
     def __init__(self, dim: int, grace_period: int = 200,
-                 split_confidence: float = 1e-7, tie_threshold: float = 0.05,
-                 split_points: int = 10):
+                 split_confidence: float = 1e-7, tie_threshold: float = 0.05):
         if dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.grace_period = grace_period
         self.split_confidence = split_confidence
         self.tie_threshold = tie_threshold
-        self.split_points = split_points
         self.reset()
 
     def reset(self) -> None:
         self._root = _LeafNode(self.dim)
-        self.n_splits = 0
 
     def clone_untrained(self) -> "HoeffdingTreeClassifier":
         return HoeffdingTreeClassifier(
             self.dim, self.grace_period, self.split_confidence,
-            self.tie_threshold, self.split_points)
+            self.tie_threshold)
 
     # -- prediction --------------------------------------------------------
 
@@ -198,7 +196,6 @@ class HoeffdingTreeClassifier:
             node.weight_at_last_attempt = node.total_weight()
             replacement = self._attempt_split(node)
             if replacement is not None:
-                self.n_splits += 1
                 if path_parent is None:
                     self._root = replacement
                 elif went_left:
@@ -233,8 +230,8 @@ class HoeffdingTreeClassifier:
         h_parent = _entropy(total)
         total_w = total.sum()
         best = None
-        for i in range(1, self.split_points + 1):
-            threshold = lo + (hi - lo) * i / (self.split_points + 1)
+        for i in range(1, _SPLIT_POINTS + 1):
+            threshold = lo + (hi - lo) * i / (_SPLIT_POINTS + 1)
             left = self._class_mass_below(leaf, feature, threshold)
             right = total - left
             wl = left.sum()
@@ -296,7 +293,7 @@ class ArfEnsemble:
     """
 
     def __init__(self, dim: int, n_trees: int = 10, poisson_lambda: float = 6.0,
-                 seed: int = 0, grace_period: int = 200,
+                 seed: int | np.random.SeedSequence = 0, grace_period: int = 200,
                  split_confidence: float = 1e-7, tie_threshold: float = 0.05,
                  subspace_size: int | None = None):
         if dim < 1:
@@ -310,7 +307,8 @@ class ArfEnsemble:
         self.split_confidence = split_confidence
         self.tie_threshold = tie_threshold
         self.subspace_size = subspace_size
-        self._seed_seq = np.random.SeedSequence(seed)
+        self._seed_seq = (seed if isinstance(seed, np.random.SeedSequence)
+                          else np.random.SeedSequence(seed))
         self._build()
 
     def _build(self) -> None:
@@ -330,24 +328,18 @@ class ArfEnsemble:
         ]
 
     def reset(self) -> None:
-        self._seed_seq = np.random.SeedSequence(self._seed_seq.entropy)
+        # the spawn key keeps a clone's reset on the clone's own seed
+        self._seed_seq = np.random.SeedSequence(
+            self._seed_seq.entropy, spawn_key=self._seed_seq.spawn_key)
         self._build()
 
     def clone_untrained(self) -> "ArfEnsemble":
         # spawn a fresh child seed so that successive rebuilds stay
         # deterministic without replaying the parent's random stream
-        child = self._seed_seq.spawn(1)[0]
-        clone = ArfEnsemble.__new__(ArfEnsemble)
-        clone.dim = self.dim
-        clone.n_trees = self.n_trees
-        clone.poisson_lambda = self.poisson_lambda
-        clone.grace_period = self.grace_period
-        clone.split_confidence = self.split_confidence
-        clone.tie_threshold = self.tie_threshold
-        clone.subspace_size = self.subspace_size
-        clone._seed_seq = child
-        clone._build()
-        return clone
+        return ArfEnsemble(self.dim, self.n_trees, self.poisson_lambda,
+                           self._seed_seq.spawn(1)[0], self.grace_period,
+                           self.split_confidence, self.tie_threshold,
+                           self.subspace_size)
 
     def _poisson_weights(self) -> np.ndarray:
         return self._poisson_rng.poisson(self.poisson_lambda, size=self.n_trees)

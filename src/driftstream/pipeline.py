@@ -19,8 +19,7 @@ reporting machinery.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,8 +28,8 @@ from .drift import (AdwinDetector, DdmDetector, DriftLevel, EddmDetector,
                     KswinDetector, NeverFiresDetector)
 from .errors import (ClassMissingInFold, ConfigError, InsufficientData,
                      InsufficientTimeSpan, UnlabeledSample, WarmupTooSmall)
-from .evaluation import (ConfusionCounts, MetricsTimeline, PeriodMetrics,
-                         metrics)
+from .evaluation import (METRIC_NAMES, ConfusionCounts, MetricsTimeline,
+                         PeriodMetrics, metrics)
 from .features import FeatureExtractorModel, fit_extractor, vocabulary_diff
 from .learners import (ArfEnsemble, HoeffdingTreeClassifier, PoolMember,
                        SgdClassifier, POOL_MEMBER_KINDS)
@@ -117,6 +116,8 @@ class ExperimentConfig:
             raise ConfigError("need 0 <= pool_tau_low < pool_tau_high <= 1")
         if self.pool_interval < 1:
             raise ConfigError("pool_interval must be >= 1")
+        if not 0.0 < self.fading <= 1.0:
+            raise ConfigError("fading must lie in (0, 1]")
         if isinstance(self.warmup, int):
             if self.warmup < 1:
                 raise ConfigError("warmup sample count must be >= 1")
@@ -179,11 +180,19 @@ def _require_labels(samples) -> None:
                 f"need fully labeled streams")
 
 
-def _check_warmup(samples) -> None:
-    labels = {s.label for s in samples}
-    if not samples or labels != {0, 1}:
+def _split_warmup(stream: SampleStream,
+                  warmup: int | str) -> tuple[list, list]:
+    """(warmup, evaluated) samples of a labeled stream.
+
+    The warmup slice must hold both classes.
+    """
+    _require_labels(stream)
+    count = resolve_warmup_count(stream, warmup)
+    warm = list(stream.samples[:count])
+    if {s.label for s in warm} != {0, 1}:
         raise WarmupTooSmall(
             "warmup slice must be non-empty and contain both classes")
+    return warm, list(stream.samples[count:])
 
 
 def build_detector(config: ExperimentConfig, seed: int = 0):
@@ -224,8 +233,17 @@ def build_classifier(config: ExperimentConfig, dim: int, seed: int = 0):
 def _train_on(classifier, extractor: FeatureExtractorModel, samples) -> None:
     """Single prequential-order pass of partial_fit over a sample batch."""
     for sample in samples:
-        vec = extractor.transform(sample)
-        classifier.partial_fit(vec.values, sample.label)
+        classifier.partial_fit(extractor.transform(sample), sample.label)
+
+
+def _fit_and_predict(train, test, config: ExperimentConfig, seed: int,
+                     schema) -> list[int]:
+    """Fit a fresh extractor and classifier on ``train``; predict ``test``."""
+    extractor = fit_extractor(train, config.vocab_size, schema=schema)
+    classifier = build_classifier(config, extractor.dim, seed)
+    _train_on(classifier, extractor, train)
+    return [classifier.predict(extractor.transform(sample))
+            for sample in test]
 
 
 def _spawn_seeds(seed: int, n: int) -> list[int]:
@@ -294,12 +312,7 @@ class FnFPipeline:
 
     def run(self, stream: SampleStream) -> MetricsTimeline:
         cfg = self.config
-        _require_labels(stream)
-        warm_count = resolve_warmup_count(stream, cfg.warmup)
-        warm = list(stream.samples[:warm_count])
-        rest = list(stream.samples[warm_count:])
-        _check_warmup(warm)
-
+        warm, rest = _split_warmup(stream, cfg.warmup)
         clf_seed, det_seed = _spawn_seeds(cfg.seed, 2)
         self.extractor = fit_extractor(warm, cfg.vocab_size)
         self.extractor_fingerprints.append(self.extractor.fingerprint())
@@ -316,7 +329,7 @@ class FnFPipeline:
         in_warning = False
         for step, sample in enumerate(rest, start=1):
             vec = self.extractor.transform(sample)
-            prediction = self.classifier.predict(vec.values)
+            prediction = self.classifier.predict(vec)
             timeline.record(prediction, sample.label)
             if static:
                 continue
@@ -324,12 +337,12 @@ class FnFPipeline:
             error = float(prediction != sample.label)
             level = self.detector.update(error)
             if level is DriftLevel.NORMAL:
-                self.classifier.partial_fit(vec.values, sample.label)
+                self.classifier.partial_fit(vec, sample.label)
                 if in_warning:
                     warning_buffer.clear()  # warning episode fizzled out
                     in_warning = False
             elif level is DriftLevel.WARNING:
-                self.classifier.partial_fit(vec.values, sample.label)
+                self.classifier.partial_fit(vec, sample.label)
                 if not in_warning:
                     timeline.record_event(step, cfg.detector, "warning")
                     in_warning = True
@@ -386,13 +399,10 @@ def run_iwc(stream: SampleStream, config: ExperimentConfig) -> MetricsTimeline:
                                window=config.metrics_window)
     trained: list[RawSample] = list(groups[0][1])
     for month_idx, (key, month_samples) in enumerate(groups[1:], start=1):
-        extractor = fit_extractor(trained, config.vocab_size,
-                                  schema=stream.schema)
-        classifier = build_classifier(config, extractor.dim, seeds[month_idx])
-        _train_on(classifier, extractor, trained)
+        predictions = _fit_and_predict(trained, month_samples, config,
+                                       seeds[month_idx], stream.schema)
         counts = ConfusionCounts()
-        for sample in month_samples:
-            prediction = classifier.predict(extractor.transform(sample).values)
+        for prediction, sample in zip(predictions, month_samples):
             timeline.record(prediction, sample.label)
             counts.update(prediction, sample.label)
         timeline.periods.append(
@@ -418,17 +428,14 @@ def run_temporal_split(stream: SampleStream,
             f"split fraction {config.split_fraction} leaves an empty side "
             f"for n={len(stream)}")
     seed, = _spawn_seeds(config.seed, 1)
-    extractor = fit_extractor(list(train), config.vocab_size)
-    classifier = build_classifier(config, extractor.dim, seed)
-    _train_on(classifier, extractor, train)
     counts = ConfusionCounts()
-    for sample in test:
-        counts.update(classifier.predict(extractor.transform(sample).values),
-                      sample.label)
+    for prediction, sample in zip(
+            _fit_and_predict(train, test, config, seed, stream.schema), test):
+        counts.update(prediction, sample.label)
     vals = metrics(counts)
-    return {"accuracy": vals["accuracy"], "f1": vals["f1"],
-            "recall": vals["recall"], "precision": vals["precision"],
-            "counts": counts}
+    out = {name: vals[name] for name in METRIC_NAMES}
+    out["counts"] = counts
+    return out
 
 
 def run_cross_validation(stream: SampleStream, config: ExperimentConfig,
@@ -465,20 +472,16 @@ def run_cross_validation(stream: SampleStream, config: ExperimentConfig,
             raise ClassMissingInFold(
                 f"fold {fold}: training split lost a class "
                 f"(has {sorted(train_labels)})")
-        extractor = fit_extractor(train, config.vocab_size,
-                                  schema=stream.schema)
-        classifier = build_classifier(config, extractor.dim, fold_seeds[fold])
-        _train_on(classifier, extractor, train)
         counts = ConfusionCounts()
-        for sample in test:
-            counts.update(
-                classifier.predict(extractor.transform(sample).values),
-                sample.label)
+        for prediction, sample in zip(
+                _fit_and_predict(train, test, config, fold_seeds[fold],
+                                 stream.schema), test):
+            counts.update(prediction, sample.label)
         per_fold.append(counts)
 
     fold_metrics = [metrics(c) for c in per_fold]
     out = {name: float(np.mean([m[name] for m in fold_metrics]))
-           for name in ("accuracy", "f1", "recall", "precision")}
+           for name in METRIC_NAMES}
     out["per_fold"] = per_fold
     return out
 
@@ -531,11 +534,7 @@ class ModelPoolPipeline:
 
     def run(self, stream: SampleStream) -> MetricsTimeline:
         cfg = self.config
-        _require_labels(stream)
-        warm_count = resolve_warmup_count(stream, cfg.warmup)
-        warm = list(stream.samples[:warm_count])
-        rest = list(stream.samples[warm_count:])
-        _check_warmup(warm)
+        warm, rest = _split_warmup(stream, cfg.warmup)
         for sample in warm:
             indices = self.indexer.encode(sample)
             for member in self.members:
@@ -589,9 +588,13 @@ class FoldReport:
 
 @dataclass(frozen=True)
 class MtsReport:
+    """Per-iteration reports, the F1 mean/std over them, and a summary with
+    the mean of each metric and the total drift count."""
+
     folds: list[FoldReport]
     f1_mean: float
     f1_std: float
+    summary: dict
 
 
 def _chunk_sizes(n: int, folds: int) -> list[int]:
@@ -625,5 +628,9 @@ def run_multiple_time_spans(stream: SampleStream,
         reports.append(FoldReport(iteration=iteration, warmup_size=warm,
                                   summary=timeline.summary()))
     f1_values = np.array([r.summary["f1"] for r in reports])
+    summary = {name: float(sum(r.summary[name] for r in reports)
+                           / len(reports))
+               for name in METRIC_NAMES}
+    summary["drifts"] = sum(r.summary["drifts"] for r in reports)
     return MtsReport(folds=reports, f1_mean=float(f1_values.mean()),
-                     f1_std=float(f1_values.std()))
+                     f1_std=float(f1_values.std()), summary=summary)

@@ -110,6 +110,18 @@ def stream_from_samples(samples: Iterable[RawSample],
     return SampleStream(schema=schema, samples=tuple(fixed))
 
 
+def _parse_int(value, what: str, line: int) -> int:
+    """``value`` as an int; bools and numbers int() would change are errors."""
+    try:
+        as_int = int(value)
+        if isinstance(value, bool) or (not isinstance(value, str)
+                                       and as_int != value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{what} {value!r} is not an integer", line) from None
+    return as_int
+
+
 def _parse_label(value, line: int) -> int | None:
     if value is None:
         return None
@@ -117,22 +129,14 @@ def _parse_label(value, line: int) -> int | None:
         value = value.strip()
         if value == "" or value.lower() in ("none", "null"):
             return None
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"label {value!r} is not 0, 1 or empty", line) from None
+    as_int = _parse_int(value, "label", line)
     if as_int not in (0, 1):
         raise ParseError(f"label {as_int} outside {{0, 1}}", line)
     return as_int
 
 
 def _parse_timestamp(value, line: int) -> int:
-    if isinstance(value, bool):
-        raise ParseError(f"timestamp {value!r} is not an integer", line)
-    try:
-        ts = int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"timestamp {value!r} is not an integer", line) from None
+    ts = _parse_int(value, "timestamp", line)
     if ts < 0:
         raise ParseError(f"timestamp {ts} is negative", line)
     return ts

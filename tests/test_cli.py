@@ -232,6 +232,30 @@ def test_grid_rejects_unknown_entry_keys(tmp_path, stream_file, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def test_grid_rejects_duplicate_names(tmp_path, stream_file, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"name": "a", "strategy": "temporal"},
+                                {"name": "a", "strategy": "cross-val"}]))
+    out = tmp_path / "g"
+    code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
+                    "--out", str(out), "--workers", "1"])
+    assert code == 2
+    assert "duplicate name 'a'" in capsys.readouterr().err
+    assert not out.exists()  # no job ran
+
+
+def test_grid_runs_mts_entry(tmp_path, stream_file):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"name": "m", "strategy": "mts",
+                                 "mts_folds": 2, "mts_inner": "fnf-update"}]))
+    out = tmp_path / "g"
+    code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
+                    "--out", str(out), "--classifier", "sgd",
+                    "--workers", "1"])
+    assert code == 0
+    assert (out / "m" / "mts.json").exists()
+
+
 def test_grid_requires_array(tmp_path, stream_file):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"strategy": "temporal"}))

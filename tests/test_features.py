@@ -64,24 +64,17 @@ def test_train_transforms_span_unit_interval():
     v1 = model.transform(doc("d1", 1, ["a", "a", "b"]))
     v2 = model.transform(doc("d2", 2, ["b", "c"]))
     # d2 has no "a" -> raw 0 is the min, d1's is the max
-    assert v1.values[0] == pytest.approx(1.0)
-    assert v2.values[0] == pytest.approx(0.0)
+    assert v1[0] == pytest.approx(1.0)
+    assert v2[0] == pytest.approx(0.0)
     # dim "b": d2's normalized weight (1.0) exceeds d1's
-    assert v2.values[1] == pytest.approx(1.0)
-    assert v1.values[1] == pytest.approx(0.0)
+    assert v2[1] == pytest.approx(1.0)
+    assert v1[1] == pytest.approx(0.0)
 
 
 def test_oov_only_document_maps_to_zero_vector():
     model = worked_extractor()
     vec = model.transform(doc("q", 9, ["zzz", "qqq"]))
-    np.testing.assert_array_equal(vec.values, np.zeros(2))
-
-
-def test_transform_carries_label_and_id():
-    model = worked_extractor()
-    vec = model.transform(doc("q", 9, ["a"], label=1))
-    assert vec.sample_id == "q"
-    assert vec.label == 1
+    np.testing.assert_array_equal(vec, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +108,7 @@ def test_matches_naive_reference(seed, k):
     query_docs = [dict(s.attributes) for s in queries]
     expected = naive_fit_transform(train_docs, query_docs, k)
     for sample, want in zip(queries, expected):
-        got = model.transform(sample).values
+        got = model.transform(sample)
         np.testing.assert_allclose(got, np.asarray(want), atol=1e-9)
 
 
@@ -125,7 +118,7 @@ def test_values_bounded_in_unit_interval():
     model = fit_extractor(stream, k=5)
     queries = random_corpus(rng, n_docs=40, n_attrs=2, pool_size=40, max_len=10)
     for sample in queries:
-        vec = model.transform(sample).values
+        vec = model.transform(sample)
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
 
@@ -153,9 +146,9 @@ def test_dim_is_attributes_times_k_even_when_vocab_short():
     model = fit_extractor(train, k=100)
     assert model.dim == 200
     vec = model.transform(train[0])
-    assert vec.values.shape == (200,)
+    assert vec.shape == (200,)
     # block for "x" has one live dimension, the rest of its 100 are zero
-    assert np.count_nonzero(vec.values[:100]) <= 1
+    assert np.count_nonzero(vec[:100]) <= 1
 
 
 def test_empty_training_set_rejected():
@@ -184,8 +177,8 @@ def test_json_roundtrip_preserves_transforms(tmp_path):
     loaded = FeatureExtractorModel.load(path)
     assert loaded.fingerprint() == model.fingerprint()
     for sample in stream:
-        np.testing.assert_array_equal(loaded.transform(sample).values,
-                                      model.transform(sample).values)
+        np.testing.assert_array_equal(loaded.transform(sample),
+                                      model.transform(sample))
 
 
 def test_serialization_is_byte_stable(tmp_path):

@@ -215,6 +215,14 @@ def test_arf_reset_replays_identically():
     assert [ens.predict(p) for p in probes] == first
 
 
+def test_arf_clone_reset_keeps_the_clone_seed():
+    ens = ArfEnsemble(dim=16, n_trees=5, seed=7)
+    clone = ens.clone_untrained()
+    own = [subspace.copy() for subspace in clone.subspaces]
+    clone.reset()
+    assert all(np.array_equal(a, b) for a, b in zip(clone.subspaces, own))
+
+
 def test_arf_clone_untrained_diverges_from_parent_stream():
     """A rebuild must not replay the parent's exact randomness."""
     ens = ArfEnsemble(dim=40, n_trees=5, seed=9)

@@ -65,6 +65,7 @@ def test_config_rejects_unknown_keys():
     ("cv_folds", 1), ("mts_folds", 1), ("split_fraction", 1.0),
     ("pool_tau_low", 0.9), ("pool_interval", 0), ("vocab_size", 0),
     ("warmup", 0), ("warmup", "yesterday"), ("mts_inner", "temporal"),
+    ("fading", 0.0), ("fading", 1.5),
 ])
 def test_config_validation_catches_bad_values(field, value):
     with pytest.raises(ConfigError):

@@ -122,6 +122,29 @@ def test_bad_label_line_number(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("timestamp,label", [
+    ("2", "0.7"), ("2", "true"), ("6.9", "0"), ("false", "0"),
+])
+def test_non_integral_label_or_timestamp_line_number(tmp_path, timestamp,
+                                                     label):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"id": "a", "timestamp": 1, "label": 0, "attributes": {"x": []}}\n'
+        f'{{"id": "b", "timestamp": {timestamp}, "label": {label}, '
+        f'"attributes": {{"x": []}}}}\n')
+    with pytest.raises(ParseError) as err:
+        load_stream(path)
+    assert err.value.line == 2
+
+
+def test_integral_float_label_and_timestamp_accepted(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text('{"id": "a", "timestamp": 6.0, "label": 1.0, '
+                    '"attributes": {"x": []}}\n')
+    sample = load_stream(path)[0]
+    assert (sample.timestamp, sample.label) == (6, 1)
+
+
 def test_negative_timestamp_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "timestamp": -5, "attributes": {"x": []}}\n')
