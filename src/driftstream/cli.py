@@ -176,15 +176,15 @@ def _execute_run(merged: dict, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if config.strategy in ("temporal", "cross-val"):
-        runner = (run_temporal_split if config.strategy == "temporal"
-                  else run_cross_validation)
-        result = runner(stream, config)
-        summary = {name: result[name] for name in METRIC_NAMES}
-        summary["drifts"] = 0
-        if config.strategy == "cross-val":
+        if config.strategy == "temporal":
+            result = run_temporal_split(stream, config)
+        else:
+            result = run_cross_validation(stream, config)
             write_json(out_dir / "folds.json",
                        [{"fold": i, **asdict(counts)}
                         for i, counts in enumerate(result["per_fold"])])
+        summary = {name: result[name] for name in METRIC_NAMES}
+        summary["drifts"] = 0
     elif config.strategy == "mts":
         report = run_multiple_time_spans(stream, config)
         summary = report.summary
@@ -193,7 +193,7 @@ def _execute_run(merged: dict, out_dir: Path) -> dict:
                        "warmup_size": r.warmup_size, **r.summary}
                       for r in report.folds],
             "f1_mean": report.f1_mean, "f1_std": report.f1_std})
-    else:
+    else:  # prequential runs; export_reports writes their summary.json
         diffs, extractor = [], None
         if config.strategy == "pool":
             timeline = ModelPoolPipeline(config).run(stream)

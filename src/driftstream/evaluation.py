@@ -178,17 +178,15 @@ def _rounded(value):
     return value
 
 
-def write_json(path: str | Path, payload) -> Path:
+def write_json(path: str | Path, payload) -> None:
     """Write a JSON report: floats rounded to 6 places, keys sorted, indent 2."""
-    path = Path(path)
-    path.write_text(json.dumps(_rounded(payload), sort_keys=True, indent=2)
-                    + "\n", encoding="utf-8")
-    return path
+    Path(path).write_text(json.dumps(_rounded(payload), sort_keys=True,
+                                     indent=2) + "\n", encoding="utf-8")
 
 
-def write_summary(summary: dict, out_dir: str | Path) -> Path:
+def write_summary(summary: dict, out_dir: str | Path) -> None:
     """Write a run's headline metrics and drift count as summary.json."""
-    return write_json(Path(out_dir) / "summary.json", summary)
+    write_json(Path(out_dir) / "summary.json", summary)
 
 
 def export_reports(timeline: MetricsTimeline,

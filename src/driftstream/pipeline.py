@@ -33,7 +33,7 @@ from .evaluation import (METRIC_NAMES, ConfusionCounts, MetricsTimeline,
 from .features import FeatureExtractorModel, fit_extractor, vocabulary_diff
 from .learners import (ArfEnsemble, HoeffdingTreeClassifier, PoolMember,
                        SgdClassifier, POOL_MEMBER_KINDS)
-from .stream import RawSample, SampleStream, split_temporal
+from .stream import RawSample, SampleStream, StreamSchema, split_temporal
 
 log = logging.getLogger(__name__)
 
@@ -237,7 +237,7 @@ def _train_on(classifier, extractor: FeatureExtractorModel, samples) -> None:
 
 
 def _fit_and_predict(train, test, config: ExperimentConfig, seed: int,
-                     schema) -> list[int]:
+                     schema: StreamSchema) -> list[int]:
     """Fit a fresh extractor and classifier on ``train``; predict ``test``."""
     extractor = fit_extractor(train, config.vocab_size, schema=schema)
     classifier = build_classifier(config, extractor.dim, seed)
@@ -588,8 +588,8 @@ class FoldReport:
 
 @dataclass(frozen=True)
 class MtsReport:
-    """Per-iteration reports, the F1 mean/std over them, and a summary with
-    the mean of each metric and the total drift count."""
+    """One report per warmup size, their F1 mean and std, and ``summary``:
+    the mean of each metric plus the total drift count."""
 
     folds: list[FoldReport]
     f1_mean: float

@@ -112,6 +112,8 @@ def stream_from_samples(samples: Iterable[RawSample],
 
 def _parse_int(value, what: str, line: int) -> int:
     """``value`` as an int; bools and numbers int() would change are errors."""
+    if type(value) is int:  # the common case, checked first for load speed
+        return value
     try:
         as_int = int(value)
         if isinstance(value, bool) or (not isinstance(value, str)

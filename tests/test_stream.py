@@ -124,6 +124,7 @@ def test_bad_label_line_number(tmp_path):
 
 @pytest.mark.parametrize("timestamp,label", [
     ("2", "0.7"), ("2", "true"), ("6.9", "0"), ("false", "0"),
+    ("Infinity", "0"),
 ])
 def test_non_integral_label_or_timestamp_line_number(tmp_path, timestamp,
                                                      label):
