@@ -8,7 +8,10 @@ the drift buffer under the existing feature extractor ("fnf-update") or
 refits extractor *and* classifier on the buffered raw samples
 ("fnf-retrain").  The buffer is detector-specific: the warning-phase
 samples for DDM/EDDM, the samples aligned with the surviving window for
-ADWIN, and the newest ``stat_size`` samples for KSWIN.
+ADWIN, and the newest ``stat_size`` samples for KSWIN.  Vectors are
+computed one block of samples ahead of the loop; after a rebuild the rows
+not yet consumed are computed again, so every sample is transformed by the
+extractor in force when the loop reaches it.
 
 The offline baselines (temporal split, stratified cross-validation,
 month-by-month incremental retraining, several-warmup-sizes sweeps) and
@@ -118,6 +121,22 @@ class ExperimentConfig:
             raise ConfigError("pool_interval must be >= 1")
         if not 0.0 < self.fading <= 1.0:
             raise ConfigError("fading must lie in (0, 1]")
+        if self.metrics_window < 1:
+            raise ConfigError("metrics_window must be >= 1")
+        if self.arf_trees < 1:
+            raise ConfigError("arf_trees must be >= 1")
+        # the ranges the detector constructors enforce (DDM and EDDM
+        # enforce none), checked here so they fail before any run starts
+        if not 0.0 < self.adwin_delta < 1.0:
+            raise ConfigError("adwin_delta must lie in (0, 1)")
+        if self.adwin_max_buckets is not None and self.adwin_max_buckets < 2:
+            raise ConfigError("adwin_max_buckets must be >= 2 (or null)")
+        if self.adwin_check_interval < 1:
+            raise ConfigError("adwin_check_interval must be >= 1")
+        if not 1 <= self.kswin_stat_size < self.kswin_window:
+            raise ConfigError("need kswin_window > kswin_stat_size >= 1")
+        if not 0.0 < self.kswin_alpha < 1.0:
+            raise ConfigError("kswin_alpha must lie in (0, 1)")
         if isinstance(self.warmup, int):
             if self.warmup < 1:
                 raise ConfigError("warmup sample count must be >= 1")
@@ -232,8 +251,8 @@ def build_classifier(config: ExperimentConfig, dim: int, seed: int = 0):
 
 def _train_on(classifier, extractor: FeatureExtractorModel, samples) -> None:
     """Single prequential-order pass of partial_fit over a sample batch."""
-    for sample in samples:
-        classifier.partial_fit(extractor.transform(sample), sample.label)
+    for vec, sample in zip(extractor.iter_transform(samples), samples):
+        classifier.partial_fit(vec, sample.label)
 
 
 def _fit_and_predict(train, test, config: ExperimentConfig, seed: int,
@@ -242,8 +261,7 @@ def _fit_and_predict(train, test, config: ExperimentConfig, seed: int,
     extractor = fit_extractor(train, config.vocab_size, schema=schema)
     classifier = build_classifier(config, extractor.dim, seed)
     _train_on(classifier, extractor, train)
-    return [classifier.predict(extractor.transform(sample))
-            for sample in test]
+    return [classifier.predict(vec) for vec in extractor.iter_transform(test)]
 
 
 def _spawn_seeds(seed: int, n: int) -> list[int]:
@@ -283,14 +301,16 @@ class FnFPipeline:
         self.degenerate_drifts = 0
         self.rebuild_count = 0
 
-    def _drift_buffer(self, warning_buffer: list, history: list) -> list:
+    def _drift_buffer(self, warning_buffer: list, rest: list,
+                      step: int) -> list:
+        """The samples to rebuild on; ``rest[:step]`` are those seen so far."""
         name = self.config.detector
         if name in ("ddm", "eddm"):
             return list(warning_buffer)
         if name == "adwin":
-            return history[-self.detector.width:] if self.detector.width else []
+            return rest[max(0, step - self.detector.width):step]
         if name == "kswin":
-            return history[-self.detector.stat_size:]
+            return rest[max(0, step - self.detector.stat_size):step]
         return []
 
     def _rebuild(self, buffer: list, step: int) -> None:
@@ -325,15 +345,14 @@ class FnFPipeline:
         timeline = MetricsTimeline(fading=cfg.fading,
                                    window=cfg.metrics_window)
         warning_buffer: list[RawSample] = []
-        history: list[RawSample] = []
         in_warning = False
+        vectors = self.extractor.iter_transform(rest)
         for step, sample in enumerate(rest, start=1):
-            vec = self.extractor.transform(sample)
+            vec = next(vectors)
             prediction = self.classifier.predict(vec)
             timeline.record(prediction, sample.label)
             if static:
                 continue
-            history.append(sample)
             error = float(prediction != sample.label)
             level = self.detector.update(error)
             if level is DriftLevel.NORMAL:
@@ -349,9 +368,11 @@ class FnFPipeline:
                 warning_buffer.append(sample)
             else:
                 timeline.record_event(step, cfg.detector, "drift")
-                buffer = self._drift_buffer(warning_buffer, history)
+                buffer = self._drift_buffer(warning_buffer, rest, step)
                 if buffer:
                     self._rebuild(buffer, step)
+                    # rows computed ahead may come from the old extractor
+                    vectors = self.extractor.iter_transform(rest, step)
                 else:
                     self.degenerate_drifts += 1
                     log.warning("drift at step %d with empty buffer; "

@@ -2,13 +2,17 @@
 
 Everything here is deliberately written from first principles on plain
 Python data structures (lists, dicts, math) so that it shares no code path
-with the library implementations it checks.
+with the library implementations it checks.  The one exception is
+``per_sample_transform``: the extractor's former one-sample-at-a-time
+numpy transform, kept as the bit-exact reference of the block transform.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +208,38 @@ def naive_fit_transform(train_docs, query_docs, k):
             scaled.append(min(1.0, max(0.0, v)))
         out.append(scaled)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-sample numpy transform (bit-exact reference of the block transform)
+# ---------------------------------------------------------------------------
+
+def per_sample_raw_vector(extractor, sample) -> np.ndarray:
+    """TF-IDF vector with per-attribute L2 normalization, before scaling."""
+    k = extractor.k
+    vec = np.zeros(extractor.dim, dtype=float)
+    for a_idx, vocab in enumerate(extractor.vocabularies):
+        counts = Counter(sample.attributes.get(vocab.attribute_name, ()))
+        block = np.zeros(k, dtype=float)
+        for tok, count in counts.items():
+            col = vocab.token_to_index.get(tok)
+            if col is not None:
+                block[col] = count * vocab.idf[col]
+        norm = np.linalg.norm(block)
+        if norm > 0.0:
+            block /= norm
+        vec[a_idx * k:(a_idx + 1) * k] = block
+    return vec
+
+
+def per_sample_transform(extractor, sample) -> np.ndarray:
+    """Min-max scaled and clamped ``per_sample_raw_vector``."""
+    raw = per_sample_raw_vector(extractor, sample)
+    span = extractor.minmax_max - extractor.minmax_min
+    scale = np.where(span > 0.0, span, 1.0)
+    scaled = (raw - extractor.minmax_min) / scale
+    np.clip(scaled, 0.0, 1.0, out=scaled)
+    return scaled
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,19 @@ def test_grid_rejects_duplicate_names(tmp_path, stream_file, capsys):
     assert not out.exists()  # no job ran
 
 
+def test_grid_rejects_out_of_range_knob_before_running(tmp_path,
+                                                       stream_file, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"name": "a", "strategy": "temporal"},
+                                {"name": "b", "adwin_delta": 0}]))
+    out = tmp_path / "g"
+    code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
+                    "--out", str(out), "--workers", "1"])
+    assert code == 2
+    assert "adwin_delta" in capsys.readouterr().err
+    assert not out.exists()  # no job ran
+
+
 def test_grid_runs_mts_entry(tmp_path, stream_file):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([{"name": "m", "strategy": "mts",

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream import (EmptyTrainingSet, FeatureExtractorModel, RawSample,
                          SchemaMismatch, fit_extractor, stream_from_samples,
                          vocabulary_diff)
-from .oracles import naive_fit_transform
+from .oracles import (naive_fit_transform, per_sample_raw_vector,
+                      per_sample_transform)
 
 
 def doc(sid, ts, tokens, label=0, attr="api_calls"):
@@ -52,7 +55,7 @@ def test_idf_values():
 def test_worked_example_raw_geometry():
     """Before min-max, d1 maps to the unit vector of (2*idf_a, 1)."""
     model = worked_extractor()
-    raw = model._raw_vector(doc("d1", 1, ["a", "a", "b"]))
+    raw = model._raw_matrix([doc("d1", 1, ["a", "a", "b"])])[0]
     expect = np.array([2 * IDF_A, 1.0])
     expect /= np.linalg.norm(expect)
     np.testing.assert_allclose(raw, expect, atol=1e-12)
@@ -112,6 +115,59 @@ def test_matches_naive_reference(seed, k):
         np.testing.assert_allclose(got, np.asarray(want), atol=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# block transform == former per-sample transform, bit for bit
+# ---------------------------------------------------------------------------
+
+TOKENS = [f"t{i}" for i in range(12)]
+OOV_TOKENS = ["oov0", "oov1", "oov2"]
+
+
+@st.composite
+def block_case(draw):
+    """(k, training samples, query block) over 1-3 attributes.
+
+    The training pool may hold fewer distinct tokens than ``k``; queries
+    mix in out-of-vocabulary tokens, and the block's first and last rows
+    are an all-empty and an all-OOV sample.
+    """
+    names = [f"a{j}" for j in range(draw(st.integers(1, 3)))]
+    pool = TOKENS[:draw(st.integers(1, len(TOKENS)))]
+    k = draw(st.integers(1, 8))
+
+    def samples(tokens, n, prefix):
+        lists = st.lists(st.sampled_from(tokens), max_size=6)
+        return [RawSample(id=f"{prefix}{i}", timestamp=i, label=0,
+                          attributes={name: draw(lists) for name in names})
+                for i in range(n)]
+
+    train = samples(pool, draw(st.integers(1, 70)), "train")
+    queries = samples(pool + OOV_TOKENS,
+                      draw(st.sampled_from([1, 63, 64, 65])), "q")
+    queries[0] = RawSample(id="empty", timestamp=0, label=0,
+                           attributes={name: [] for name in names})
+    queries[-1] = RawSample(id="oov", timestamp=0, label=0,
+                            attributes={name: list(OOV_TOKENS)
+                                        for name in names})
+    return k, train, queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_case())
+def test_block_transform_is_bit_identical_to_per_sample(case):
+    k, train, queries = case
+    model = fit_extractor(train, k=k)
+    raws = np.array([per_sample_raw_vector(model, s) for s in train])
+    assert np.array_equal(model.minmax_min, raws.min(axis=0))
+    assert np.array_equal(model.minmax_max, raws.max(axis=0))
+
+    want = np.array([per_sample_transform(model, s) for s in queries])
+    assert np.array_equal(model.transform_many(queries), want)
+    assert np.array_equal(np.array(list(model.iter_transform(queries))), want)
+    assert np.array_equal(model.transform(queries[-1]), want[-1])
+    assert not want[-1].any()  # OOV tokens leave every column at the min
+
+
 def test_values_bounded_in_unit_interval():
     rng = np.random.default_rng(11)
     stream = random_corpus(rng, n_docs=60, n_attrs=2, pool_size=15, max_len=10)
@@ -130,7 +186,7 @@ def test_l2_normalization_is_per_attribute_block():
         RawSample(id="d2", timestamp=2, label=0,
                   attributes={"x": ["a", "c"], "y": ["b"]})])
     model = fit_extractor(train, k=1)
-    raw = model._raw_vector(train[0])
+    raw = model._raw_matrix([train[0]])[0]
     # single live dimension per block -> each block normalizes to length 1
     np.testing.assert_allclose(raw, [1.0, 1.0], atol=1e-12)
 

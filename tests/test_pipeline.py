@@ -1,5 +1,8 @@
 """Experiment strategies: prequential loop, baselines, pool, warmup sweep."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ from driftstream import (ClassMissingInFold, ConfigError, DriftLevel,
                          run_cross_validation, run_fnf, run_iwc,
                          run_model_pool, run_multiple_time_spans,
                          run_temporal_split, stream_from_samples)
+from driftstream import features
+from driftstream.cli import main as cli_main
 from driftstream.pipeline import _chunk_sizes
 
 
@@ -66,6 +71,11 @@ def test_config_rejects_unknown_keys():
     ("pool_tau_low", 0.9), ("pool_interval", 0), ("vocab_size", 0),
     ("warmup", 0), ("warmup", "yesterday"), ("mts_inner", "temporal"),
     ("fading", 0.0), ("fading", 1.5),
+    ("metrics_window", 0), ("arf_trees", 0),
+    ("adwin_delta", 0.0), ("adwin_delta", 1.0), ("adwin_max_buckets", 1),
+    ("adwin_check_interval", 0), ("kswin_stat_size", 0),
+    ("kswin_stat_size", 100), ("kswin_window", 30),
+    ("kswin_alpha", 0.0), ("kswin_alpha", 1.0),
 ])
 def test_config_validation_catches_bad_values(field, value):
     with pytest.raises(ConfigError):
@@ -282,6 +292,35 @@ def test_fnf_run_is_deterministic():
     assert a.predictions == b.predictions
     assert a.events == b.events
     assert a.summary() == b.summary()
+
+
+@pytest.mark.parametrize("detector", ["adwin", "kswin"])
+def test_rebuild_mid_block_does_not_reuse_stale_vectors(detector, tmp_path,
+                                                        monkeypatch):
+    """Blocks of one sample and of BLOCK_ROWS samples write the same reports,
+    with drifts that fall inside a block."""
+    monkeypatch.delenv("DRIFTSTREAM_OUT", raising=False)
+    stream_file = tmp_path / "stream.jsonl"
+    # stream seed 2: rows computed ahead of the drifts change the reports
+    # unless they are computed again after the rebuild
+    assert cli_main(["gen", "--n", "3000", "--drift-at", "1500",
+                     "--seed", "2", "--out", str(stream_file)]) == 0
+
+    def run_digests(out_dir):
+        assert cli_main(["run", "--input", str(stream_file),
+                         "--out", str(out_dir), "--strategy", "fnf-retrain",
+                         "--detector", detector, "--classifier", "sgd",
+                         "--warmup", "300", "--metrics-window", "250"]) == 0
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out_dir.iterdir())}
+
+    blocked = run_digests(tmp_path / "blocked")
+    events = [json.loads(line) for line in
+              (tmp_path / "blocked" / "events.jsonl").read_text().splitlines()]
+    drift_steps = [e["step"] for e in events if e["level"] == "drift"]
+    assert any(step % features.BLOCK_ROWS for step in drift_steps)
+    monkeypatch.setattr(features, "BLOCK_ROWS", 1)
+    assert run_digests(tmp_path / "per_sample") == blocked
 
 
 # ---------------------------------------------------------------------------
