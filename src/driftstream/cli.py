@@ -33,7 +33,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     the merge step can tell explicit flags from omissions."""
     for spec in fields(ExperimentConfig):
         flag = "--" + spec.name.replace("_", "-")
-        if spec.type in ("bool", bool):
+        if spec.type == "bool":
             parser.add_argument(flag, default=None, type=_parse_bool,
                                 metavar="0|1",
                                 help=f"{spec.name} (default: {spec.default})")
@@ -41,10 +41,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(flag, default=None, type=_parse_warmup,
                                 help=f"sample count or duration such as 365d "
                                      f"(default: {spec.default})")
-        elif spec.type in ("int", int):
+        elif spec.type in ("int", "int | None"):
             parser.add_argument(flag, default=None, type=int,
                                 help=f"{spec.name} (default: {spec.default})")
-        elif spec.type in ("float", float):
+        elif spec.type == "float":
             parser.add_argument(flag, default=None, type=float,
                                 help=f"{spec.name} (default: {spec.default})")
         else:

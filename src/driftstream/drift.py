@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -194,25 +195,41 @@ class EddmDetector:
 # ADWIN
 # ---------------------------------------------------------------------------
 
+# A boundary is skipped only while its worst-case gap stays below eps shrunk
+# by this factor, so the rounding of the running sums and of the horizon
+# formula can never hide a cut that the exact scan would have made.
+_HORIZON_SLACK = 1.0 - 1e-6
+# No horizon reaches past this window length.  Up to it, K running-sum
+# additions move a right-side mean by at most 2^-53 * (n + K), under a
+# fortieth of the slack at the smallest eps such a window can have.
+_HORIZON_MAX_WIDTH = 1 << 20
+
+
 class AdwinDetector:
     """Adaptive windowing with an exponential bucket histogram.
 
     The window of recent values is summarized by rows of buckets; row r
-    holds buckets of 2^r elements each (sum only — counts are implied).
-    When a row exceeds ``max_buckets`` buckets, its two oldest buckets merge
-    into one bucket of the next row.  Passing ``max_buckets=None`` disables
-    compression entirely, which keeps every value in a size-1 bucket and
-    makes the detector exactly equivalent to an exhaustive cut search.
+    holds buckets of 2^r elements each.  When a row exceeds ``max_buckets``
+    buckets, its two oldest buckets merge into one bucket of the next row.
+    Passing ``max_buckets=None`` disables compression entirely, which keeps
+    every value in a size-1 bucket and makes the detector exactly
+    equivalent to an exhaustive cut search.
 
-    On every update (or every ``check_interval`` updates) the detector scans
-    all bucket boundaries oldest-to-newest and cuts when the sub-window
-    means differ by more than
+    On every update (or every ``check_interval`` updates) the detector looks
+    for a bucket boundary where the sub-window means differ by more than
 
         eps = sqrt(ln(4 / delta') / (2 m)),   1/m = 1/|W0| + 1/|W1|,
 
     with delta' = delta / n for the current window length n.  A cut drops
-    the oldest bucket and the scan restarts, possibly shrinking repeatedly
-    within a single update.
+    the oldest bucket and the search restarts, possibly shrinking
+    repeatedly within a single update.
+
+    The buckets are kept in one flat oldest-to-newest list; a row is a run
+    of that list, so merges happen in place.  Prefix counts and sums equal
+    the running left-to-right sums of a full scan bit for bit, and each
+    boundary carries a tick up to which it provably cannot cut
+    (``_no_cut_ticks``), so an update tests only the boundaries whose
+    horizon has run out.
     """
 
     def __init__(self, delta: float = 0.002,
@@ -230,9 +247,18 @@ class AdwinDetector:
         self.reset()
 
     def reset(self) -> None:
-        # _rows[r] is a list of bucket sums, oldest first; row r buckets
-        # cover 2^r elements each.
-        self._rows: list[list[float]] = [[]]
+        # bucket sizes and sums, oldest first; the newest _row_lengths[r]
+        # buckets before those of rows < r form row r
+        self._sizes: list[int] = []
+        self._sums: list[float] = []
+        self._row_lengths = [0]
+        # _prefix_counts[j] / _prefix_sums[j]: size and sum of the oldest j
+        # buckets, summed oldest first
+        self._prefix_counts = [0]
+        self._prefix_sums = [0.0]
+        # _horizon[j]: last tick at which the boundary after bucket j cannot
+        # cut; -1 when it has not been tested since it appeared
+        self._horizon: list[int] = []
         self._count = 0
         self._sum = 0.0
         self._ticks = 0
@@ -251,72 +277,122 @@ class AdwinDetector:
         """The retained window, oldest first (uncompressed detectors only)."""
         if self.max_buckets is not None:
             raise ValueError("window_values requires max_buckets=None")
-        return list(self._rows[0])
+        return list(self._sums)
 
     # -- maintenance -------------------------------------------------------
 
+    def _refresh_prefixes(self, start: int) -> None:
+        """Recompute the prefixes past the oldest ``start`` buckets."""
+        counts, sums = self._prefix_counts, self._prefix_sums
+        counts[start:] = accumulate(self._sizes[start:], initial=counts[start])
+        sums[start:] = accumulate(self._sums[start:], initial=sums[start])
+
     def _insert(self, value: float) -> None:
-        self._rows[0].append(value)
+        sizes, sums, horizon = self._sizes, self._sums, self._horizon
+        if sizes:
+            horizon.append(-1)
+        sizes.append(1)
+        sums.append(value)
         self._count += 1
         self._sum += value
-        if self.max_buckets is None:
+        rows = self._row_lengths
+        rows[0] += 1
+        limit = self.max_buckets
+        if limit is None or rows[0] <= limit:
+            self._prefix_counts.append(self._count)
+            self._prefix_sums.append(self._prefix_sums[-1] + value)
             return
+        end = len(sizes)
         row = 0
-        while len(self._rows[row]) > self.max_buckets:
-            oldest = self._rows[row].pop(0)
-            second = self._rows[row].pop(0)
-            if row + 1 == len(self._rows):
-                self._rows.append([])
-            self._rows[row + 1].append(oldest + second)
+        while rows[row] > limit:
+            # merge the row's two oldest buckets into the next row's newest
+            first = end - rows[row]
+            sums[first] += sums[first + 1]
+            sizes[first] *= 2
+            del sums[first + 1], sizes[first + 1], horizon[first]
+            rows[row] -= 2
             row += 1
-
-    def _buckets_old_to_new(self) -> list[tuple[int, float]]:
-        out = []
-        for row in range(len(self._rows) - 1, -1, -1):
-            size = 1 << row
-            for bucket_sum in self._rows[row]:
-                out.append((size, bucket_sum))
-        return out
+            if row == len(rows):
+                rows.append(0)
+            rows[row] += 1
+            end = first + 1
+        # the merges changed the order of the additions past ``first``
+        self._refresh_prefixes(first)
 
     def _drop_oldest_bucket(self) -> None:
-        for row in range(len(self._rows) - 1, -1, -1):
-            if self._rows[row]:
-                self._rows[row].pop(0)
-                self._count -= 1 << row
+        self._count -= self._sizes.pop(0)
+        del self._sums[0]
+        rows = self._row_lengths
+        rows[-1] -= 1
+        while len(rows) > 1 and not rows[-1]:
+            rows.pop()
+        self._refresh_prefixes(0)
+        # the total, like every prefix, is now summed from the new oldest
+        self._sum = self._prefix_sums[-1]
+        self._horizon = [-1] * (len(self._sizes) - 1)
+
+    def _no_cut_ticks(self, n0: int, s0: float, n1: int, s1: float,
+                      ln_term: float) -> int:
+        """How many more inserts provably leave this boundary uncut.
+
+        K inserts of values in [0, 1] and no drop keep n0 and s0, keep the
+        right-side mean in [s1/(n1+K), (s1+K)/(n1+K)] and keep eps at least
+        sqrt((1/n0 + 1/(n1+K)) * ln_term / 2).  For caps C = 4, 16, 64, ...
+        this takes eps at K = C and solves the two linear bounds for K.
+        """
+        m0 = s0 / n0
+        limit = _HORIZON_MAX_WIDTH - n0 - n1
+        best = 0
+        cap = 4
+        while best < limit:
+            cap = min(cap, limit)
+            eps = math.sqrt((1.0 / n0 + 1.0 / (n1 + cap)) * ln_term / 2.0)
+            eps *= _HORIZON_SLACK
+            k = cap
+            low = m0 - eps
+            if low > 0.0:  # the right mean may fall to s1/(n1+K)
+                k_low = s1 / low - n1
+                if k_low < k:
+                    k = math.floor(k_low)
+            high = m0 + eps
+            if high < 1.0:  # or rise to (s1+K)/(n1+K)
+                k_high = (high * n1 - s1) / (1.0 - high)
+                if k_high < k:
+                    k = math.floor(k_high)
+            if k <= best:
                 break
-        while len(self._rows) > 1 and not self._rows[-1]:
-            self._rows.pop()
-        # Recompute the total oldest-to-newest so that the running sum stays
-        # bit-identical to a fresh left-to-right sum over the survivors.
-        total = 0.0
-        for _, bucket_sum in self._buckets_old_to_new():
-            total += bucket_sum
-        self._sum = total
+            best = k
+            if k < cap:
+                break
+            cap *= 4
+        return best
 
     def _shrink(self) -> bool:
         changed = False
-        reduced = True
-        while reduced:
-            reduced = False
+        tick = self._ticks
+        while self._count >= 2:
             n = self._count
-            if n < 2:
-                break
             ln_term = math.log(4.0 * n / self.delta)
-            buckets = self._buckets_old_to_new()
-            n0 = 0
-            s0 = 0.0
-            for size, bucket_sum in buckets[:-1]:
-                n0 += size
-                s0 += bucket_sum
+            total = self._sum
+            counts, sums = self._prefix_counts, self._prefix_sums
+            horizon = self._horizon
+            for j, until in enumerate(horizon):
+                if until >= tick:
+                    continue
+                n0 = counts[j + 1]
+                s0 = sums[j + 1]
                 n1 = n - n0
-                s1 = self._sum - s0
+                s1 = total - s0
                 inv_m = 1.0 / n0 + 1.0 / n1
                 eps = math.sqrt(inv_m * ln_term / 2.0)
                 if abs(s0 / n0 - s1 / n1) > eps:
-                    changed = True
-                    reduced = True
-                    self._drop_oldest_bucket()
                     break
+                horizon[j] = tick + self._no_cut_ticks(n0, s0, n1, s1,
+                                                       ln_term)
+            else:
+                break
+            changed = True
+            self._drop_oldest_bucket()
         return changed
 
     def update(self, value: float) -> DriftLevel:

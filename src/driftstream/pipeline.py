@@ -22,6 +22,7 @@ reporting machinery.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
@@ -44,6 +45,13 @@ STRATEGIES = ("cross-val", "temporal", "iwc", "fnf-update", "fnf-retrain",
               "pool", "mts", "static")
 DETECTORS = ("ddm", "eddm", "adwin", "kswin", "none")
 CLASSIFIERS = ("arf", "sgd", "hoeffding")
+
+
+# the values each annotation of ExperimentConfig admits; a bool is admitted
+# only by "bool", although Python counts it as an int
+_FIELD_TYPES = {"str": str, "bool": bool, "int": numbers.Integral,
+                "float": numbers.Real, "int | str": (numbers.Integral, str),
+                "int | None": (numbers.Integral, type(None))}
 
 
 @dataclass
@@ -69,7 +77,7 @@ class ExperimentConfig:
     eddm_warning_ratio: float = 0.95
     eddm_drift_ratio: float = 0.90
     adwin_delta: float = 0.002
-    adwin_max_buckets: int = 5
+    adwin_max_buckets: int | None = 5
     adwin_check_interval: int = 1
     kswin_window: int = 100
     kswin_stat_size: int = 30
@@ -92,6 +100,12 @@ class ExperimentConfig:
     metrics_window: int = 1000
 
     def validate(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if (isinstance(value, bool) != (spec.type == "bool")
+                    or not isinstance(value, _FIELD_TYPES[spec.type])):
+                raise ConfigError(f"{spec.name} must be {spec.type}, "
+                                  f"got {value!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; "
                               f"choose from {', '.join(STRATEGIES)}")
@@ -281,7 +295,8 @@ class FnFPipeline:
     ``extractor_fingerprints`` the content hash of every extractor that was
     ever active, ``vocab_diff_events`` the per-retrain vocabulary diffs and
     ``degenerate_drifts`` the number of drift signals whose buffer was
-    empty (models kept unchanged in that case).
+    empty (models kept unchanged in that case).  Each ``run`` starts these
+    records afresh.
     """
 
     def __init__(self, config: ExperimentConfig,
@@ -296,10 +311,6 @@ class FnFPipeline:
         self.extractor: FeatureExtractorModel | None = None
         self.classifier = None
         self.detector = None
-        self.extractor_fingerprints: list[str] = []
-        self.vocab_diff_events: list[tuple[int, list]] = []
-        self.degenerate_drifts = 0
-        self.rebuild_count = 0
 
     def _drift_buffer(self, warning_buffer: list, rest: list,
                       step: int) -> list:
@@ -333,6 +344,10 @@ class FnFPipeline:
     def run(self, stream: SampleStream) -> MetricsTimeline:
         cfg = self.config
         warm, rest = _split_warmup(stream, cfg.warmup)
+        self.extractor_fingerprints: list[str] = []
+        self.vocab_diff_events: list[tuple[int, list]] = []
+        self.degenerate_drifts = 0
+        self.rebuild_count = 0
         clf_seed, det_seed = _spawn_seeds(cfg.seed, 2)
         self.extractor = fit_extractor(warm, cfg.vocab_size)
         self.extractor_fingerprints.append(self.extractor.fingerprint())
@@ -542,20 +557,22 @@ class ModelPoolPipeline:
     check interval).  Every ``pool_interval`` steps each member's agreement
     with the vote is measured; members outside (tau_low, tau_high) are
     considered aged and replay the interval's samples with their
-    pseudo-labels.  True labels are used for metrics only.
+    pseudo-labels.  True labels are used for metrics only.  Each ``run``
+    starts from untrained members; after it, ``members``, ``weights``,
+    ``indexer`` and ``aging_events`` hold that run's final state.
     """
 
     def __init__(self, config: ExperimentConfig):
         config.validate()
         self.config = config
-        self.members = [PoolMember(kind) for kind in POOL_MEMBER_KINDS]
-        self.weights = [1.0] * len(self.members)
-        self.indexer = TokenIndexer()
-        self.aging_events = 0
 
     def run(self, stream: SampleStream) -> MetricsTimeline:
         cfg = self.config
         warm, rest = _split_warmup(stream, cfg.warmup)
+        self.members = [PoolMember(kind) for kind in POOL_MEMBER_KINDS]
+        self.weights = [1.0] * len(self.members)
+        self.indexer = TokenIndexer()
+        self.aging_events = 0
         for sample in warm:
             indices = self.indexer.encode(sample)
             for member in self.members:

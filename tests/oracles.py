@@ -2,9 +2,12 @@
 
 Everything here is deliberately written from first principles on plain
 Python data structures (lists, dicts, math) so that it shares no code path
-with the library implementations it checks.  The one exception is
-``per_sample_transform``: the extractor's former one-sample-at-a-time
-numpy transform, kept as the bit-exact reference of the block transform.
+with the library implementations it checks.  Two exceptions are former
+library code kept as bit-exact references of their faster replacements:
+``per_sample_transform``, the extractor's one-sample-at-a-time numpy
+transform (reference of the block transform), and
+``ReferenceAdwinDetector``, the ADWIN that rebuilds its bucket list and scans
+every boundary on each update (reference of the incremental detector).
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import math
 from collections import Counter
 
 import numpy as np
+
+from driftstream import DriftLevel, ValueOutOfRange
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +71,145 @@ def adwin_oracle_run(values, delta: float):
         changed, window = adwin_oracle_step(window, delta)
         decisions.append(changed)
     return decisions, window
+
+
+# ---------------------------------------------------------------------------
+# Bucket-scan ADWIN (bit-exact reference of the incremental detector)
+# ---------------------------------------------------------------------------
+
+class ReferenceAdwinDetector:
+    """Adaptive windowing with an exponential bucket histogram.
+
+    The window of recent values is summarized by rows of buckets; row r
+    holds buckets of 2^r elements each (sum only — counts are implied).
+    When a row exceeds ``max_buckets`` buckets, its two oldest buckets merge
+    into one bucket of the next row.  Passing ``max_buckets=None`` disables
+    compression entirely, which keeps every value in a size-1 bucket and
+    makes the detector exactly equivalent to an exhaustive cut search.
+
+    On every update (or every ``check_interval`` updates) the detector scans
+    all bucket boundaries oldest-to-newest and cuts when the sub-window
+    means differ by more than
+
+        eps = sqrt(ln(4 / delta') / (2 m)),   1/m = 1/|W0| + 1/|W1|,
+
+    with delta' = delta / n for the current window length n.  A cut drops
+    the oldest bucket and the scan restarts, possibly shrinking repeatedly
+    within a single update.
+    """
+
+    def __init__(self, delta: float = 0.002,
+                 max_buckets: int | None = 5,
+                 check_interval: int = 1):
+        if not 0.0 < delta < 1.0:
+            raise ValueOutOfRange(f"delta {delta} not in (0, 1)")
+        if max_buckets is not None and max_buckets < 2:
+            raise ValueOutOfRange("max_buckets must be >= 2 (or None)")
+        if check_interval < 1:
+            raise ValueOutOfRange("check_interval must be >= 1")
+        self.delta = delta
+        self.max_buckets = max_buckets
+        self.check_interval = check_interval
+        self.reset()
+
+    def reset(self) -> None:
+        # _rows[r] is a list of bucket sums, oldest first; row r buckets
+        # cover 2^r elements each.
+        self._rows: list[list[float]] = [[]]
+        self._count = 0
+        self._sum = 0.0
+        self._ticks = 0
+
+    # -- window queries ----------------------------------------------------
+
+    @property
+    def width(self) -> int:
+        return self._count
+
+    @property
+    def mean(self) -> float:
+        return self._sum / self._count if self._count else 0.0
+
+    def window_values(self) -> list[float]:
+        """The retained window, oldest first (uncompressed detectors only)."""
+        if self.max_buckets is not None:
+            raise ValueError("window_values requires max_buckets=None")
+        return list(self._rows[0])
+
+    # -- maintenance -------------------------------------------------------
+
+    def _insert(self, value: float) -> None:
+        self._rows[0].append(value)
+        self._count += 1
+        self._sum += value
+        if self.max_buckets is None:
+            return
+        row = 0
+        while len(self._rows[row]) > self.max_buckets:
+            oldest = self._rows[row].pop(0)
+            second = self._rows[row].pop(0)
+            if row + 1 == len(self._rows):
+                self._rows.append([])
+            self._rows[row + 1].append(oldest + second)
+            row += 1
+
+    def _buckets_old_to_new(self) -> list[tuple[int, float]]:
+        out = []
+        for row in range(len(self._rows) - 1, -1, -1):
+            size = 1 << row
+            for bucket_sum in self._rows[row]:
+                out.append((size, bucket_sum))
+        return out
+
+    def _drop_oldest_bucket(self) -> None:
+        for row in range(len(self._rows) - 1, -1, -1):
+            if self._rows[row]:
+                self._rows[row].pop(0)
+                self._count -= 1 << row
+                break
+        while len(self._rows) > 1 and not self._rows[-1]:
+            self._rows.pop()
+        # Recompute the total oldest-to-newest so that the running sum stays
+        # bit-identical to a fresh left-to-right sum over the survivors.
+        total = 0.0
+        for _, bucket_sum in self._buckets_old_to_new():
+            total += bucket_sum
+        self._sum = total
+
+    def _shrink(self) -> bool:
+        changed = False
+        reduced = True
+        while reduced:
+            reduced = False
+            n = self._count
+            if n < 2:
+                break
+            ln_term = math.log(4.0 * n / self.delta)
+            buckets = self._buckets_old_to_new()
+            n0 = 0
+            s0 = 0.0
+            for size, bucket_sum in buckets[:-1]:
+                n0 += size
+                s0 += bucket_sum
+                n1 = n - n0
+                s1 = self._sum - s0
+                inv_m = 1.0 / n0 + 1.0 / n1
+                eps = math.sqrt(inv_m * ln_term / 2.0)
+                if abs(s0 / n0 - s1 / n1) > eps:
+                    changed = True
+                    reduced = True
+                    self._drop_oldest_bucket()
+                    break
+        return changed
+
+    def update(self, value: float) -> DriftLevel:
+        if not 0.0 <= value <= 1.0:
+            raise ValueOutOfRange(f"ADWIN input {value} outside [0, 1]")
+        self._insert(float(value))
+        self._ticks += 1
+        if self._ticks % self.check_interval == 0 and self._shrink():
+            return DriftLevel.DRIFT
+        return DriftLevel.NORMAL
 
 
 # ---------------------------------------------------------------------------

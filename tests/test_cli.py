@@ -171,6 +171,22 @@ def test_unknown_config_key_exits_2(tmp_path, stream_file, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("kswin_sampled", "no"), ("warmup", True), ("vocab_size", "100"),
+    ("adwin_delta", "0.01"), ("metrics_window", None), ("seed", 1.5),
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, stream_file, capsys,
+                                            key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"strategy": "fnf-retrain", "classifier": "sgd",
+                               "warmup": 100, key: value,
+                               "input": str(stream_file)}))
+    out = tmp_path / "x"
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_strategy_value_exits_2(tmp_path, stream_file, capsys):
     code = run_cli(["run", "--input", str(stream_file),
                     "--out", str(tmp_path / "x"), "--strategy", "bogus"])
@@ -254,6 +270,19 @@ def test_grid_rejects_out_of_range_knob_before_running(tmp_path,
                     "--out", str(out), "--workers", "1"])
     assert code == 2
     assert "adwin_delta" in capsys.readouterr().err
+    assert not out.exists()  # no job ran
+
+
+def test_grid_rejects_wrong_type_before_running(tmp_path, stream_file,
+                                               capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"name": "a", "strategy": "temporal"},
+                                {"name": "b", "kswin_sampled": "no"}]))
+    out = tmp_path / "g"
+    code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
+                    "--out", str(out), "--workers", "1"])
+    assert code == 2
+    assert "kswin_sampled must be bool" in capsys.readouterr().err
     assert not out.exists()  # no job ran
 
 

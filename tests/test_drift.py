@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftstream import (AdwinDetector, DdmDetector, DriftLevel, EddmDetector,
                          EmptyInput, KswinDetector, ValueOutOfRange,
                          ks_pvalue, ks_statistic)
-from .oracles import (adwin_oracle_run, brute_ks_statistic, ddm_oracle_run,
-                      eddm_oracle_run)
+from .oracles import (ReferenceAdwinDetector, adwin_oracle_run,
+                      brute_ks_statistic, ddm_oracle_run, eddm_oracle_run)
 
 
 def run_levels(detector, values):
@@ -219,6 +221,59 @@ def test_adwin_reset_equals_fresh():
     assert run_levels(det, tail) == run_levels(fresh, tail)
     assert det.width == fresh.width
     assert det.mean == fresh.mean
+
+
+def _adwin_state(det, buckets):
+    """Level-independent state, floats as hex so that equality is bitwise."""
+    return (det.width, det.mean.hex(),
+            [(size, total.hex()) for size, total in buckets])
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=st.sampled_from([0.002, 0.05, 0.5]),
+       max_buckets=st.sampled_from([None, 2, 3, 4, 5, 6, 7, 8]),
+       check_interval=st.integers(1, 7),
+       real=st.booleans(),
+       segments=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(20, 500)),
+                         min_size=1, max_size=4),
+       reset_at=st.integers(0, 1600),
+       seed=st.integers(0, 2**32 - 1))
+@example(delta=0.002, max_buckets=5, check_interval=1, real=False,
+         segments=[(0.05, 400), (0.6, 400), (0.05, 400)], reset_at=1600,
+         seed=0)
+@example(delta=0.002, max_buckets=None, check_interval=3, real=True,
+         segments=[(0.9, 200), (0.1, 200)], reset_at=250, seed=1)
+# a cut makes room for a second cut at an earlier boundary, whose horizon
+# was computed before the first drop
+@example(delta=0.002, max_buckets=7, check_interval=3, real=False,
+         segments=[(0.4878787630597822, 87), (0.4834181147525649, 104),
+                   (0.9646969872568616, 186), (0.7525046995401022, 97)],
+         reset_at=1600, seed=2402811634)
+def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets,
+                                               check_interval, real, segments,
+                                               reset_at, seed):
+    """The incremental detector against the former bucket-scan detector:
+    equal level, width, mean and bucket sums after every update, with the
+    error rate stepping up and down between segments."""
+    rng = np.random.default_rng(seed)
+    values = []
+    for rate, length in segments:
+        if real:
+            low, high = max(0.0, rate - 0.2), min(1.0, rate + 0.2)
+            values.extend(rng.uniform(low, high, length).tolist())
+        else:
+            values.extend((rng.random(length) < rate).astype(float).tolist())
+    if max_buckets is None:  # the reference scan is quadratic here
+        values = values[:400]
+    det = AdwinDetector(delta, max_buckets, check_interval)
+    ref = ReferenceAdwinDetector(delta, max_buckets, check_interval)
+    for step, value in enumerate(values):
+        if step == reset_at:
+            det.reset()
+            ref.reset()
+        assert det.update(value) is ref.update(value), step
+        got = _adwin_state(det, zip(det._sizes, det._sums))
+        assert got == _adwin_state(ref, ref._buckets_old_to_new()), step
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,27 @@ def test_config_validation_catches_bad_values(field, value):
         config(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("kswin_sampled", "no"), ("kswin_sampled", 1), ("warmup", True),
+    ("warmup", 1.5), ("vocab_size", "100"), ("vocab_size", True),
+    ("adwin_delta", "0.01"), ("adwin_delta", False),
+    ("metrics_window", None), ("seed", 1.5), ("adwin_max_buckets", 5.0),
+    ("adwin_max_buckets", True), ("strategy", None),
+])
+def test_config_validation_rejects_wrong_types(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_dict({field: value}).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("adwin_max_buckets", None), ("arf_lambda", 6), ("fading", 1),
+    ("warmup", 10), ("warmup", "30d"), ("kswin_sampled", True),
+    ("seed", np.int64(3)),
+])
+def test_config_validation_accepts_right_types(field, value):
+    ExperimentConfig.from_dict({field: value}).validate()
+
+
 def test_fnf_pipeline_rejects_offline_strategy():
     with pytest.raises(ConfigError):
         FnFPipeline(config(strategy="cross-val"))
@@ -208,6 +229,38 @@ def test_drift_event_accounting_invariant():
     steps = [e.step for e in timeline.events]
     assert steps == sorted(set(steps))
     assert all(e.detector == "adwin" for e in timeline.events)
+
+
+def _run_record(pipe, stream):
+    timeline = pipe.run(stream)
+    return timeline.predictions, timeline.events, timeline.summary()
+
+
+def test_fnf_rerun_on_one_pipeline_starts_afresh():
+    stream = synth(n=600, drift=(300,), kind="vocabulary-shift", seed=1)
+    pipe = FnFPipeline(config(strategy="fnf-retrain", detector="adwin"))
+
+    def counters():
+        return (pipe.rebuild_count, pipe.degenerate_drifts,
+                list(pipe.extractor_fingerprints),
+                list(pipe.vocab_diff_events))
+
+    first = _run_record(pipe, stream)
+    first_counters = counters()
+    assert first_counters[0] == 3 and len(first_counters[2]) == 4
+    assert _run_record(pipe, stream) == first
+    assert counters() == first_counters
+
+
+def test_pool_rerun_on_one_pipeline_starts_afresh():
+    stream = synth(n=600, drift=(300,), kind="vocabulary-shift", seed=1)
+    pipe = ModelPoolPipeline(config(strategy="pool"))
+    first = _run_record(pipe, stream)
+    first_state = (pipe.aging_events, list(pipe.weights), len(pipe.indexer))
+    assert first_state[0] == 1
+    assert _run_record(pipe, stream) == first
+    assert (pipe.aging_events, list(pipe.weights),
+            len(pipe.indexer)) == first_state
 
 
 def test_update_keeps_extractor_retrain_replaces_it():
