@@ -151,7 +151,7 @@ class ExperimentConfig:
             raise ConfigError("need kswin_window > kswin_stat_size >= 1")
         if not 0.0 < self.kswin_alpha < 1.0:
             raise ConfigError("kswin_alpha must lie in (0, 1)")
-        if isinstance(self.warmup, int):
+        if isinstance(self.warmup, numbers.Integral):
             if self.warmup < 1:
                 raise ConfigError("warmup sample count must be >= 1")
         else:
@@ -190,7 +190,7 @@ def parse_duration(text: str) -> int:
 
 def resolve_warmup_count(stream: SampleStream, warmup: int | str) -> int:
     """Number of leading samples covered by a warmup specification."""
-    if isinstance(warmup, int):
+    if isinstance(warmup, numbers.Integral):
         return min(warmup, len(stream))
     seconds = parse_duration(warmup)
     if len(stream) == 0:
