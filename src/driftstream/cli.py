@@ -33,7 +33,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     the merge step can tell explicit flags from omissions."""
     for spec in fields(ExperimentConfig):
         flag = "--" + spec.name.replace("_", "-")
-        if spec.type == "bool":
+        if spec.type in ("bool", bool):
             parser.add_argument(flag, default=None, type=_parse_bool,
                                 metavar="0|1",
                                 help=f"{spec.name} (default: {spec.default})")
@@ -44,7 +44,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         elif spec.type in ("int", "int | None"):
             parser.add_argument(flag, default=None, type=int,
                                 help=f"{spec.name} (default: {spec.default})")
-        elif spec.type == "float":
+        elif spec.type in ("float", float):
             parser.add_argument(flag, default=None, type=float,
                                 help=f"{spec.name} (default: {spec.default})")
         else:
