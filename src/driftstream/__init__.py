@@ -18,8 +18,8 @@ from .pipeline import (CLASSIFIERS, DETECTORS, STRATEGIES, ExperimentConfig,
                        FnFPipeline, FoldReport, ModelPoolPipeline, MtsReport,
                        TokenIndexer, build_classifier, build_detector,
                        parse_duration, resolve_warmup_count,
-                       run_cross_validation, run_fnf, run_iwc, run_model_pool,
-                       run_multiple_time_spans, run_temporal_split)
+                       run_cross_validation, run_iwc, run_multiple_time_spans,
+                       run_temporal_split)
 from .stream import (RawSample, SampleStream, StreamSchema, load_stream,
                      normalize_tokens, save_stream, split_temporal,
                      stream_from_samples)

@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .errors import ConfigError, DriftStreamError
-from .evaluation import METRIC_NAMES, export_reports, write_json, write_summary
+from .evaluation import METRIC_NAMES, export_reports, write_json
 from .features import FeatureExtractorModel, vocabulary_diff
 from .pipeline import (ExperimentConfig, FnFPipeline, ModelPoolPipeline,
                        run_cross_validation, run_iwc, run_multiple_time_spans,
@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid", help="JSON file with a list of run configs to "
                                     "execute in parallel")
     run.add_argument("--workers", type=int, default=None,
-                     help="parallel workers for --grid (default: cpu count)")
+                     help="parallel workers for --grid, at most one per "
+                          "entry (default: cpu count)")
     _add_config_flags(run)
 
     gen = sub.add_parser(
@@ -135,11 +136,7 @@ def _merge_run_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")
-        allowed = set(ExperimentConfig.field_names()) | set(_RUN_ONLY_KEYS)
-        unknown = set(payload) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(payload)
+        merged.update(payload)  # _build_config rejects unknown keys
     for spec in fields(ExperimentConfig):
         value = getattr(args, spec.name, None)
         if value is not None:
@@ -210,7 +207,7 @@ def _execute_run(merged: dict, out_dir: Path) -> dict:
         if extractor is not None:
             extractor.save(out_dir / "extractor_final.json")
         return timeline.summary()
-    write_summary(summary, out_dir)
+    write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -238,6 +235,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_grid(args: argparse.Namespace) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     path = Path(args.grid)
     if not path.exists():
         raise ConfigError(f"grid file {path} does not exist")
@@ -251,7 +250,8 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
     root = _resolve_out_dir(base.pop("out", None))
     jobs = []
     names = set()
-    allowed = set(ExperimentConfig.field_names()) | set(_RUN_ONLY_KEYS) | {"name"}
+    allowed = ({spec.name for spec in fields(ExperimentConfig)}
+               | set(_RUN_ONLY_KEYS) | {"name"})
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"grid entry {i} is not an object")
@@ -269,7 +269,7 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
         merged.pop("out", None)
         _build_config(merged)  # config mistakes exit with code 2 up front
         jobs.append((merged, str(root / name)))
-    workers = args.workers or min(len(jobs), os.cpu_count() or 1)
+    workers = min(len(jobs), args.workers or os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(_grid_worker, jobs)

@@ -215,8 +215,8 @@ class AdwinDetector:
     every value in a size-1 bucket and makes the detector exactly
     equivalent to an exhaustive cut search.
 
-    On every update (or every ``check_interval`` updates) the detector looks
-    for a bucket boundary where the sub-window means differ by more than
+    On every update the detector looks for a bucket boundary where the
+    sub-window means differ by more than
 
         eps = sqrt(ln(4 / delta') / (2 m)),   1/m = 1/|W0| + 1/|W1|,
 
@@ -232,18 +232,13 @@ class AdwinDetector:
     horizon has run out.
     """
 
-    def __init__(self, delta: float = 0.002,
-                 max_buckets: int | None = 5,
-                 check_interval: int = 1):
+    def __init__(self, delta: float = 0.002, max_buckets: int | None = 5):
         if not 0.0 < delta < 1.0:
             raise ValueOutOfRange(f"delta {delta} not in (0, 1)")
         if max_buckets is not None and max_buckets < 2:
             raise ValueOutOfRange("max_buckets must be >= 2 (or None)")
-        if check_interval < 1:
-            raise ValueOutOfRange("check_interval must be >= 1")
         self.delta = delta
         self.max_buckets = max_buckets
-        self.check_interval = check_interval
         self.reset()
 
     def reset(self) -> None:
@@ -400,9 +395,7 @@ class AdwinDetector:
             raise ValueOutOfRange(f"ADWIN input {value} outside [0, 1]")
         self._insert(float(value))
         self._ticks += 1
-        if self._ticks % self.check_interval == 0 and self._shrink():
-            return DriftLevel.DRIFT
-        return DriftLevel.NORMAL
+        return DriftLevel.DRIFT if self._shrink() else DriftLevel.NORMAL
 
 
 # ---------------------------------------------------------------------------

@@ -184,11 +184,6 @@ def write_json(path: str | Path, payload) -> None:
                                      indent=2) + "\n", encoding="utf-8")
 
 
-def write_summary(summary: dict, out_dir: str | Path) -> None:
-    """Write a run's headline metrics and drift count as summary.json."""
-    write_json(Path(out_dir) / "summary.json", summary)
-
-
 def export_reports(timeline: MetricsTimeline,
                    vocab_diffs: Iterable[tuple[int, Sequence[VocabularyDiff]]],
                    out_dir: str | Path) -> dict[str, Path]:
@@ -229,5 +224,5 @@ def export_reports(timeline: MetricsTimeline,
     write_json(paths["vocab_diffs"],
                [{"step": step, "diffs": [d.to_dict() for d in diffs]}
                 for step, diffs in vocab_diffs])
-    write_summary(timeline.summary(), out_dir)
+    write_json(paths["summary"], timeline.summary())
     return paths

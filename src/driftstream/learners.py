@@ -2,10 +2,12 @@
 
 Everything here follows one contract: ``partial_fit(x, y, weight)`` for a
 single sample, ``predict(x)`` returning 0/1 (an untrained model predicts 0
-and never raises), ``reset()`` back to the untrained state and
-``clone_untrained()`` for rebuilds after a drift.  Prediction never mutates
-model state, and all randomness is derived from the constructor seed, so a
-model is a deterministic function of (seed, training sequence).
+and never raises) and ``reset()`` back to the untrained state.  The models
+that stand alone (SGD, the forest, pool members) also offer
+``clone_untrained()`` for rebuilds after a drift; the Hoeffding tree serves
+only as the forest's base learner.  Prediction never mutates model state,
+and all randomness is derived from the constructor seed, so a model is a
+deterministic function of (seed, training sequence).
 """
 
 from __future__ import annotations
@@ -162,11 +164,6 @@ class HoeffdingTreeClassifier:
 
     def reset(self) -> None:
         self._root = _LeafNode(self.dim)
-
-    def clone_untrained(self) -> "HoeffdingTreeClassifier":
-        return HoeffdingTreeClassifier(
-            self.dim, self.grace_period, self.split_confidence,
-            self.tie_threshold)
 
     # -- prediction --------------------------------------------------------
 

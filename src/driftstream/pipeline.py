@@ -1,9 +1,9 @@
 """Experiment strategies: streaming drift-reaction loops and offline baselines.
 
-The central loop (``run_fnf``) is strictly prequential: every sample is
-transformed and predicted first, the outcome is recorded, the drift
-detector consumes the error bit, and only then may the sample train the
-models.  On a Drift signal the pipeline either rebuilds the classifier on
+The central loop (``FnFPipeline.run``) is strictly prequential: every
+sample is transformed and predicted first, the outcome is recorded, the
+drift detector consumes the error bit, and only then may the sample train
+the models.  On a Drift signal the pipeline either rebuilds the classifier on
 the drift buffer under the existing feature extractor ("fnf-update") or
 refits extractor *and* classifier on the buffered raw samples
 ("fnf-retrain").  The buffer is detector-specific: the warning-phase
@@ -22,6 +22,7 @@ reporting machinery.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -35,8 +36,7 @@ from .errors import (ClassMissingInFold, ConfigError, InsufficientData,
 from .evaluation import (METRIC_NAMES, ConfusionCounts, MetricsTimeline,
                          PeriodMetrics, metrics)
 from .features import FeatureExtractorModel, fit_extractor, vocabulary_diff
-from .learners import (ArfEnsemble, HoeffdingTreeClassifier, PoolMember,
-                       SgdClassifier, POOL_MEMBER_KINDS)
+from .learners import ArfEnsemble, PoolMember, SgdClassifier, POOL_MEMBER_KINDS
 from .stream import RawSample, SampleStream, StreamSchema, split_temporal
 
 log = logging.getLogger(__name__)
@@ -44,7 +44,7 @@ log = logging.getLogger(__name__)
 STRATEGIES = ("cross-val", "temporal", "iwc", "fnf-update", "fnf-retrain",
               "pool", "mts", "static")
 DETECTORS = ("ddm", "eddm", "adwin", "kswin", "none")
-CLASSIFIERS = ("arf", "sgd", "hoeffding")
+CLASSIFIERS = ("arf", "sgd")
 
 
 # the values each annotation of ExperimentConfig admits; a bool is admitted
@@ -64,7 +64,6 @@ class ExperimentConfig:
     seed: int = 0
     vocab_size: int = 100
     warmup: int | str = "365d"
-    update_mode: str = "replace"   # "replace" or "continue" on drift
     split_fraction: float = 0.5
     cv_folds: int = 10
     mts_folds: int = 11
@@ -78,7 +77,6 @@ class ExperimentConfig:
     eddm_drift_ratio: float = 0.90
     adwin_delta: float = 0.002
     adwin_max_buckets: int | None = 5
-    adwin_check_interval: int = 1
     kswin_window: int = 100
     kswin_stat_size: int = 30
     kswin_alpha: float = 0.005
@@ -106,6 +104,9 @@ class ExperimentConfig:
                     or not isinstance(value, _FIELD_TYPES[spec.type])):
                 raise ConfigError(f"{spec.name} must be {spec.type}, "
                                   f"got {value!r}")
+            if spec.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{spec.name} must be finite, "
+                                  f"got {value!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; "
                               f"choose from {', '.join(STRATEGIES)}")
@@ -115,8 +116,6 @@ class ExperimentConfig:
         if self.classifier not in CLASSIFIERS:
             raise ConfigError(f"unknown classifier {self.classifier!r}; "
                               f"choose from {', '.join(CLASSIFIERS)}")
-        if self.update_mode not in ("replace", "continue"):
-            raise ConfigError(f"unknown update_mode {self.update_mode!r}")
         if self.mts_inner not in ("fnf-update", "fnf-retrain", "pool"):
             raise ConfigError(
                 f"mts_inner must be fnf-update, fnf-retrain or pool, "
@@ -139,14 +138,18 @@ class ExperimentConfig:
             raise ConfigError("metrics_window must be >= 1")
         if self.arf_trees < 1:
             raise ConfigError("arf_trees must be >= 1")
+        if self.arf_lambda <= 0.0:
+            raise ConfigError("arf_lambda must be > 0")
+        if not 0.0 < self.hoeffding_delta < 1.0:
+            raise ConfigError("hoeffding_delta must lie in (0, 1)")
+        if self.sgd_learning_rate <= 0.0:
+            raise ConfigError("sgd_learning_rate must be > 0")
         # the ranges the detector constructors enforce (DDM and EDDM
         # enforce none), checked here so they fail before any run starts
         if not 0.0 < self.adwin_delta < 1.0:
             raise ConfigError("adwin_delta must lie in (0, 1)")
         if self.adwin_max_buckets is not None and self.adwin_max_buckets < 2:
             raise ConfigError("adwin_max_buckets must be >= 2 (or null)")
-        if self.adwin_check_interval < 1:
-            raise ConfigError("adwin_check_interval must be >= 1")
         if not 1 <= self.kswin_stat_size < self.kswin_window:
             raise ConfigError("need kswin_window > kswin_stat_size >= 1")
         if not 0.0 < self.kswin_alpha < 1.0:
@@ -158,13 +161,8 @@ class ExperimentConfig:
             parse_duration(self.warmup)  # raises ConfigError when malformed
 
     @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
-
-    @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        allowed = set(cls.field_names())
-        unknown = set(payload) - allowed
+        unknown = set(payload) - {spec.name for spec in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**payload)
@@ -179,11 +177,11 @@ def parse_duration(text: str) -> int:
     text = str(text).strip().lower()
     if len(text) >= 2 and text[-1] in _DURATION_UNITS:
         try:
-            amount = float(text[:-1])
+            seconds = float(text[:-1]) * _DURATION_UNITS[text[-1]]
         except ValueError:
-            amount = -1.0
-        if amount > 0:
-            return int(round(amount * _DURATION_UNITS[text[-1]]))
+            seconds = -1.0
+        if 0.0 < seconds < math.inf:
+            return int(round(seconds))
     raise ConfigError(
         f"cannot parse duration {text!r}; use e.g. 365d, 12h, 90s")
 
@@ -239,9 +237,7 @@ def build_detector(config: ExperimentConfig, seed: int = 0):
                             config.eddm_warning_ratio,
                             config.eddm_drift_ratio)
     if name == "adwin":
-        return AdwinDetector(config.adwin_delta,
-                             config.adwin_max_buckets,
-                             config.adwin_check_interval)
+        return AdwinDetector(config.adwin_delta, config.adwin_max_buckets)
     if name == "kswin":
         return KswinDetector(config.kswin_window, config.kswin_stat_size,
                              config.kswin_alpha, config.kswin_sampled,
@@ -253,10 +249,6 @@ def build_classifier(config: ExperimentConfig, dim: int, seed: int = 0):
     name = config.classifier
     if name == "sgd":
         return SgdClassifier(dim, config.sgd_learning_rate, config.sgd_l2)
-    if name == "hoeffding":
-        return HoeffdingTreeClassifier(dim, config.hoeffding_grace,
-                                       config.hoeffding_delta,
-                                       config.hoeffding_tie)
     return ArfEnsemble(dim, config.arf_trees, config.arf_lambda, seed=seed,
                        grace_period=config.hoeffding_grace,
                        split_confidence=config.hoeffding_delta,
@@ -325,20 +317,17 @@ class FnFPipeline:
         return []
 
     def _rebuild(self, buffer: list, step: int) -> None:
-        cfg = self.config
-        if cfg.strategy == "fnf-retrain":
-            new_extractor = fit_extractor(buffer, cfg.vocab_size,
+        """A fresh classifier on ``buffer``; under fnf-retrain also a fresh
+        extractor, while fnf-update keeps the extractor in force."""
+        if self.config.strategy == "fnf-retrain":
+            new_extractor = fit_extractor(buffer, self.config.vocab_size,
                                           schema=self.extractor.schema)
             self.vocab_diff_events.append(
                 (step, vocabulary_diff(self.extractor, new_extractor)))
             self.extractor = new_extractor
             self.extractor_fingerprints.append(new_extractor.fingerprint())
-            self.classifier = self.classifier.clone_untrained()
-            _train_on(self.classifier, self.extractor, buffer)
-        else:  # fnf-update: same extractor, classifier refreshed on buffer
-            if cfg.update_mode == "replace":
-                self.classifier = self.classifier.clone_untrained()
-            _train_on(self.classifier, self.extractor, buffer)
+        self.classifier = self.classifier.clone_untrained()
+        _train_on(self.classifier, self.extractor, buffer)
         self.rebuild_count += 1
 
     def run(self, stream: SampleStream) -> MetricsTimeline:
@@ -395,11 +384,6 @@ class FnFPipeline:
                 warning_buffer.clear()
                 in_warning = False
         return timeline
-
-
-def run_fnf(stream: SampleStream, config: ExperimentConfig,
-            classifier_factory=None, detector_factory=None) -> MetricsTimeline:
-    return FnFPipeline(config, classifier_factory, detector_factory).run(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +458,17 @@ def run_temporal_split(stream: SampleStream,
     return out
 
 
-def run_cross_validation(stream: SampleStream, config: ExperimentConfig,
-                         k: int | None = None) -> dict:
-    """Stratified k-fold evaluation with a fresh extractor+classifier per fold.
+def run_cross_validation(stream: SampleStream,
+                         config: ExperimentConfig) -> dict:
+    """Stratified ``cv_folds``-fold evaluation with a fresh
+    extractor+classifier per fold.
 
     Reported metrics are the unweighted mean of the per-fold metrics; the
     per-fold confusion counts are returned alongside for recomputation.
     """
     config.validate()
     _require_labels(stream)
-    k = k or config.cv_folds
-    if k < 2:
-        raise ConfigError("cross-validation needs k >= 2")
+    k = config.cv_folds
     if len(stream) < k:
         raise InsufficientData(f"need at least {k} samples for {k} folds")
 
@@ -606,11 +589,6 @@ class ModelPoolPipeline:
                 buffer.clear()
                 agreements = [0] * len(self.members)
         return timeline
-
-
-def run_model_pool(stream: SampleStream,
-                   config: ExperimentConfig) -> MetricsTimeline:
-    return ModelPoolPipeline(config).run(stream)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from driftstream import (AdwinDetector, DdmDetector, DriftLevel,
                          ExperimentConfig, FnFPipeline, KswinDetector,
                          MetricsTimeline, SynthStreamSpec, fit_extractor,
                          generate_synth_stream, ks_pvalue, ks_statistic,
-                         load_stream, metrics, prequential_error, run_fnf,
-                         run_iwc, stream_from_samples)
+                         load_stream, metrics, prequential_error, run_iwc,
+                         stream_from_samples)
 from driftstream.cli import main as cli_main
 from driftstream.evaluation import ConfusionCounts
 from driftstream.stream import RawSample
@@ -170,7 +170,7 @@ def test_criterion_4_retrain_beats_update_beats_static():
         cfg = ExperimentConfig(strategy=strategy, detector="adwin",
                                classifier="sgd", warmup=500, seed=seed,
                                metrics_window=500)
-        return run_fnf(stream, cfg).summary()["f1"]
+        return FnFPipeline(cfg).run(stream).summary()["f1"]
 
     seeds = (0, 1, 2)
     static = np.mean([final_f1("static", s) for s in seeds])
@@ -328,7 +328,7 @@ def test_criterion_9_optional_large_scale():
     stream = load_stream(path)
     cfg = ExperimentConfig(strategy="fnf-retrain", detector="adwin",
                            classifier="arf", warmup="365d", seed=0)
-    timeline = run_fnf(stream, cfg)
+    timeline = FnFPipeline(cfg).run(stream)
     elapsed = time.perf_counter() - t0
     summary = timeline.summary()
     f1_ok = abs(summary["f1"] - 0.8444) <= 0.03

@@ -171,6 +171,35 @@ def test_unknown_config_key_exits_2(tmp_path, stream_file, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["update_mode", "adwin_check_interval"])
+def test_removed_config_key_exits_2(tmp_path, stream_file, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"strategy": "fnf-update", "classifier": "sgd",
+                               "warmup": 100, key: 1,
+                               "input": str(stream_file)}))
+    out = tmp_path / "x"
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--warmup", "infd"], ["--warmup", "1e400d"],
+    ["--classifier", "arf", "--hoeffding-delta", "0"],
+    ["--hoeffding-delta", "2"], ["--arf-lambda", "-1"],
+    ["--sgd-learning-rate", "nan"],
+])
+def test_bad_knob_exits_2_before_running(tmp_path, stream_file, capsys,
+                                         flags):
+    out = tmp_path / "x"
+    code = run_cli(["run", "--input", str(stream_file), "--out", str(out),
+                    "--strategy", "fnf-retrain", "--classifier", "sgd",
+                    "--warmup", "100", *flags])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("kswin_sampled", "no"), ("warmup", True), ("vocab_size", "100"),
     ("adwin_delta", "0.01"), ("metrics_window", None), ("seed", 1.5),
@@ -284,6 +313,73 @@ def test_grid_rejects_wrong_type_before_running(tmp_path, stream_file,
     assert code == 2
     assert "kswin_sampled must be bool" in capsys.readouterr().err
     assert not out.exists()  # no job ran
+
+
+def test_grid_rejects_non_finite_knob_before_running(tmp_path, stream_file,
+                                                    capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text('[{"name": "a", "strategy": "temporal"}, '
+                    '{"name": "b", "sgd_learning_rate": NaN}]')
+    out = tmp_path / "g"
+    code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
+                    "--out", str(out), "--workers", "1"])
+    assert code == 2
+    assert "sgd_learning_rate must be finite" in capsys.readouterr().err
+    assert not out.exists()  # no job ran
+
+
+class FakePool:
+    """In-process stand-in for multiprocessing.Pool that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        FakePool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, jobs):
+        return [func(job) for job in jobs]
+
+
+@pytest.mark.parametrize("workers,expected", [
+    (["--workers", "64"], [2]), (["--workers", "1"], []), ([], [2]),
+])
+def test_grid_pool_has_at_most_one_worker_per_entry(
+        tmp_path, stream_file, monkeypatch, workers, expected):
+    monkeypatch.setattr("driftstream.cli.multiprocessing.Pool", FakePool)
+    monkeypatch.setattr("driftstream.cli.os.cpu_count", lambda: 8)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"name": "a", "strategy": "temporal"},
+                                {"name": "b", "strategy": "temporal"}]))
+    out = tmp_path / "g"
+    code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
+                    "--out", str(out), "--classifier", "sgd", *workers])
+    assert code == 0
+    assert FakePool.sizes == expected
+    assert (out / "a" / "summary.json").exists()
+    assert (out / "b" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_grid_rejects_workers_below_one(tmp_path, stream_file, monkeypatch,
+                                        capsys, workers):
+    monkeypatch.setattr("driftstream.cli.multiprocessing.Pool", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"name": "a", "strategy": "temporal"}]))
+    out = tmp_path / "g"
+    code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
+                    "--out", str(out), "--workers", workers])
+    assert code == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert FakePool.sizes == []
+    assert not out.exists()
 
 
 def test_grid_runs_mts_entry(tmp_path, stream_file):

@@ -232,26 +232,24 @@ def _adwin_state(det, buckets):
 @settings(max_examples=60, deadline=None)
 @given(delta=st.sampled_from([0.002, 0.05, 0.5]),
        max_buckets=st.sampled_from([None, 2, 3, 4, 5, 6, 7, 8]),
-       check_interval=st.integers(1, 7),
        real=st.booleans(),
        segments=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(20, 500)),
                          min_size=1, max_size=4),
        reset_at=st.integers(0, 1600),
        seed=st.integers(0, 2**32 - 1))
-@example(delta=0.002, max_buckets=5, check_interval=1, real=False,
+@example(delta=0.002, max_buckets=5, real=False,
          segments=[(0.05, 400), (0.6, 400), (0.05, 400)], reset_at=1600,
          seed=0)
-@example(delta=0.002, max_buckets=None, check_interval=3, real=True,
+@example(delta=0.002, max_buckets=None, real=True,
          segments=[(0.9, 200), (0.1, 200)], reset_at=250, seed=1)
 # a cut makes room for a second cut at an earlier boundary, whose horizon
 # was computed before the first drop
-@example(delta=0.002, max_buckets=7, check_interval=3, real=False,
+@example(delta=0.002, max_buckets=7, real=False,
          segments=[(0.4878787630597822, 87), (0.4834181147525649, 104),
                    (0.9646969872568616, 186), (0.7525046995401022, 97)],
          reset_at=1600, seed=2402811634)
-def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets,
-                                               check_interval, real, segments,
-                                               reset_at, seed):
+def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets, real,
+                                               segments, reset_at, seed):
     """The incremental detector against the former bucket-scan detector:
     equal level, width, mean and bucket sums after every update, with the
     error rate stepping up and down between segments."""
@@ -265,8 +263,8 @@ def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets,
             values.extend((rng.random(length) < rate).astype(float).tolist())
     if max_buckets is None:  # the reference scan is quadratic here
         values = values[:400]
-    det = AdwinDetector(delta, max_buckets, check_interval)
-    ref = ReferenceAdwinDetector(delta, max_buckets, check_interval)
+    det = AdwinDetector(delta, max_buckets)
+    ref = ReferenceAdwinDetector(delta, max_buckets)
     for step, value in enumerate(values):
         if step == reset_at:
             det.reset()

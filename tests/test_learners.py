@@ -145,17 +145,6 @@ def test_tree_prediction_does_not_mutate_state():
         [chatty.predict(p) for p in probes]
 
 
-def test_tree_clone_untrained_is_blank():
-    rng = np.random.default_rng(6)
-    t = HoeffdingTreeClassifier(dim=2)
-    for _ in range(500):
-        x = rng.random(2)
-        t.partial_fit(x, int(x[0] > 0.5))
-    clone = t.clone_untrained()
-    assert clone.depth == 0
-    assert clone.predict(np.array([0.9, 0.1])) == 0
-
-
 # ---------------------------------------------------------------------------
 # Adaptive random forest
 # ---------------------------------------------------------------------------

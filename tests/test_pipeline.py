@@ -6,15 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from driftstream import (ClassMissingInFold, ConfigError, DriftLevel,
-                         ExperimentConfig, FnFPipeline, InsufficientData,
-                         InsufficientTimeSpan, ModelPoolPipeline, RawSample,
-                         SynthStreamSpec, UnlabeledSample, WarmupTooSmall,
-                         build_classifier, generate_synth_stream, metrics,
-                         parse_duration, resolve_warmup_count,
-                         run_cross_validation, run_fnf, run_iwc,
-                         run_model_pool, run_multiple_time_spans,
-                         run_temporal_split, stream_from_samples)
+from driftstream import (CLASSIFIERS, ClassMissingInFold, ConfigError,
+                         ConfusionCounts, DriftLevel, ExperimentConfig,
+                         FnFPipeline, InsufficientData, InsufficientTimeSpan,
+                         ModelPoolPipeline, RawSample, SynthStreamSpec,
+                         UnlabeledSample, WarmupTooSmall, build_classifier,
+                         generate_synth_stream, metrics, parse_duration,
+                         resolve_warmup_count, run_cross_validation, run_iwc,
+                         run_multiple_time_spans, run_temporal_split,
+                         stream_from_samples)
 from driftstream import features
 from driftstream.cli import main as cli_main
 from driftstream.pipeline import _chunk_sizes
@@ -45,7 +45,8 @@ def test_parse_duration_units():
     assert parse_duration("0.5d") == 43200
 
 
-@pytest.mark.parametrize("bad", ["", "d", "5x", "-3d", "d5", "3 days"])
+@pytest.mark.parametrize("bad", ["", "d", "5x", "-3d", "d5", "3 days",
+                                 "infd", "1e400d", "1e305d"])
 def test_parse_duration_rejects_garbage(bad):
     with pytest.raises(ConfigError):
         parse_duration(bad)
@@ -66,14 +67,15 @@ def test_config_rejects_unknown_keys():
 
 @pytest.mark.parametrize("field,value", [
     ("strategy", "bagging"), ("detector", "page-hinkley"),
-    ("classifier", "svm"), ("update_mode", "merge"),
+    ("classifier", "svm"), ("classifier", "hoeffding"),
     ("cv_folds", 1), ("mts_folds", 1), ("split_fraction", 1.0),
     ("pool_tau_low", 0.9), ("pool_interval", 0), ("vocab_size", 0),
-    ("warmup", 0), ("warmup", "yesterday"), ("mts_inner", "temporal"),
+    ("warmup", 0), ("warmup", "yesterday"), ("warmup", "infd"),
+    ("warmup", "1e400d"), ("mts_inner", "temporal"),
     ("fading", 0.0), ("fading", 1.5),
     ("metrics_window", 0), ("arf_trees", 0),
     ("adwin_delta", 0.0), ("adwin_delta", 1.0), ("adwin_max_buckets", 1),
-    ("adwin_check_interval", 0), ("kswin_stat_size", 0),
+    ("kswin_stat_size", 0),
     ("kswin_stat_size", 100), ("kswin_window", 30),
     ("kswin_alpha", 0.0), ("kswin_alpha", 1.0),
     # values of the wrong type
@@ -81,6 +83,12 @@ def test_config_rejects_unknown_keys():
     ("vocab_size", "100"), ("vocab_size", True),
     ("adwin_delta", "0.01"), ("metrics_window", None), ("seed", 1.5),
     ("adwin_max_buckets", 5.0),
+    # classifier knobs that would fail or go constant only mid-run
+    ("hoeffding_delta", 0.0), ("hoeffding_delta", 2.0), ("arf_lambda", -1.0),
+    ("arf_lambda", 0), ("sgd_learning_rate", 0.0),
+    ("sgd_learning_rate", float("nan")),
+    # no float field takes a non-finite value
+    ("sgd_l2", float("inf")), ("hoeffding_tie", float("-inf")),
 ])
 def test_config_validation_catches_bad_values(field, value):
     with pytest.raises(ConfigError):
@@ -160,7 +168,7 @@ def test_every_sample_is_predicted_before_it_trains():
     stream = synth(n=300)
     log = []
     cfg = config(warmup=100)
-    run_fnf(stream, cfg, classifier_factory=recording_factory(log))
+    FnFPipeline(cfg, classifier_factory=recording_factory(log)).run(stream)
     # warmup: fits only
     assert all(kind == "fit" for kind, _ in log[:100])
     # evaluation: strict predict/fit alternation, 200 evaluated samples
@@ -176,7 +184,8 @@ def test_static_strategy_never_trains_after_warmup():
     stream = synth(n=300)
     log = []
     cfg = config(strategy="static", warmup=100)
-    timeline = run_fnf(stream, cfg, classifier_factory=recording_factory(log))
+    timeline = FnFPipeline(
+        cfg, classifier_factory=recording_factory(log)).run(stream)
     kinds = [kind for kind, _ in log]
     assert kinds.count("fit") == 100
     assert kinds.count("predict") == 200
@@ -185,8 +194,8 @@ def test_static_strategy_never_trains_after_warmup():
 
 def test_update_and_retrain_agree_when_no_drift_fires():
     stream = synth(n=500)
-    upd = run_fnf(stream, config(strategy="fnf-update"))
-    ret = run_fnf(stream, config(strategy="fnf-retrain"))
+    upd = FnFPipeline(config(strategy="fnf-update")).run(stream)
+    ret = FnFPipeline(config(strategy="fnf-retrain")).run(stream)
     assert upd.predictions == ret.predictions
     assert upd.error_bits == ret.error_bits
     assert upd.events == ret.events == []
@@ -197,7 +206,7 @@ def test_unlabeled_sample_rejected():
                          attributes={"a": ["t"]}) for i in range(10)]
     stream = stream_from_samples(samples)
     with pytest.raises(UnlabeledSample):
-        run_fnf(stream, config(warmup=4))
+        FnFPipeline(config(warmup=4)).run(stream)
 
 
 def test_single_class_warmup_rejected():
@@ -205,7 +214,7 @@ def test_single_class_warmup_rejected():
                          attributes={"a": [f"t{i % 7}"]}) for i in range(100)]
     stream = stream_from_samples(samples)
     with pytest.raises(WarmupTooSmall):
-        run_fnf(stream, config(warmup=50))
+        FnFPipeline(config(warmup=50)).run(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +330,29 @@ def test_empty_drift_buffer_is_degenerate_not_fatal():
     assert timeline.n_steps == 30
 
 
-def test_update_modes_replace_vs_continue_differ():
-    stream = synth(n=1500, drift=(700,), kind="vocabulary-shift", seed=3)
-    replace_tl = run_fnf(stream, config(
-        strategy="fnf-update", detector="adwin", update_mode="replace"))
-    continue_tl = run_fnf(stream, config(
-        strategy="fnf-update", detector="adwin", update_mode="continue"))
-    assert replace_tl.predictions != continue_tl.predictions
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_static_classifier_is_not_a_constant_predictor(classifier):
+    """Every selectable classifier, trained once on the warmup, must predict
+    both classes and beat the F1 of always predicting the majority class."""
+    stream = generate_synth_stream(SynthStreamSpec(
+        n_samples=10000, drift_points=(5000,), n_attributes=4,
+        tokens_mean=20, seed=0))
+    timeline = FnFPipeline(config(strategy="static", classifier=classifier,
+                                  warmup=1000)).run(stream)
+    labels = timeline.labels
+    majority = int(2 * sum(labels) > len(labels))
+    baseline = ConfusionCounts()
+    for label in labels:
+        baseline.update(majority, label)
+    assert set(timeline.predictions) == {0, 1}
+    assert timeline.summary()["f1"] > metrics(baseline)["f1"]
 
 
 def test_fnf_run_is_deterministic():
     stream = synth(n=800, drift=(400,), seed=5)
     cfg = config(strategy="fnf-retrain", detector="adwin", classifier="arf")
-    a = run_fnf(stream, cfg)
-    b = run_fnf(stream, cfg)
+    a = FnFPipeline(cfg).run(stream)
+    b = FnFPipeline(cfg).run(stream)
     assert a.predictions == b.predictions
     assert a.events == b.events
     assert a.summary() == b.summary()
@@ -423,15 +441,16 @@ def separable_stream(n_each=30):
 
 
 def test_cross_validation_perfect_on_separable_tokens():
-    out = run_cross_validation(separable_stream(), config(strategy="cross-val"),
-                               k=5)
+    out = run_cross_validation(separable_stream(),
+                               config(strategy="cross-val", cv_folds=5))
     assert out["f1"] == 1.0
     assert out["accuracy"] == 1.0
 
 
 def test_cross_validation_mean_matches_per_fold_recomputation():
     stream = synth(n=300)
-    out = run_cross_validation(stream, config(strategy="cross-val"), k=4)
+    out = run_cross_validation(stream, config(strategy="cross-val",
+                                              cv_folds=4))
     assert len(out["per_fold"]) == 4
     assert sum(c.total for c in out["per_fold"]) == 300
     for name in ("accuracy", "f1", "recall", "precision"):
@@ -446,7 +465,8 @@ def test_cross_validation_detects_lost_class():
                              attributes={"a": ["mal"]}))
     stream = stream_from_samples(samples)
     with pytest.raises(ClassMissingInFold):
-        run_cross_validation(stream, config(strategy="cross-val"), k=2)
+        run_cross_validation(stream, config(strategy="cross-val",
+                                            cv_folds=2))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +486,8 @@ def test_pool_ages_members_on_total_agreement():
 
 def test_pool_tracks_labels_on_stationary_stream():
     stream = synth(n=1200, seed=4)
-    timeline = run_model_pool(stream, config(strategy="pool", warmup=200))
+    timeline = ModelPoolPipeline(config(strategy="pool",
+                                        warmup=200)).run(stream)
     assert timeline.summary()["f1"] > 0.7
 
 
