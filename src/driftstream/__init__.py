@@ -16,10 +16,9 @@ from .learners import (ArfEnsemble, HoeffdingTreeClassifier, PoolMember,
                        SgdClassifier, hoeffding_bound)
 from .pipeline import (CLASSIFIERS, DETECTORS, STRATEGIES, ExperimentConfig,
                        FnFPipeline, FoldReport, ModelPoolPipeline, MtsReport,
-                       TokenIndexer, build_classifier, build_detector,
-                       parse_duration, resolve_warmup_count,
-                       run_cross_validation, run_iwc, run_multiple_time_spans,
-                       run_temporal_split)
+                       build_classifier, build_detector, parse_duration,
+                       resolve_warmup_count, run_cross_validation, run_iwc,
+                       run_multiple_time_spans, run_temporal_split)
 from .stream import (RawSample, SampleStream, StreamSchema, load_stream,
                      normalize_tokens, save_stream, split_temporal,
                      stream_from_samples)

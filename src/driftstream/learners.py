@@ -2,12 +2,11 @@
 
 Everything here follows one contract: ``partial_fit(x, y, weight)`` for a
 single sample, ``predict(x)`` returning 0/1 (an untrained model predicts 0
-and never raises) and ``reset()`` back to the untrained state.  The models
-that stand alone (SGD, the forest, pool members) also offer
-``clone_untrained()`` for rebuilds after a drift; the Hoeffding tree serves
-only as the forest's base learner.  Prediction never mutates model state,
-and all randomness is derived from the constructor seed, so a model is a
-deterministic function of (seed, training sequence).
+and never raises) and ``reset()`` back to the untrained state.  SGD and the
+forest also offer ``clone_untrained()`` for rebuilds after a drift; the
+Hoeffding tree serves only as the forest's base learner.  Prediction never
+mutates model state, and all randomness is derived from the constructor
+seed, so a model is a deterministic function of (seed, training sequence).
 """
 
 from __future__ import annotations
@@ -367,7 +366,8 @@ class PoolMember:
 
     The feature space is extended on the fly as new tokens appear; new
     dimensions start at weight zero, so they do not disturb earlier
-    decisions.  Inputs are sparse index lists (binary presence).  Update
+    decisions.  Inputs are binary-presence ids, sorted and distinct, as
+    ``TokenIndexer.encode`` returns them; they are used as given.  Update
     rules: "sgd-hinge" (eta * hinge subgradient), "perceptron"
     (mistake-driven) and "passive-aggressive" (PA-I with aggressiveness
     capped at C).  Prediction is sign(w.x + b) with 0 on the boundary.
@@ -386,9 +386,6 @@ class PoolMember:
         self.weights = np.zeros(0, dtype=float)
         self.bias = 0.0
 
-    def clone_untrained(self) -> "PoolMember":
-        return PoolMember(self.kind, self.learning_rate, self.aggressiveness)
-
     def _ensure_capacity(self, max_index: int) -> None:
         if max_index >= self.weights.size:
             grown = np.zeros(max_index + 1, dtype=float)
@@ -396,19 +393,20 @@ class PoolMember:
             self.weights = grown
 
     def score(self, indices) -> float:
-        if not len(indices):
+        idx = np.asarray(indices, dtype=np.intp)
+        if not idx.size:
             return self.bias
-        idx = np.asarray(indices, dtype=int)
-        idx = idx[idx < self.weights.size]
+        if idx[-1] >= self.weights.size:  # ids beyond capacity weigh 0
+            idx = idx[:np.searchsorted(idx, self.weights.size)]
         return float(self.weights[idx].sum()) + self.bias
 
     def predict(self, indices) -> int:
         return 1 if self.score(indices) > 0.0 else 0
 
     def partial_fit(self, indices, y: int) -> None:
-        indices = np.asarray(sorted(set(int(i) for i in indices)), dtype=int)
+        indices = np.asarray(indices, dtype=np.intp)
         if indices.size:
-            self._ensure_capacity(int(indices.max()))
+            self._ensure_capacity(int(indices[-1]))
         y_signed = 1.0 if y == 1 else -1.0
         margin = y_signed * self.score(indices)
         if self.kind == "perceptron":

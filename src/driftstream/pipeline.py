@@ -144,6 +144,14 @@ class ExperimentConfig:
             raise ConfigError("hoeffding_delta must lie in (0, 1)")
         if self.sgd_learning_rate <= 0.0:
             raise ConfigError("sgd_learning_rate must be > 0")
+        if self.sgd_l2 < 0.0 or self.sgd_learning_rate * self.sgd_l2 >= 1.0:
+            # at learning rate x L2 >= 1 the decay flips the weights' sign
+            raise ConfigError(
+                "need sgd_l2 >= 0 and sgd_learning_rate * sgd_l2 < 1")
+        if self.hoeffding_grace < 1:
+            raise ConfigError("hoeffding_grace must be >= 1")
+        if self.hoeffding_tie < 0.0:
+            raise ConfigError("hoeffding_tie must be >= 0")
         # the ranges the detector constructors enforce (DDM and EDDM
         # enforce none), checked here so they fail before any run starts
         if not 0.0 < self.adwin_delta < 1.0:
@@ -510,26 +518,33 @@ def run_cross_validation(stream: SampleStream,
 # ---------------------------------------------------------------------------
 
 class TokenIndexer:
-    """Growing bijection (attribute, token) -> feature index."""
+    """Growing bijection (attribute, token) -> feature id, handed out in
+    first-seen order: attributes in the sample's order, tokens in order."""
 
     def __init__(self):
-        self._index: dict[tuple[str, str], int] = {}
+        self._tables: dict[str, dict[str, int]] = {}
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._size
 
-    def encode(self, sample: RawSample) -> list[int]:
-        """Binary-presence indices for a sample, adding unseen tokens."""
+    def encode(self, sample: RawSample) -> np.ndarray:
+        """The sample's distinct token ids as a sorted ``np.intp`` array,
+        adding unseen tokens; the form ``PoolMember`` takes as given."""
         seen = set()
         for attr, tokens in sample.attributes.items():
-            for token in tokens:
-                key = (attr, token)
-                idx = self._index.get(key)
-                if idx is None:
-                    idx = len(self._index)
-                    self._index[key] = idx
-                seen.add(idx)
-        return sorted(seen)
+            table = self._tables.setdefault(attr, {})
+            found = set(map(table.get, tokens))
+            if None in found:
+                for token in tokens:
+                    if token not in table:
+                        table[token] = self._size
+                        self._size += 1
+                found = set(map(table.get, tokens))
+            seen |= found
+        ids = np.fromiter(seen, np.intp, len(seen))
+        ids.sort()
+        return ids
 
 
 class ModelPoolPipeline:
@@ -563,7 +578,7 @@ class ModelPoolPipeline:
 
         timeline = MetricsTimeline(fading=cfg.fading,
                                    window=cfg.metrics_window)
-        buffer: list[tuple[list[int], int]] = []
+        buffer: list[tuple[np.ndarray, int]] = []
         agreements = [0] * len(self.members)
         for step, sample in enumerate(rest, start=1):
             indices = self.indexer.encode(sample)

@@ -5,9 +5,12 @@ Python data structures (lists, dicts, math) so that it shares no code path
 with the library implementations it checks.  Two exceptions are former
 library code kept as bit-exact references of their faster replacements:
 ``per_sample_transform``, the extractor's one-sample-at-a-time numpy
-transform (reference of the block transform), and
+transform (reference of the block transform),
 ``ReferenceAdwinDetector``, the ADWIN that rebuilds its bucket list and scans
-every boundary on each update (reference of the incremental detector).
+every boundary on each update (reference of the incremental detector), and
+``ReferenceTokenIndexer`` with ``ReferencePoolMember``, the pool path on
+plain index lists that each member re-sorts and deduplicates (reference of
+the sorted-id path).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections import Counter
 import numpy as np
 
 from driftstream import DriftLevel, ValueOutOfRange
+from driftstream.learners import POOL_MEMBER_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +388,136 @@ def per_sample_transform(extractor, sample) -> np.ndarray:
     scaled = (raw - extractor.minmax_min) / scale
     np.clip(scaled, 0.0, 1.0, out=scaled)
     return scaled
+
+
+# ---------------------------------------------------------------------------
+# Pool path on index lists (bit-exact reference of the sorted-id path)
+# ---------------------------------------------------------------------------
+
+class ReferenceTokenIndexer:
+    """Growing bijection (attribute, token) -> feature index."""
+
+    def __init__(self):
+        self._index: dict[tuple[str, str], int] = {}
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def encode(self, sample) -> list[int]:
+        """Binary-presence indices for a sample, adding unseen tokens."""
+        seen = set()
+        for attr, tokens in sample.attributes.items():
+            for token in tokens:
+                key = (attr, token)
+                idx = self._index.get(key)
+                if idx is None:
+                    idx = len(self._index)
+                    self._index[key] = idx
+                seen.add(idx)
+        return sorted(seen)
+
+
+class ReferencePoolMember:
+    """Linear model over a growing binary token-feature space.
+
+    The feature space is extended on the fly as new tokens appear; new
+    dimensions start at weight zero, so they do not disturb earlier
+    decisions.  Inputs are sparse index lists (binary presence).  Update
+    rules: "sgd-hinge" (eta * hinge subgradient), "perceptron"
+    (mistake-driven) and "passive-aggressive" (PA-I with aggressiveness
+    capped at C).  Prediction is sign(w.x + b) with 0 on the boundary.
+    """
+
+    def __init__(self, kind: str, learning_rate: float = 0.01,
+                 aggressiveness: float = 1.0):
+        if kind not in POOL_MEMBER_KINDS:
+            raise ValueError(f"unknown pool member kind {kind!r}")
+        self.kind = kind
+        self.learning_rate = learning_rate
+        self.aggressiveness = aggressiveness
+        self.reset()
+
+    def reset(self) -> None:
+        self.weights = np.zeros(0, dtype=float)
+        self.bias = 0.0
+
+    def _ensure_capacity(self, max_index: int) -> None:
+        if max_index >= self.weights.size:
+            grown = np.zeros(max_index + 1, dtype=float)
+            grown[:self.weights.size] = self.weights
+            self.weights = grown
+
+    def score(self, indices) -> float:
+        if not len(indices):
+            return self.bias
+        idx = np.asarray(indices, dtype=int)
+        idx = idx[idx < self.weights.size]
+        return float(self.weights[idx].sum()) + self.bias
+
+    def predict(self, indices) -> int:
+        return 1 if self.score(indices) > 0.0 else 0
+
+    def partial_fit(self, indices, y: int) -> None:
+        indices = np.asarray(sorted(set(int(i) for i in indices)), dtype=int)
+        if indices.size:
+            self._ensure_capacity(int(indices.max()))
+        y_signed = 1.0 if y == 1 else -1.0
+        margin = y_signed * self.score(indices)
+        if self.kind == "perceptron":
+            if margin <= 0.0:
+                self.weights[indices] += self.learning_rate * y_signed
+                self.bias += self.learning_rate * y_signed
+        elif self.kind == "sgd-hinge":
+            if margin < 1.0:
+                self.weights[indices] += self.learning_rate * y_signed
+                self.bias += self.learning_rate * y_signed
+        else:  # passive-aggressive (PA-I)
+            loss = max(0.0, 1.0 - margin)
+            if loss > 0.0:
+                sq_norm = float(indices.size) + 1.0  # bias acts as constant input
+                tau = min(self.aggressiveness, loss / sq_norm)
+                self.weights[indices] += tau * y_signed
+                self.bias += tau * y_signed
+
+
+def reference_pool_run(warm, rest, pool_interval, tau_low, tau_high):
+    """The model-pool loop on the reference indexer and members.
+
+    Returns (pseudo-labels, steps of the aging events, members, vote
+    weights).
+    """
+    members = [ReferencePoolMember(kind) for kind in POOL_MEMBER_KINDS]
+    weights = [1.0] * len(members)
+    indexer = ReferenceTokenIndexer()
+    for sample in warm:
+        indices = indexer.encode(sample)
+        for member in members:
+            member.partial_fit(indices, sample.label)
+    predictions, event_steps = [], []
+    buffer = []
+    agreements = [0] * len(members)
+    for step, sample in enumerate(rest, start=1):
+        indices = indexer.encode(sample)
+        votes = [member.predict(indices) for member in members]
+        score = sum(w * (2 * v - 1) for w, v in zip(weights, votes))
+        pseudo = 1 if score > 0.0 else 0
+        predictions.append(pseudo)
+        buffer.append((indices, pseudo))
+        for i, vote in enumerate(votes):
+            agreements[i] += int(vote == pseudo)
+        if len(buffer) == pool_interval:
+            ji = [hits / len(buffer) for hits in agreements]
+            aged = [value < tau_low or value > tau_high for value in ji]
+            if any(aged):
+                event_steps.append(step)
+                for member, is_aged in zip(members, aged):
+                    if is_aged:
+                        for indices_b, pseudo_b in buffer:
+                            member.partial_fit(indices_b, pseudo_b)
+            weights = [max(value, 0.05) for value in ji]
+            buffer.clear()
+            agreements = [0] * len(members)
+    return predictions, event_steps, members, weights
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,8 @@ def test_removed_config_key_exits_2(tmp_path, stream_file, capsys, key):
     ["--warmup", "infd"], ["--warmup", "1e400d"],
     ["--classifier", "arf", "--hoeffding-delta", "0"],
     ["--hoeffding-delta", "2"], ["--arf-lambda", "-1"],
-    ["--sgd-learning-rate", "nan"],
+    ["--sgd-learning-rate", "nan"], ["--sgd-l2", "200"],
+    ["--classifier", "arf", "--hoeffding-grace", "-5"],
 ])
 def test_bad_knob_exits_2_before_running(tmp_path, stream_file, capsys,
                                          flags):

@@ -318,16 +318,8 @@ def test_pool_member_grows_feature_space():
     assert m.score([2, 99]) == pytest.approx(m.score([2]))
 
 
-def test_pool_member_training_dedupes_indices():
-    m = PoolMember("perceptron", learning_rate=1.0)
-    m.partial_fit([3, 3, 3], 1)
-    assert m.weights[3] == 1.0
-
-
-def test_pool_member_reset_and_clone():
+def test_pool_member_reset():
     m = PoolMember("sgd-hinge")
     m.partial_fit([0, 1, 2], 1)
-    clone = m.clone_untrained()
-    assert clone.weights.size == 0 and clone.kind == "sgd-hinge"
     m.reset()
     assert m.weights.size == 0 and m.bias == 0.0

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream import (CLASSIFIERS, ClassMissingInFold, ConfigError,
                          ConfusionCounts, DriftLevel, ExperimentConfig,
@@ -17,7 +19,9 @@ from driftstream import (CLASSIFIERS, ClassMissingInFold, ConfigError,
                          stream_from_samples)
 from driftstream import features
 from driftstream.cli import main as cli_main
-from driftstream.pipeline import _chunk_sizes
+from driftstream.pipeline import TokenIndexer, _chunk_sizes
+
+from .oracles import reference_pool_run
 
 
 def synth(n=600, drift=(), seed=0, **kw):
@@ -89,6 +93,11 @@ def test_config_rejects_unknown_keys():
     ("sgd_learning_rate", float("nan")),
     # no float field takes a non-finite value
     ("sgd_l2", float("inf")), ("hoeffding_tie", float("-inf")),
+    # a negative L2, or learning rate x L2 >= 1 (the default rate is 0.01),
+    # flips or blows up the SGD weights; ARF knobs below their floor
+    ("sgd_l2", -1.0), ("sgd_l2", 100.0), ("sgd_l2", 200.0),
+    ("hoeffding_grace", 0), ("hoeffding_grace", -5),
+    ("hoeffding_tie", -1.0),
 ])
 def test_config_validation_catches_bad_values(field, value):
     with pytest.raises(ConfigError):
@@ -497,6 +506,64 @@ def test_pool_interval_boundary_events():
     pipe = ModelPoolPipeline(cfg)
     timeline = pipe.run(stream)
     assert all(e.step % 10 == 0 for e in timeline.events)
+
+
+def test_encode_returns_sorted_distinct_first_seen_ids():
+    indexer = TokenIndexer()
+
+    def encode(**attributes):
+        return indexer.encode(RawSample("s", 0, 0, attributes))
+
+    first = encode(api=["z", "y", "z"], perm=["y", "x"])
+    assert first.dtype == np.intp and first.ndim == 1
+    assert first.tolist() == [0, 1, 2, 3]
+    # ids in first-seen order: api z, api y, perm y, perm x, then api w
+    assert encode(api=["w", "z"], perm=["x", "x"]).tolist() == [0, 3, 4]
+    assert encode(api=["y"], perm=[]).tolist() == [1]
+    assert encode(api=[], perm=["y"]).tolist() == [2]
+    assert encode(api=[], perm=[]).tolist() == []
+    assert encode(api=["z", "y", "z"], perm=["y", "x"]).tolist() == [0, 1, 2, 3]
+    assert len(indexer) == 5
+
+
+@st.composite
+def pool_case(draw):
+    """(stream, pool_interval) over 1-4 attributes sharing one token pool.
+
+    Token lists repeat tokens and may be empty; the first two samples carry
+    both labels, so any warmup of two or more holds both classes.
+    """
+    names = [f"a{j}" for j in range(draw(st.integers(1, 4)))]
+    tokens = st.lists(st.sampled_from([f"t{i}" for i in range(10)]),
+                      max_size=6)
+    n = draw(st.integers(4, 60))
+    labels = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2,
+                                    max_size=n - 2))
+    samples = [RawSample(f"s{i:03d}", i, label,
+                         {name: draw(tokens) for name in names})
+               for i, label in enumerate(labels)]
+    return stream_from_samples(samples), draw(st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool_case(), st.integers(2, 10))
+def test_pool_run_is_bit_identical_to_reference(case, warmup):
+    stream, interval = case
+    cfg = config(strategy="pool", warmup=warmup, pool_interval=interval)
+    pipe = ModelPoolPipeline(cfg)
+    timeline = pipe.run(stream)
+    count = min(warmup, len(stream))
+    predictions, event_steps, members, weights = reference_pool_run(
+        stream.samples[:count], stream.samples[count:], interval,
+        cfg.pool_tau_low, cfg.pool_tau_high)
+    assert timeline.predictions == predictions
+    assert [(e.step, e.detector, e.level) for e in timeline.events] == [
+        (step, "pool", "drift") for step in event_steps]
+    assert pipe.weights == weights
+    for member, reference in zip(pipe.members, members):
+        assert member.kind == reference.kind
+        assert member.weights.tobytes() == reference.weights.tobytes()
+        assert member.bias == reference.bias
 
 
 # ---------------------------------------------------------------------------
