@@ -1,9 +1,11 @@
 """Prequential metrics accounting and report export.
 
-The timeline records, for every evaluated sample, the prediction/label pair
-and derived error bit, maintains the cumulative confusion matrix, derives
-the fading prequential error from the error bits, and keeps drift/warning
-events plus fixed-size window snapshots for trend plots.  ``export_reports``
+The timeline stores, for every evaluated sample, only the prediction/label
+pair, plus the drift/warning events and any per-period counts.  Everything
+else is derived from the two lists on demand: the cumulative confusion
+matrix and the fixed-size window snapshots through ``ConfusionCounts.of``
+(the one place that counts pairs), and the fading prequential error from
+the pairs' error bits.  ``export_reports``
 serializes a run into four stable files (metrics.csv, events.jsonl,
 vocab_diffs.json, summary.json) that byte-reproduce across reruns of the
 same seed; ``write_json`` is the layout of every JSON report file.
@@ -12,6 +14,7 @@ same seed; ``write_json`` is the layout of every JSON report file.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,15 +36,13 @@ class ConfusionCounts:
     tn: int = 0
     fn: int = 0
 
-    def update(self, prediction: int, label: int) -> None:
-        if prediction == 1 and label == 1:
-            self.tp += 1
-        elif prediction == 1 and label == 0:
-            self.fp += 1
-        elif prediction == 0 and label == 0:
-            self.tn += 1
-        else:
-            self.fn += 1
+    @classmethod
+    def of(cls, predictions: Iterable[int],
+           labels: Iterable[int]) -> "ConfusionCounts":
+        """The counts of the 0/1 (prediction, label) pairs."""
+        cells = Counter(zip(predictions, labels))
+        return cls(tp=cells[1, 1], fp=cells[1, 0], tn=cells[0, 0],
+                   fn=cells[0, 1])
 
     @property
     def total(self) -> int:
@@ -104,7 +105,8 @@ class PeriodMetrics:
 
 
 class MetricsTimeline:
-    """Per-step prequential record of one evaluation run."""
+    """Per-step prequential record of one evaluation run: plain ``int``
+    lists of the predictions and labels, and everything derived from them."""
 
     def __init__(self, fading: float = 0.999, window: int = 1000):
         if window < 1:
@@ -113,20 +115,20 @@ class MetricsTimeline:
         self.window = window
         self.predictions: list[int] = []
         self.labels: list[int] = []
-        self.error_bits: list[int] = []
-        self.confusion = ConfusionCounts()
         self.events: list[DriftEvent] = []
         self.periods: list[PeriodMetrics] = []
 
     @property
     def n_steps(self) -> int:
-        return len(self.error_bits)
+        return len(self.predictions)
+
+    @property
+    def confusion(self) -> ConfusionCounts:
+        return ConfusionCounts.of(self.predictions, self.labels)
 
     def record(self, prediction: int, label: int) -> None:
         self.predictions.append(int(prediction))
         self.labels.append(int(label))
-        self.error_bits.append(int(prediction != label))
-        self.confusion.update(prediction, label)
 
     def record_event(self, step: int, detector: str, level: str) -> None:
         if self.events and step <= self.events[-1].step:
@@ -134,7 +136,9 @@ class MetricsTimeline:
         self.events.append(DriftEvent(step=step, detector=detector, level=level))
 
     def faded_error(self) -> np.ndarray:
-        return prequential_error(self.error_bits, self.fading)
+        return prequential_error(
+            [p != y for p, y in zip(self.predictions, self.labels)],
+            self.fading)
 
     def drift_count(self) -> int:
         return sum(1 for e in self.events if e.level == "drift")
@@ -143,7 +147,7 @@ class MetricsTimeline:
         return sum(1 for e in self.events if e.level == "warning")
 
     def summary(self) -> dict:
-        if self.confusion.total == 0:
+        if self.n_steps == 0:
             vals = dict.fromkeys(METRIC_NAMES, 0.0)
         else:
             vals = metrics(self.confusion)
@@ -156,10 +160,8 @@ class MetricsTimeline:
         out = []
         for start in range(0, self.n_steps, self.window):
             end = min(start + self.window, self.n_steps)
-            counts = ConfusionCounts()
-            for i in range(start, end):
-                counts.update(self.predictions[i], self.labels[i])
-            out.append((end, counts))
+            out.append((end, ConfusionCounts.of(self.predictions[start:end],
+                                                self.labels[start:end])))
         return out
 
 

@@ -1,12 +1,14 @@
 """Incremental binary classifiers used by the streaming pipelines.
 
 Everything here follows one contract: ``partial_fit(x, y, weight)`` for a
-single sample, ``predict(x)`` returning 0/1 (an untrained model predicts 0
-and never raises) and ``reset()`` back to the untrained state.  SGD and the
-forest also offer ``clone_untrained()`` for rebuilds after a drift; the
-Hoeffding tree serves only as the forest's base learner.  Prediction never
-mutates model state, and all randomness is derived from the constructor
-seed, so a model is a deterministic function of (seed, training sequence).
+single sample and ``predict(x)`` returning 0/1 (an untrained model predicts
+0 and never raises).  A fresh, untrained model comes only from the
+constructor or, for SGD and the forest, from ``clone_untrained()``, which
+the pipeline calls to rebuild after a drift; no model is reset in place.
+The Hoeffding tree serves only as the forest's base learner.  Prediction
+never mutates model state, and all randomness is derived from the
+constructor seed, so a model is a deterministic function of (seed, training
+sequence).
 """
 
 from __future__ import annotations
@@ -47,10 +49,7 @@ class SgdClassifier:
         self.dim = dim
         self.learning_rate = learning_rate
         self.l2 = l2
-        self.reset()
-
-    def reset(self) -> None:
-        self.weights = np.zeros(self.dim, dtype=float)
+        self.weights = np.zeros(dim, dtype=float)
         self.bias = 0.0
 
     def clone_untrained(self) -> "SgdClassifier":
@@ -159,10 +158,7 @@ class HoeffdingTreeClassifier:
         self.grace_period = grace_period
         self.split_confidence = split_confidence
         self.tie_threshold = tie_threshold
-        self.reset()
-
-    def reset(self) -> None:
-        self._root = _LeafNode(self.dim)
+        self._root = _LeafNode(dim)
 
     # -- prediction --------------------------------------------------------
 
@@ -305,29 +301,19 @@ class ArfEnsemble:
         self.subspace_size = subspace_size
         self._seed_seq = (seed if isinstance(seed, np.random.SeedSequence)
                           else np.random.SeedSequence(seed))
-        self._build()
-
-    def _build(self) -> None:
         subspace_rng_seed, poisson_rng_seed = self._seed_seq.spawn(2)
         subspace_rng = np.random.default_rng(subspace_rng_seed)
         self._poisson_rng = np.random.default_rng(poisson_rng_seed)
-        size = self.subspace_size or math.ceil(math.sqrt(self.dim))
-        size = min(size, self.dim)
+        size = min(subspace_size or math.ceil(math.sqrt(dim)), dim)
         self.subspaces = [
-            np.sort(subspace_rng.choice(self.dim, size=size, replace=False))
-            for _ in range(self.n_trees)
+            np.sort(subspace_rng.choice(dim, size=size, replace=False))
+            for _ in range(n_trees)
         ]
         self.trees = [
-            HoeffdingTreeClassifier(size, self.grace_period,
-                                    self.split_confidence, self.tie_threshold)
-            for _ in range(self.n_trees)
+            HoeffdingTreeClassifier(size, grace_period, split_confidence,
+                                    tie_threshold)
+            for _ in range(n_trees)
         ]
-
-    def reset(self) -> None:
-        # the spawn key keeps a clone's reset on the clone's own seed
-        self._seed_seq = np.random.SeedSequence(
-            self._seed_seq.entropy, spawn_key=self._seed_seq.spawn_key)
-        self._build()
 
     def clone_untrained(self) -> "ArfEnsemble":
         # spawn a fresh child seed so that successive rebuilds stay
@@ -380,9 +366,6 @@ class PoolMember:
         self.kind = kind
         self.learning_rate = learning_rate
         self.aggressiveness = aggressiveness
-        self.reset()
-
-    def reset(self) -> None:
         self.weights = np.zeros(0, dtype=float)
         self.bias = 0.0
 

@@ -6,11 +6,13 @@ drift detector consumes the error bit, and only then may the sample train
 the models.  On a Drift signal the pipeline either rebuilds the classifier on
 the drift buffer under the existing feature extractor ("fnf-update") or
 refits extractor *and* classifier on the buffered raw samples
-("fnf-retrain").  The buffer is detector-specific: the warning-phase
-samples for DDM/EDDM, the samples aligned with the surviving window for
-ADWIN, and the newest ``stat_size`` samples for KSWIN.  Vectors are
-computed one block of samples ahead of the loop; after a rebuild the rows
-not yet consumed are computed again, so every sample is transformed by the
+("fnf-retrain").  The buffer is a detector-specific slice of the
+evaluated stream, never a copy kept alongside it: the steps of the open
+warning episode for DDM/EDDM (from its first Warning step up to the drift
+step, excluded), the samples aligned with the surviving window for ADWIN,
+and the newest ``stat_size`` samples for KSWIN.  Vectors are computed one
+block of samples ahead of the loop; after a rebuild the rows not yet
+consumed are computed again, so every sample is transformed by the
 extractor in force when the loop reaches it.
 
 The offline baselines (temporal split, stratified cross-validation,
@@ -312,12 +314,13 @@ class FnFPipeline:
         self.classifier = None
         self.detector = None
 
-    def _drift_buffer(self, warning_buffer: list, rest: list,
+    def _drift_buffer(self, rest: list, warning_from: int | None,
                       step: int) -> list:
-        """The samples to rebuild on; ``rest[:step]`` are those seen so far."""
+        """The samples to rebuild on; ``rest[:step]`` are those seen so far.
+        A Normal level closes a warning episode, so its steps are contiguous."""
         name = self.config.detector
         if name in ("ddm", "eddm"):
-            return list(warning_buffer)
+            return rest[warning_from - 1:step - 1] if warning_from else []
         if name == "adwin":
             return rest[max(0, step - self.detector.width):step]
         if name == "kswin":
@@ -356,8 +359,7 @@ class FnFPipeline:
 
         timeline = MetricsTimeline(fading=cfg.fading,
                                    window=cfg.metrics_window)
-        warning_buffer: list[RawSample] = []
-        in_warning = False
+        warning_from = None  # first step of the open warning episode
         vectors = self.extractor.iter_transform(rest)
         for step, sample in enumerate(rest, start=1):
             vec = next(vectors)
@@ -369,18 +371,15 @@ class FnFPipeline:
             level = self.detector.update(error)
             if level is DriftLevel.NORMAL:
                 self.classifier.partial_fit(vec, sample.label)
-                if in_warning:
-                    warning_buffer.clear()  # warning episode fizzled out
-                    in_warning = False
+                warning_from = None  # a warning episode fizzles out
             elif level is DriftLevel.WARNING:
                 self.classifier.partial_fit(vec, sample.label)
-                if not in_warning:
+                if warning_from is None:
                     timeline.record_event(step, cfg.detector, "warning")
-                    in_warning = True
-                warning_buffer.append(sample)
+                    warning_from = step
             else:
                 timeline.record_event(step, cfg.detector, "drift")
-                buffer = self._drift_buffer(warning_buffer, rest, step)
+                buffer = self._drift_buffer(rest, warning_from, step)
                 if buffer:
                     self._rebuild(buffer, step)
                     # rows computed ahead may come from the old extractor
@@ -389,8 +388,7 @@ class FnFPipeline:
                     self.degenerate_drifts += 1
                     log.warning("drift at step %d with empty buffer; "
                                 "keeping current models", step)
-                warning_buffer.clear()
-                in_warning = False
+                warning_from = None
         return timeline
 
 
@@ -429,12 +427,12 @@ def run_iwc(stream: SampleStream, config: ExperimentConfig) -> MetricsTimeline:
     for month_idx, (key, month_samples) in enumerate(groups[1:], start=1):
         predictions = _fit_and_predict(trained, month_samples, config,
                                        seeds[month_idx], stream.schema)
-        counts = ConfusionCounts()
-        for prediction, sample in zip(predictions, month_samples):
-            timeline.record(prediction, sample.label)
-            counts.update(prediction, sample.label)
+        labels = [sample.label for sample in month_samples]
+        for prediction, label in zip(predictions, labels):
+            timeline.record(prediction, label)
         timeline.periods.append(
-            PeriodMetrics(label=f"{key[0]:04d}-{key[1]:02d}", counts=counts))
+            PeriodMetrics(label=f"{key[0]:04d}-{key[1]:02d}",
+                          counts=ConfusionCounts.of(predictions, labels)))
         trained.extend(month_samples)
     return timeline
 
@@ -456,10 +454,9 @@ def run_temporal_split(stream: SampleStream,
             f"split fraction {config.split_fraction} leaves an empty side "
             f"for n={len(stream)}")
     seed, = _spawn_seeds(config.seed, 1)
-    counts = ConfusionCounts()
-    for prediction, sample in zip(
-            _fit_and_predict(train, test, config, seed, stream.schema), test):
-        counts.update(prediction, sample.label)
+    counts = ConfusionCounts.of(
+        _fit_and_predict(train, test, config, seed, stream.schema),
+        [sample.label for sample in test])
     vals = metrics(counts)
     out = {name: vals[name] for name in METRIC_NAMES}
     out["counts"] = counts
@@ -499,12 +496,10 @@ def run_cross_validation(stream: SampleStream,
             raise ClassMissingInFold(
                 f"fold {fold}: training split lost a class "
                 f"(has {sorted(train_labels)})")
-        counts = ConfusionCounts()
-        for prediction, sample in zip(
-                _fit_and_predict(train, test, config, fold_seeds[fold],
-                                 stream.schema), test):
-            counts.update(prediction, sample.label)
-        per_fold.append(counts)
+        per_fold.append(ConfusionCounts.of(
+            _fit_and_predict(train, test, config, fold_seeds[fold],
+                             stream.schema),
+            [sample.label for sample in test]))
 
     fold_metrics = [metrics(c) for c in per_fold]
     out = {name: float(np.mean([m[name] for m in fold_metrics]))

@@ -141,6 +141,8 @@ def _parse_timestamp(value, line: int) -> int:
     ts = _parse_int(value, "timestamp", line)
     if ts < 0:
         raise ParseError(f"timestamp {ts} is negative", line)
+    if ts > 253402300799:  # the last second datetime can represent
+        raise ParseError(f"timestamp {ts} is past 9999-12-31T23:59:59Z", line)
     return ts
 
 

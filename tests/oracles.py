@@ -10,7 +10,9 @@ transform (reference of the block transform),
 every boundary on each update (reference of the incremental detector), and
 ``ReferenceTokenIndexer`` with ``ReferencePoolMember``, the pool path on
 plain index lists that each member re-sorts and deduplicates (reference of
-the sorted-id path).
+the sorted-id path), and ``ReferenceTimeline``, the timeline that keeps
+running confusion counts and error bits next to the prediction and label
+lists (reference of the timeline that derives them from the lists).
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from collections import Counter
 import numpy as np
 
 from driftstream import DriftLevel, ValueOutOfRange
+from driftstream.evaluation import (METRIC_NAMES, ConfusionCounts,
+                                    DriftEvent, metrics, prequential_error)
 from driftstream.learners import POOL_MEMBER_KINDS
 
 
@@ -532,3 +536,80 @@ def prequential_oracle(bits, fading):
         b = 1.0 + fading * b
         curve.append(s / b)
     return curve
+
+
+# ---------------------------------------------------------------------------
+# Timeline with running counts
+# ---------------------------------------------------------------------------
+
+def reference_count(counts: ConfusionCounts, prediction: int,
+                    label: int) -> None:
+    """Route one pair into its confusion cell."""
+    if prediction == 1 and label == 1:
+        counts.tp += 1
+    elif prediction == 1 and label == 0:
+        counts.fp += 1
+    elif prediction == 0 and label == 0:
+        counts.tn += 1
+    else:
+        counts.fn += 1
+
+
+class ReferenceTimeline:
+    """Per-step prequential record of one evaluation run."""
+
+    def __init__(self, fading: float = 0.999, window: int = 1000):
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        self.fading = fading
+        self.window = window
+        self.predictions: list[int] = []
+        self.labels: list[int] = []
+        self.error_bits: list[int] = []
+        self.confusion = ConfusionCounts()
+        self.events: list[DriftEvent] = []
+        self.periods = []
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.error_bits)
+
+    def record(self, prediction: int, label: int) -> None:
+        self.predictions.append(int(prediction))
+        self.labels.append(int(label))
+        self.error_bits.append(int(prediction != label))
+        reference_count(self.confusion, prediction, label)
+
+    def record_event(self, step: int, detector: str, level: str) -> None:
+        if self.events and step <= self.events[-1].step:
+            raise ValueError("event steps must be strictly increasing")
+        self.events.append(DriftEvent(step=step, detector=detector, level=level))
+
+    def faded_error(self) -> np.ndarray:
+        return prequential_error(self.error_bits, self.fading)
+
+    def drift_count(self) -> int:
+        return sum(1 for e in self.events if e.level == "drift")
+
+    def warning_count(self) -> int:
+        return sum(1 for e in self.events if e.level == "warning")
+
+    def summary(self) -> dict:
+        if self.confusion.total == 0:
+            vals = dict.fromkeys(METRIC_NAMES, 0.0)
+        else:
+            vals = metrics(self.confusion)
+        summary = {name: vals[name] for name in METRIC_NAMES}
+        summary["drifts"] = self.drift_count()
+        return summary
+
+    def window_snapshots(self) -> list[tuple[int, ConfusionCounts]]:
+        """(end_step, counts) for each window; the last may be partial."""
+        out = []
+        for start in range(0, self.n_steps, self.window):
+            end = min(start + self.window, self.n_steps)
+            counts = ConfusionCounts()
+            for i in range(start, end):
+                reference_count(counts, self.predictions[i], self.labels[i])
+            out.append((end, counts))
+        return out

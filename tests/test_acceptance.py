@@ -276,9 +276,9 @@ def test_criterion_7_metric_identities():
     tl = MetricsTimeline()
     for _ in range(3000):
         tl.record(int(rng.integers(2)), int(rng.integers(2)))
-    rebuilt = ConfusionCounts()
-    for pred, label in zip(tl.predictions, tl.labels):
-        rebuilt.update(pred, label)
+    pairs = list(zip(tl.predictions, tl.labels))
+    rebuilt = ConfusionCounts(tp=pairs.count((1, 1)), fp=pairs.count((1, 0)),
+                              tn=pairs.count((0, 0)), fn=pairs.count((0, 1)))
     recomputed = metrics(rebuilt)
     summary = tl.summary()
     summary_ok = all(summary[key] == recomputed[key]

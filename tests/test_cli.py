@@ -115,6 +115,19 @@ def test_run_iwc_writes_periods(tmp_path):
     assert [p["period"] for p in periods] == ["2009-02", "2009-03"]
 
 
+def test_run_iwc_rejects_timestamp_past_year_9999(tmp_path, capsys):
+    path = tmp_path / "far.jsonl"
+    lines = [json.dumps({"id": f"s{i}", "timestamp": 86400 * i,
+                         "label": i % 2, "attributes": {"api": [f"t{i}"]}})
+             for i in range(40)]
+    lines[30] = lines[30].replace(str(86400 * 30), str(10**12))
+    path.write_text("\n".join(lines) + "\n")
+    code = run_cli(["run", "--input", str(path), "--out", str(tmp_path / "o"),
+                    "--strategy", "iwc", "--classifier", "sgd"])
+    assert code == 1
+    assert "error: line 31" in capsys.readouterr().err
+
+
 def test_run_mts_writes_report(tmp_path, stream_file):
     out = tmp_path / "mts"
     code = run_cli(["run", "--input", str(stream_file), "--out", str(out),

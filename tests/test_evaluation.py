@@ -2,14 +2,18 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream import (ConfusionCounts, EmptyCounts, MetricsTimeline,
                          export_reports, fit_extractor, metrics,
                          prequential_error, vocabulary_diff)
-from .oracles import prequential_oracle
+from .oracles import ReferenceTimeline, prequential_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -17,10 +21,9 @@ from .oracles import prequential_oracle
 # ---------------------------------------------------------------------------
 
 def test_confusion_cell_routing():
-    c = ConfusionCounts()
-    for pred, label in [(1, 1), (1, 1), (1, 1), (1, 0),
-                        (0, 1), (0, 1), (0, 0), (0, 0), (0, 0), (0, 0)]:
-        c.update(pred, label)
+    pairs = [(1, 1), (1, 1), (1, 1), (1, 0),
+             (0, 1), (0, 1), (0, 0), (0, 0), (0, 0), (0, 0)]
+    c = ConfusionCounts.of([p for p, _ in pairs], [y for _, y in pairs])
     assert (c.tp, c.fp, c.fn, c.tn) == (3, 1, 2, 4)
     assert c.total == 10
 
@@ -109,7 +112,6 @@ def test_timeline_counts_and_faded_curve():
     for pred, label in [(1, 1), (0, 1), (1, 0), (0, 0)]:
         tl.record(pred, label)
     assert tl.n_steps == 4
-    assert tl.error_bits == [0, 1, 1, 0]
     np.testing.assert_allclose(tl.faded_error(),
                                prequential_error([0, 1, 1, 0], 0.9))
     assert (tl.confusion.tp, tl.confusion.fn,
@@ -153,6 +155,32 @@ def test_window_snapshot_count_and_partial_tail():
     for _, counts in snaps:
         merged = merged + counts
     assert merged == tl.confusion
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                      max_size=60),
+       fading=st.floats(0.0, 1.0, exclude_min=True),
+       data=st.data())
+def test_timeline_matches_running_count_reference(pairs, fading, data):
+    """Counts derived from the stored pairs equal the former running
+    counts, down to the bytes of the exported reports."""
+    window = data.draw(st.integers(1, len(pairs) + 1), label="window")
+    got = MetricsTimeline(fading=fading, window=window)
+    want = ReferenceTimeline(fading=fading, window=window)
+    for prediction, label in pairs:
+        got.record(prediction, label)
+        want.record(prediction, label)
+    assert got.confusion == want.confusion
+    assert got.window_snapshots() == want.window_snapshots()
+    assert got.summary() == want.summary()
+    assert np.array_equal(got.faded_error(), want.faded_error())
+    with tempfile.TemporaryDirectory() as where:
+        got_paths = export_reports(got, [], Path(where) / "got")
+        want_paths = export_reports(want, [], Path(where) / "want")
+        for key in ("metrics", "summary"):
+            assert (got_paths[key].read_bytes()
+                    == want_paths[key].read_bytes())
 
 
 # ---------------------------------------------------------------------------

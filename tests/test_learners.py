@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from driftstream import (ArfEnsemble, DimensionMismatch,
-                         HoeffdingTreeClassifier, PoolMember, SgdClassifier,
-                         hoeffding_bound)
+                         HoeffdingTreeClassifier, PoolMember, SgdClassifier)
+from driftstream.learners import hoeffding_bound
 
 # ---------------------------------------------------------------------------
 # SGD with hinge loss
@@ -76,13 +76,13 @@ def test_sgd_dimension_checked():
 
 
 def test_sgd_reset_and_clone():
+    """A model is reset by cloning it untrained."""
     m = SgdClassifier(dim=2)
     m.partial_fit(np.ones(2), 1)
     clone = m.clone_untrained()
     assert clone.predict(np.ones(2)) == 0
-    m.reset()
-    np.testing.assert_array_equal(m.weights, np.zeros(2))
-    assert m.bias == 0.0
+    np.testing.assert_array_equal(clone.weights, np.zeros(2))
+    assert clone.bias == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -190,28 +190,6 @@ def test_arf_is_deterministic_per_seed():
     assert any(not np.array_equal(x, y) for x, y in zip(sub_a, sub_b))
 
 
-def test_arf_reset_replays_identically():
-    rng = np.random.default_rng(8)
-    data = [(rng.random(5), int(rng.integers(2))) for _ in range(300)]
-    probes = rng.random((40, 5))
-    ens = ArfEnsemble(dim=5, n_trees=4, seed=3)
-    for x, y in data:
-        ens.partial_fit(x, y)
-    first = [ens.predict(p) for p in probes]
-    ens.reset()
-    for x, y in data:
-        ens.partial_fit(x, y)
-    assert [ens.predict(p) for p in probes] == first
-
-
-def test_arf_clone_reset_keeps_the_clone_seed():
-    ens = ArfEnsemble(dim=16, n_trees=5, seed=7)
-    clone = ens.clone_untrained()
-    own = [subspace.copy() for subspace in clone.subspaces]
-    clone.reset()
-    assert all(np.array_equal(a, b) for a, b in zip(clone.subspaces, own))
-
-
 def test_arf_clone_untrained_diverges_from_parent_stream():
     """A rebuild must not replay the parent's exact randomness."""
     ens = ArfEnsemble(dim=40, n_trees=5, seed=9)
@@ -317,9 +295,3 @@ def test_pool_member_grows_feature_space():
     # indices beyond current capacity contribute nothing to the score
     assert m.score([2, 99]) == pytest.approx(m.score([2]))
 
-
-def test_pool_member_reset():
-    m = PoolMember("sgd-hinge")
-    m.partial_fit([0, 1, 2], 1)
-    m.reset()
-    assert m.weights.size == 0 and m.bias == 0.0

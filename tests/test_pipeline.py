@@ -12,14 +12,14 @@ from driftstream import (CLASSIFIERS, ClassMissingInFold, ConfigError,
                          ConfusionCounts, DriftLevel, ExperimentConfig,
                          FnFPipeline, InsufficientData, InsufficientTimeSpan,
                          ModelPoolPipeline, RawSample, SynthStreamSpec,
-                         UnlabeledSample, WarmupTooSmall, build_classifier,
+                         UnlabeledSample, WarmupTooSmall,
                          generate_synth_stream, metrics, parse_duration,
                          resolve_warmup_count, run_cross_validation, run_iwc,
                          run_multiple_time_spans, run_temporal_split,
                          stream_from_samples)
 from driftstream import features
 from driftstream.cli import main as cli_main
-from driftstream.pipeline import TokenIndexer, _chunk_sizes
+from driftstream.pipeline import TokenIndexer, _chunk_sizes, build_classifier
 
 from .oracles import reference_pool_run
 
@@ -141,9 +141,6 @@ class RecordingClassifier:
         self.log.append(("clone", ()))
         return RecordingClassifier(self.inner.clone_untrained(), self.log)
 
-    def reset(self):
-        self.inner.reset()
-
 
 def recording_factory(log):
     def factory(cfg, dim, seed):
@@ -152,21 +149,17 @@ def recording_factory(log):
 
 
 class ScriptedDetector:
-    """Fires a drift at one scripted update call, normal otherwise."""
+    """Replays a script of levels: ``script`` maps a 1-based update call to
+    its level; every other call is Normal."""
 
-    def __init__(self, drift_at, stat_size=5):
+    def __init__(self, script, stat_size=5):
         self.calls = 0
-        self.drift_at = drift_at
+        self.script = script
         self.stat_size = stat_size  # read by the kswin buffer rule
-
-    def reset(self):
-        pass
 
     def update(self, value):
         self.calls += 1
-        if self.calls == self.drift_at:
-            return DriftLevel.DRIFT
-        return DriftLevel.NORMAL
+        return self.script.get(self.calls, DriftLevel.NORMAL)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,6 @@ def test_update_and_retrain_agree_when_no_drift_fires():
     upd = FnFPipeline(config(strategy="fnf-update")).run(stream)
     ret = FnFPipeline(config(strategy="fnf-retrain")).run(stream)
     assert upd.predictions == ret.predictions
-    assert upd.error_bits == ret.error_bits
     assert upd.events == ret.events == []
 
 
@@ -311,7 +303,7 @@ def test_kswin_drift_buffer_is_newest_stat_size_samples():
     cfg = config(strategy="fnf-update", detector="kswin", warmup=100)
     pipe = FnFPipeline(cfg, classifier_factory=recording_factory(log),
                        detector_factory=lambda c, s: ScriptedDetector(
-                           drift_at=10, stat_size=5))
+                           {10: DriftLevel.DRIFT}, stat_size=5))
     pipe.run(stream)
     # call log: 100 warmup fits, 9 x (predict, fit), predict, clone, 5 fits
     tail = log[100:]
@@ -325,11 +317,37 @@ def test_kswin_drift_buffer_is_newest_stat_size_samples():
     assert pipe.rebuild_count == 1
 
 
+def test_ddm_drift_buffer_is_the_open_warning_episode():
+    stream = synth(n=130)
+    log = []
+    cfg = config(strategy="fnf-update", detector="ddm", warmup=100)
+    script = {3: DriftLevel.WARNING, 4: DriftLevel.WARNING,
+              5: DriftLevel.NORMAL, 7: DriftLevel.WARNING,
+              8: DriftLevel.WARNING, 9: DriftLevel.WARNING,
+              10: DriftLevel.DRIFT}
+    pipe = FnFPipeline(cfg, classifier_factory=recording_factory(log),
+                       detector_factory=lambda c, s: ScriptedDetector(script))
+    timeline = pipe.run(stream)
+    assert [(e.step, e.level) for e in timeline.events] == [
+        (3, "warning"), (7, "warning"), (10, "drift")]
+    # call log: 100 warmup fits, 9 x (predict, fit), predict, clone, 3 fits
+    tail = log[100:]
+    assert [k for k, _ in tail[:19]] == ["predict", "fit"] * 9 + ["predict"]
+    assert tail[19][0] == "clone"
+    refit = tail[20:23]
+    assert [k for k, _ in refit] == ["fit"] * 3
+    assert tail[23][0] == "predict"
+    eval_predicts = [vec for kind, vec in tail if kind == "predict"]
+    # the episode fizzled at step 5; the buffer is steps 7..9 alone
+    assert [vec for _, vec in refit] == eval_predicts[6:9]
+    assert pipe.rebuild_count == 1
+
+
 def test_empty_drift_buffer_is_degenerate_not_fatal():
     stream = synth(n=130)
     cfg = config(strategy="fnf-retrain", detector="ddm", warmup=100)
     pipe = FnFPipeline(cfg, detector_factory=lambda c, s: ScriptedDetector(
-        drift_at=3))
+        {3: DriftLevel.DRIFT}))
     timeline = pipe.run(stream)
     # drift with no preceding warning: nothing buffered for ddm
     assert pipe.degenerate_drifts == 1
@@ -350,9 +368,7 @@ def test_static_classifier_is_not_a_constant_predictor(classifier):
                                   warmup=1000)).run(stream)
     labels = timeline.labels
     majority = int(2 * sum(labels) > len(labels))
-    baseline = ConfusionCounts()
-    for label in labels:
-        baseline.update(majority, label)
+    baseline = ConfusionCounts.of([majority] * len(labels), labels)
     assert set(timeline.predictions) == {0, 1}
     assert timeline.summary()["f1"] > metrics(baseline)["f1"]
 

@@ -148,9 +148,16 @@ def test_integral_float_label_and_timestamp_accepted(tmp_path):
 
 def test_negative_timestamp_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"id": "a", "timestamp": -5, "attributes": {"x": []}}\n')
-    with pytest.raises(ParseError):
-        load_stream(path)
+    # also a timestamp past 9999-12-31T23:59:59Z, which has no calendar month
+    for timestamp in (-5, 253402300800):
+        path.write_text(f'{{"id": "a", "timestamp": {timestamp}, '
+                        f'"attributes": {{"x": []}}}}\n')
+        with pytest.raises(ParseError) as err:
+            load_stream(path)
+        assert err.value.line == 1
+    path.write_text('{"id": "a", "timestamp": 253402300799, '
+                    '"attributes": {"x": []}}\n')
+    assert load_stream(path)[0].timestamp == 253402300799
 
 
 def test_schema_mismatch_on_later_line(tmp_path):
