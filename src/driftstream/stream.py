@@ -12,10 +12,16 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import EmptyStream, InvalidFraction, ParseError, SchemaMismatch
+
+
+def _normalize_token(tok) -> str:
+    """The one normalization rule: text, stripped, lowercased."""
+    return str(tok).strip().lower()
 
 
 def normalize_tokens(tokens: Iterable[str]) -> list[str]:
@@ -24,12 +30,45 @@ def normalize_tokens(tokens: Iterable[str]) -> list[str]:
     Duplicates are preserved: token multiplicity carries term-frequency
     information for the featurizer.
     """
-    out = []
-    for tok in tokens:
-        tok = str(tok).strip().lower()
-        if tok:
-            out.append(tok)
-    return out
+    return [tok for tok in map(_normalize_token, tokens) if tok]
+
+
+def _token_interner():
+    """A ``normalize_tokens`` for one load that shares one ``str`` per
+    distinct normalized token.
+
+    Raw ``str`` tokens map to their normalized object through one table, so
+    a list whose tokens were all seen before is normalized by one C-level
+    ``map``.  Only exact ``str`` tokens enter the table: JSON ``1``,
+    ``true`` and ``1.0`` are equal dict keys but normalize to different
+    text.
+    """
+    table: dict[str, str] = {}   # raw token -> its shared normalized str
+    shared: dict[str, str] = {}  # normalized str -> object its spellings share
+    lookup = table.__getitem__
+
+    def intern_one(tok) -> str:
+        if type(tok) is not str:
+            norm = _normalize_token(tok)
+            return shared.setdefault(norm, norm)
+        norm = table.get(tok)
+        if norm is None:
+            norm = _normalize_token(tok)
+            if norm == tok:
+                norm = tok  # the key doubles as the value: one object, not two
+            norm = table[tok] = shared.setdefault(norm, norm)
+        return norm
+
+    def intern(tokens) -> list[str]:
+        try:
+            out = list(map(lookup, tokens))
+        except (KeyError, TypeError):  # an unseen or unhashable token
+            out = [intern_one(tok) for tok in tokens]
+        if "" in out:
+            out = [tok for tok in out if tok]
+        return out
+
+    return intern
 
 
 @dataclass(frozen=True)
@@ -88,26 +127,31 @@ def stream_from_samples(samples: Iterable[RawSample],
                         schema: StreamSchema | None = None) -> SampleStream:
     """Sort samples into a stream, inferring the schema from the first one.
 
-    Every sample must carry exactly the schema's attribute-name set; the
-    attribute order of each sample is normalized to the schema order.
+    Every sample must carry exactly the schema's attribute-name set.  A
+    sample whose attributes are already in schema order is kept as is;
+    any other is rebuilt with its attributes in schema order.
     """
     materialized = list(samples)
     if not materialized:
         raise EmptyStream("cannot build a stream from zero samples")
     if schema is None:
         schema = StreamSchema(tuple(materialized[0].attributes.keys()))
-    wanted = set(schema.attribute_names)
-    fixed = []
-    for sample in materialized:
-        got = set(sample.attributes.keys())
+    names = schema.attribute_names
+    wanted = set(names)
+    for i, sample in enumerate(materialized):
+        keys = tuple(sample.attributes)
+        if keys == names:
+            continue
+        got = set(keys)
         if got != wanted:
             raise SchemaMismatch(
                 f"sample {sample.id!r}: attributes {sorted(got)} != schema "
                 f"{sorted(wanted)}")
-        ordered = {name: sample.attributes[name] for name in schema.attribute_names}
-        fixed.append(RawSample(sample.id, sample.timestamp, sample.label, ordered))
-    fixed.sort(key=lambda s: (s.timestamp, s.id))
-    return SampleStream(schema=schema, samples=tuple(fixed))
+        ordered = {name: sample.attributes[name] for name in names}
+        materialized[i] = RawSample(sample.id, sample.timestamp, sample.label,
+                                    ordered)
+    materialized.sort(key=attrgetter("timestamp", "id"))
+    return SampleStream(schema=schema, samples=tuple(materialized))
 
 
 def _parse_int(value, what: str, line: int) -> int:
@@ -148,6 +192,8 @@ def _parse_timestamp(value, line: int) -> int:
 
 def _load_jsonl(path: Path) -> list[RawSample]:
     samples = []
+    intern = _token_interner()
+    names: dict[str, str] = {}  # one key object per attribute name
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -169,7 +215,7 @@ def _load_jsonl(path: Path) -> list[RawSample]:
                 if not isinstance(tokens, list):
                     raise ParseError(
                         f"attribute {name!r} must hold a token list", line_no)
-                parsed_attrs[str(name)] = normalize_tokens(tokens)
+                parsed_attrs[names.setdefault(name, name)] = intern(tokens)
             samples.append(RawSample(
                 id=str(record["id"]),
                 timestamp=_parse_timestamp(record["timestamp"], line_no),
@@ -181,32 +227,37 @@ def _load_jsonl(path: Path) -> list[RawSample]:
 
 def _load_csv(path: Path) -> list[RawSample]:
     samples = []
+    intern = _token_interner()
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             return []
-        header = list(reader.fieldnames)
         if header[:3] != ["id", "timestamp", "label"]:
             raise ParseError(
                 "CSV header must start with id,timestamp,label", line=1)
         attr_names = header[3:]
         if not attr_names:
             raise ParseError("CSV header declares no attribute columns", line=1)
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ParseError(f"CSV header repeats column {name!r}", line=1)
         for row in reader:
+            if not row:  # a blank line
+                continue
             line_no = reader.line_num
-            if row.get("id") is None:
-                raise ParseError("row is missing columns", line_no)
-            attrs = {}
-            for name in attr_names:
-                cell = row.get(name)
-                if cell is None:
-                    raise ParseError(f"missing attribute column {name!r}", line_no)
-                attrs[name] = normalize_tokens(cell.split())
+            if len(row) < len(header):
+                raise ParseError(
+                    f"missing column {header[len(row)]!r}", line_no)
+            if len(row) > len(header):
+                raise ParseError(f"row has {len(row)} cells, the header "
+                                 f"has {len(header)} columns", line_no)
             samples.append(RawSample(
-                id=str(row["id"]),
-                timestamp=_parse_timestamp(row["timestamp"], line_no),
-                label=_parse_label(row.get("label"), line_no),
-                attributes=attrs,
+                id=row[0],
+                timestamp=_parse_timestamp(row[1], line_no),
+                label=_parse_label(row[2], line_no),
+                attributes={name: intern(cell.split())
+                            for name, cell in zip(attr_names, row[3:])},
             ))
     return samples
 
@@ -215,9 +266,11 @@ def load_stream(path: str | Path, fmt: str = "jsonl") -> SampleStream:
     """Load a labeled or partially labeled stream from disk.
 
     ``fmt`` is "jsonl" (one JSON object per line) or "csv" (columns
-    id,timestamp,label,<attr>... with space-separated tokens per cell).
-    Samples are sorted by (timestamp, id); duplicate ids are kept as
-    distinct samples.
+    id,timestamp,label,<attr>... with space-separated tokens per cell; a
+    repeated column or a row with more or fewer cells than the header is
+    a parse error).  Samples are sorted by (timestamp, id); duplicate ids
+    are kept as distinct samples.  Tokens are interned per call: equal
+    tokens of the stream share one ``str`` object.
     """
     path = Path(path)
     if fmt == "jsonl":

@@ -10,22 +10,31 @@ transform (reference of the block transform),
 every boundary on each update (reference of the incremental detector), and
 ``ReferenceTokenIndexer`` with ``ReferencePoolMember``, the pool path on
 plain index lists that each member re-sorts and deduplicates (reference of
-the sorted-id path), and ``ReferenceTimeline``, the timeline that keeps
+the sorted-id path), ``ReferenceTimeline``, the timeline that keeps
 running confusion counts and error bits next to the prediction and label
-lists (reference of the timeline that derives them from the lists).
+lists (reference of the timeline that derives them from the lists), and
+``reference_load_stream``, the loader that normalizes every token
+occurrence on its own and builds each sample twice (reference of the
+interning loader).
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from driftstream import DriftLevel, ValueOutOfRange
 from driftstream.evaluation import (METRIC_NAMES, ConfusionCounts,
                                     DriftEvent, metrics, prequential_error)
+from driftstream.errors import EmptyStream, ParseError, SchemaMismatch
 from driftstream.learners import POOL_MEMBER_KINDS
+from driftstream.stream import (RawSample, SampleStream, StreamSchema,
+                                _parse_label, _parse_timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -613,3 +622,119 @@ class ReferenceTimeline:
                 reference_count(counts, self.predictions[i], self.labels[i])
             out.append((end, counts))
         return out
+
+
+# ---------------------------------------------------------------------------
+# Stream loading, one token at a time (bit-exact reference of the interning
+# loader)
+# ---------------------------------------------------------------------------
+
+def reference_normalize_tokens(tokens):
+    """Lowercase and strip tokens, dropping any that end up empty."""
+    out = []
+    for tok in tokens:
+        tok = str(tok).strip().lower()
+        if tok:
+            out.append(tok)
+    return out
+
+
+def reference_stream_from_samples(samples, schema=None) -> SampleStream:
+    """Sort samples into a stream, rebuilding each in schema order."""
+    materialized = list(samples)
+    if not materialized:
+        raise EmptyStream("cannot build a stream from zero samples")
+    if schema is None:
+        schema = StreamSchema(tuple(materialized[0].attributes.keys()))
+    wanted = set(schema.attribute_names)
+    fixed = []
+    for sample in materialized:
+        got = set(sample.attributes.keys())
+        if got != wanted:
+            raise SchemaMismatch(
+                f"sample {sample.id!r}: attributes {sorted(got)} != schema "
+                f"{sorted(wanted)}")
+        ordered = {name: sample.attributes[name] for name in schema.attribute_names}
+        fixed.append(RawSample(sample.id, sample.timestamp, sample.label, ordered))
+    fixed.sort(key=lambda s: (s.timestamp, s.id))
+    return SampleStream(schema=schema, samples=tuple(fixed))
+
+
+def reference_load_jsonl(path: Path) -> list[RawSample]:
+    samples = []
+    with path.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
+            if not isinstance(record, dict):
+                raise ParseError("record is not a JSON object", line_no)
+            for key in ("id", "timestamp", "attributes"):
+                if key not in record:
+                    raise ParseError(f"missing required field {key!r}", line_no)
+            attrs = record["attributes"]
+            if not isinstance(attrs, dict) or not attrs:
+                raise ParseError("'attributes' must be a non-empty object", line_no)
+            parsed_attrs = {}
+            for name, tokens in attrs.items():
+                if not isinstance(tokens, list):
+                    raise ParseError(
+                        f"attribute {name!r} must hold a token list", line_no)
+                parsed_attrs[str(name)] = reference_normalize_tokens(tokens)
+            samples.append(RawSample(
+                id=str(record["id"]),
+                timestamp=_parse_timestamp(record["timestamp"], line_no),
+                label=_parse_label(record.get("label"), line_no),
+                attributes=parsed_attrs,
+            ))
+    return samples
+
+
+def reference_load_csv(path: Path) -> list[RawSample]:
+    """The former CSV loader: a repeated column keeps its last cell and
+    extra cells are dropped, so only files free of both are compared."""
+    samples = []
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            return []
+        header = list(reader.fieldnames)
+        if header[:3] != ["id", "timestamp", "label"]:
+            raise ParseError(
+                "CSV header must start with id,timestamp,label", line=1)
+        attr_names = header[3:]
+        if not attr_names:
+            raise ParseError("CSV header declares no attribute columns", line=1)
+        for row in reader:
+            line_no = reader.line_num
+            if row.get("id") is None:
+                raise ParseError("row is missing columns", line_no)
+            attrs = {}
+            for name in attr_names:
+                cell = row.get(name)
+                if cell is None:
+                    raise ParseError(f"missing attribute column {name!r}", line_no)
+                attrs[name] = reference_normalize_tokens(cell.split())
+            samples.append(RawSample(
+                id=str(row["id"]),
+                timestamp=_parse_timestamp(row["timestamp"], line_no),
+                label=_parse_label(row.get("label"), line_no),
+                attributes=attrs,
+            ))
+    return samples
+
+
+def reference_load_stream(path, fmt: str = "jsonl") -> SampleStream:
+    path = Path(path)
+    if fmt == "jsonl":
+        samples = reference_load_jsonl(path)
+    elif fmt == "csv":
+        samples = reference_load_csv(path)
+    else:
+        raise ParseError(f"unknown stream format {fmt!r}")
+    if not samples:
+        raise EmptyStream(f"{path} holds no samples")
+    return reference_stream_from_samples(samples)

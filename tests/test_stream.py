@@ -1,5 +1,6 @@
 """Stream loading, ordering and temporal splitting."""
 
+import csv
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from driftstream import (EmptyStream, InvalidFraction, ParseError, RawSample,
                          SchemaMismatch, StreamSchema, load_stream,
                          normalize_tokens, save_stream, split_temporal,
                          stream_from_samples)
+from .oracles import reference_load_stream
 
 
 def make_sample(sid, ts, label=0, tokens=("alpha",)):
@@ -207,6 +209,139 @@ def test_csv_bad_header(tmp_path):
     path.write_text("timestamp,id,label,a\n1,x,0,t\n")
     with pytest.raises(ParseError):
         load_stream(path, fmt="csv")
+
+
+def test_csv_repeated_column_is_a_parse_error(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("id,timestamp,label,a,a\ns1,1,0,x y,z\n")
+    with pytest.raises(ParseError, match="repeats column 'a'") as err:
+        load_stream(path, fmt="csv")
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("row", ["s2,2,0,x y,z", "s2,2,0,x y,z,w", "s2,2,0"])
+def test_csv_row_with_extra_or_missing_cells_is_a_parse_error(tmp_path, row):
+    path = tmp_path / "s.csv"
+    path.write_text(f"id,timestamp,label,a\ns1,1,0,x\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_stream(path, fmt="csv")
+    assert err.value.line == 3
+
+
+def test_non_str_json_tokens_normalize_by_their_text(tmp_path):
+    # 1, true and 1.0 are equal dict keys; each still loads as its own text
+    path = tmp_path / "s.jsonl"
+    tokens = '[1, true, "1", "True", 1.0, " A ", ""]'
+    path.write_text(
+        f'{{"id": "a", "timestamp": 1, "attributes": {{"x": {tokens}}}}}\n'
+        f'{{"id": "b", "timestamp": 2, "attributes": {{"x": {tokens}}}}}\n')
+    for sample in load_stream(path):
+        assert sample.attributes["x"] == ["1", "true", "1", "true", "1.0", "a"]
+
+
+def _token_objects(stream):
+    """normalized token -> ids of the objects holding it in the stream."""
+    objects = {}
+    for sample in stream:
+        for tokens in sample.attributes.values():
+            for tok in tokens:
+                objects.setdefault(tok, set()).add(id(tok))
+    return objects
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_equal_tokens_share_one_object(tmp_path, fmt):
+    rows = [("s1", 3, 1, {"api": ["Send", "send", " SEND "], "perm": ["net"]}),
+            ("s2", 1, 0, {"api": ["net", "read"], "perm": ["NET", "send"]}),
+            ("s3", 2, 0, {"api": ["read", "read"], "perm": ["Read", "net"]})]
+    path = tmp_path / f"s.{fmt}"
+    if fmt == "jsonl":
+        path.write_text("".join(
+            json.dumps({"id": sid, "timestamp": ts, "label": label,
+                        "attributes": attrs}) + "\n"
+            for sid, ts, label, attrs in rows))
+    else:
+        path.write_text("id,timestamp,label,api,perm\n" + "".join(
+            f"{sid},{ts},{label},{' '.join(attrs['api'])},"
+            f"{' '.join(attrs['perm'])}\n" for sid, ts, label, attrs in rows))
+    stream = load_stream(path, fmt)
+    objects = _token_objects(stream)
+    assert sorted(objects) == ["net", "read", "send"]
+    assert all(len(ids) == 1 for ids in objects.values())
+    for sample in stream:
+        assert all(got is want for got, want in
+                   zip(sample.attributes, stream.schema.attribute_names))
+
+
+def test_stream_from_samples_keeps_samples_in_schema_order():
+    kept = RawSample("a", 2, 0, {"x": ["t"], "y": []})
+    reordered = RawSample("b", 1, 0, {"y": ["u"], "x": []})
+    stream = stream_from_samples([kept, reordered])
+    assert stream[1] is kept
+    assert stream[0] is not reordered
+    assert list(stream[0].attributes) == ["x", "y"]
+    assert stream[0] == reordered
+
+
+# ---------------------------------------------------------------------------
+# the interning loader against the former one-token-at-a-time loader
+# ---------------------------------------------------------------------------
+
+TOKEN_TEXT = st.text(alphabet="aAbB\u0130\u03a3 \t", max_size=3)
+JSON_TOKENS = st.one_of(
+    TOKEN_TEXT, st.sampled_from([1, True, False, 1.0, 2.5, None, 0]),
+    st.lists(st.sampled_from([1, "A", None]), max_size=2))
+CELL_TEXT = st.text(alphabet="aAbB\u0130\u03a3 \t\n,\"", max_size=10)
+ATTRIBUTE_NAMES = st.lists(st.sampled_from(["api", "perm", "url", "Api"]),
+                           min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def jsonl_text(draw):
+    names = draw(ATTRIBUTE_NAMES)
+    lines = []
+    for i in range(draw(st.integers(1, 10))):
+        attrs = {name: draw(st.lists(JSON_TOKENS, max_size=6))
+                 for name in draw(st.permutations(names))}
+        record = {"id": draw(st.sampled_from(["x", "y", f"s{i}"])),
+                  "timestamp": draw(st.integers(0, 5)),
+                  "label": draw(st.sampled_from([0, 1, None])),
+                  "attributes": attrs}
+        lines.append(json.dumps(record) + "\n" * draw(st.integers(1, 2)))
+    return "".join(lines)
+
+
+@st.composite
+def csv_rows(draw):
+    names = draw(ATTRIBUTE_NAMES)
+    rows = [["id", "timestamp", "label", *names]]
+    for i in range(draw(st.integers(1, 10))):
+        rows.append([draw(st.sampled_from(["x", "y", f"s{i}", "a,b"])),
+                     draw(st.integers(0, 5)),
+                     draw(st.sampled_from(["0", "1", "", "null", " 1 "])),
+                     *(draw(CELL_TEXT) for _ in names)])
+    return rows
+
+
+def _records(stream):
+    return (stream.schema, [(s.id, s.timestamp, s.label,
+                             list(s.attributes.items())) for s in stream])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_interning_loader_matches_reference(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("load") / "s"
+    fmt = data.draw(st.sampled_from(["jsonl", "csv"]))
+    if fmt == "jsonl":
+        path.write_text(data.draw(jsonl_text()), encoding="utf-8")
+    else:
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(data.draw(csv_rows()))
+    got = load_stream(path, fmt)
+    want = reference_load_stream(path, fmt)
+    assert got == want
+    assert _records(got) == _records(want)  # also the attribute order
 
 
 # ---------------------------------------------------------------------------
