@@ -20,8 +20,7 @@ from .pipeline import (CLASSIFIERS, DETECTORS, STRATEGIES, ExperimentConfig,
                        run_cross_validation, run_iwc, run_multiple_time_spans,
                        run_temporal_split)
 from .stream import (RawSample, SampleStream, StreamSchema, load_stream,
-                     normalize_tokens, save_stream, split_temporal,
-                     stream_from_samples)
+                     save_stream, split_temporal, stream_from_samples)
 from .synth import SynthStreamSpec, generate_synth_stream
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ ADWIN and KSWIN accept any real in [0, 1]).  DDM and EDDM expose the full
 Normal/Warning/Drift ladder; ADWIN and KSWIN have no warning level and jump
 straight from Normal to Drift.  After a Drift signal DDM and EDDM reset to
 a freshly constructed state, ADWIN keeps its surviving sub-window and KSWIN
-keeps the most recent ``stat_size`` values.
+keeps the most recent ``stat_size`` values.  That restart is the only
+``reset()``: a run builds its detector fresh.
 """
 
 from __future__ import annotations
@@ -239,9 +240,6 @@ class AdwinDetector:
             raise ValueOutOfRange("max_buckets must be >= 2 (or None)")
         self.delta = delta
         self.max_buckets = max_buckets
-        self.reset()
-
-    def reset(self) -> None:
         # bucket sizes and sums, oldest first; the newest _row_lengths[r]
         # buckets before those of rows < r form row r
         self._sizes: list[int] = []
@@ -426,12 +424,8 @@ class KswinDetector:
         self.stat_size = stat_size
         self.alpha = alpha
         self.sampled = sampled
-        self._seed = seed
-        self.reset()
-
-    def reset(self) -> None:
         self._window: list[float] = []
-        self._rng = np.random.default_rng(self._seed)
+        self._rng = np.random.default_rng(seed)
 
     @property
     def window(self) -> tuple[float, ...]:
@@ -457,9 +451,6 @@ class KswinDetector:
 
 class NeverFiresDetector:
     """Stub detector: always Normal.  Useful as a no-drift baseline."""
-
-    def reset(self) -> None:
-        pass
 
     def update(self, value: float) -> DriftLevel:
         return DriftLevel.NORMAL

@@ -48,10 +48,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp,
-                               self.tn + other.tn, self.fn + other.fn)
-
 
 def metrics(counts: ConfusionCounts) -> dict[str, float]:
     """Accuracy, precision, recall and F1; zero whenever a denominator is zero."""

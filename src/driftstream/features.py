@@ -251,9 +251,9 @@ def _top_k_tokens(samples: Sequence[RawSample], attribute: str,
     return chosen, [doc_freq[tok] for tok in chosen]
 
 
-def fit_extractor(samples: Sequence[RawSample], k: int,
-                  schema: StreamSchema | None = None) -> FeatureExtractorModel:
-    """Fit a fresh extractor on a batch of samples.
+def fit_extractor(samples: Sequence[RawSample],
+                  k: int) -> FeatureExtractorModel:
+    """Fit a fresh extractor on a batch of samples, in the first one's schema.
 
     Vocabulary per attribute: top-k tokens by total term frequency across
     the batch (lexicographic tie-break).  The min-max scaler is fitted on
@@ -265,8 +265,7 @@ def fit_extractor(samples: Sequence[RawSample], k: int,
         raise EmptyTrainingSet("fit_extractor needs at least one sample")
     if k < 1:
         raise ValueError(f"vocabulary size k must be >= 1, got {k}")
-    if schema is None:
-        schema = StreamSchema(tuple(samples[0].attributes.keys()))
+    schema = StreamSchema(tuple(samples[0].attributes.keys()))
     for sample in samples:
         if set(sample.attributes.keys()) != set(schema.attribute_names):
             raise SchemaMismatch(

@@ -4,11 +4,11 @@ Everything here follows one contract: ``partial_fit(x, y, weight)`` for a
 single sample and ``predict(x)`` returning 0/1 (an untrained model predicts
 0 and never raises).  A fresh, untrained model comes only from the
 constructor or, for SGD and the forest, from ``clone_untrained()``, which
-the pipeline calls to rebuild after a drift; no model is reset in place.
-The Hoeffding tree serves only as the forest's base learner.  Prediction
-never mutates model state, and all randomness is derived from the
-constructor seed, so a model is a deterministic function of (seed, training
-sequence).
+the pipeline calls to rebuild after a drift; no model has a ``reset()``.
+The Hoeffding tree serves only as the forest's base learner.  The pool
+members' step size and PA-I cap are module constants.  Prediction never
+mutates model state, and all randomness is derived from the constructor
+seed, so a model is a deterministic function of (seed, training sequence).
 """
 
 from __future__ import annotations
@@ -260,14 +260,6 @@ class HoeffdingTreeClassifier:
             return _SplitNode(feature, threshold, left, right)
         return None
 
-    @property
-    def depth(self) -> int:
-        def walk(node) -> int:
-            if isinstance(node, _LeafNode):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(self._root)
-
 
 # ---------------------------------------------------------------------------
 # Adaptive random forest (online bagging + random subspaces)
@@ -286,8 +278,7 @@ class ArfEnsemble:
 
     def __init__(self, dim: int, n_trees: int = 10, poisson_lambda: float = 6.0,
                  seed: int | np.random.SeedSequence = 0, grace_period: int = 200,
-                 split_confidence: float = 1e-7, tie_threshold: float = 0.05,
-                 subspace_size: int | None = None):
+                 split_confidence: float = 1e-7, tie_threshold: float = 0.05):
         if dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {dim}")
         if n_trees < 1:
@@ -298,13 +289,12 @@ class ArfEnsemble:
         self.grace_period = grace_period
         self.split_confidence = split_confidence
         self.tie_threshold = tie_threshold
-        self.subspace_size = subspace_size
         self._seed_seq = (seed if isinstance(seed, np.random.SeedSequence)
                           else np.random.SeedSequence(seed))
         subspace_rng_seed, poisson_rng_seed = self._seed_seq.spawn(2)
         subspace_rng = np.random.default_rng(subspace_rng_seed)
         self._poisson_rng = np.random.default_rng(poisson_rng_seed)
-        size = min(subspace_size or math.ceil(math.sqrt(dim)), dim)
+        size = math.ceil(math.sqrt(dim))
         self.subspaces = [
             np.sort(subspace_rng.choice(dim, size=size, replace=False))
             for _ in range(n_trees)
@@ -320,8 +310,7 @@ class ArfEnsemble:
         # deterministic without replaying the parent's random stream
         return ArfEnsemble(self.dim, self.n_trees, self.poisson_lambda,
                            self._seed_seq.spawn(1)[0], self.grace_period,
-                           self.split_confidence, self.tie_threshold,
-                           self.subspace_size)
+                           self.split_confidence, self.tie_threshold)
 
     def _poisson_weights(self) -> np.ndarray:
         return self._poisson_rng.poisson(self.poisson_lambda, size=self.n_trees)
@@ -345,6 +334,8 @@ class ArfEnsemble:
 # ---------------------------------------------------------------------------
 
 POOL_MEMBER_KINDS = ("sgd-hinge", "perceptron", "passive-aggressive")
+POOL_LEARNING_RATE = 0.01  # eta: the "sgd-hinge" and "perceptron" step
+POOL_AGGRESSIVENESS = 1.0  # C: the cap on a "passive-aggressive" step
 
 
 class PoolMember:
@@ -359,13 +350,10 @@ class PoolMember:
     capped at C).  Prediction is sign(w.x + b) with 0 on the boundary.
     """
 
-    def __init__(self, kind: str, learning_rate: float = 0.01,
-                 aggressiveness: float = 1.0):
+    def __init__(self, kind: str):
         if kind not in POOL_MEMBER_KINDS:
             raise ValueError(f"unknown pool member kind {kind!r}")
         self.kind = kind
-        self.learning_rate = learning_rate
-        self.aggressiveness = aggressiveness
         self.weights = np.zeros(0, dtype=float)
         self.bias = 0.0
 
@@ -394,16 +382,16 @@ class PoolMember:
         margin = y_signed * self.score(indices)
         if self.kind == "perceptron":
             if margin <= 0.0:
-                self.weights[indices] += self.learning_rate * y_signed
-                self.bias += self.learning_rate * y_signed
+                self.weights[indices] += POOL_LEARNING_RATE * y_signed
+                self.bias += POOL_LEARNING_RATE * y_signed
         elif self.kind == "sgd-hinge":
             if margin < 1.0:
-                self.weights[indices] += self.learning_rate * y_signed
-                self.bias += self.learning_rate * y_signed
+                self.weights[indices] += POOL_LEARNING_RATE * y_signed
+                self.bias += POOL_LEARNING_RATE * y_signed
         else:  # passive-aggressive (PA-I)
             loss = max(0.0, 1.0 - margin)
             if loss > 0.0:
                 sq_norm = float(indices.size) + 1.0  # bias acts as constant input
-                tau = min(self.aggressiveness, loss / sq_norm)
+                tau = min(POOL_AGGRESSIVENESS, loss / sq_norm)
                 self.weights[indices] += tau * y_signed
                 self.bias += tau * y_signed

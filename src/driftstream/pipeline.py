@@ -39,7 +39,7 @@ from .evaluation import (METRIC_NAMES, ConfusionCounts, MetricsTimeline,
                          PeriodMetrics, metrics)
 from .features import FeatureExtractorModel, fit_extractor, vocabulary_diff
 from .learners import ArfEnsemble, PoolMember, SgdClassifier, POOL_MEMBER_KINDS
-from .stream import RawSample, SampleStream, StreamSchema, split_temporal
+from .stream import RawSample, SampleStream, split_temporal
 
 log = logging.getLogger(__name__)
 
@@ -122,6 +122,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"mts_inner must be fnf-update, fnf-retrain or pool, "
                 f"got {self.mts_inner!r}")
+        if self.seed < 0:  # np.random.SeedSequence rejects it mid-run
+            raise ConfigError("seed must be >= 0")
         if self.vocab_size < 1:
             raise ConfigError("vocab_size must be >= 1")
         if not 0.0 < self.split_fraction < 1.0:
@@ -271,10 +273,10 @@ def _train_on(classifier, extractor: FeatureExtractorModel, samples) -> None:
         classifier.partial_fit(vec, sample.label)
 
 
-def _fit_and_predict(train, test, config: ExperimentConfig, seed: int,
-                     schema: StreamSchema) -> list[int]:
+def _fit_and_predict(train, test, config: ExperimentConfig,
+                     seed: int) -> list[int]:
     """Fit a fresh extractor and classifier on ``train``; predict ``test``."""
-    extractor = fit_extractor(train, config.vocab_size, schema=schema)
+    extractor = fit_extractor(train, config.vocab_size)
     classifier = build_classifier(config, extractor.dim, seed)
     _train_on(classifier, extractor, train)
     return [classifier.predict(vec) for vec in extractor.iter_transform(test)]
@@ -331,8 +333,7 @@ class FnFPipeline:
         """A fresh classifier on ``buffer``; under fnf-retrain also a fresh
         extractor, while fnf-update keeps the extractor in force."""
         if self.config.strategy == "fnf-retrain":
-            new_extractor = fit_extractor(buffer, self.config.vocab_size,
-                                          schema=self.extractor.schema)
+            new_extractor = fit_extractor(buffer, self.config.vocab_size)
             self.vocab_diff_events.append(
                 (step, vocabulary_diff(self.extractor, new_extractor)))
             self.extractor = new_extractor
@@ -426,7 +427,7 @@ def run_iwc(stream: SampleStream, config: ExperimentConfig) -> MetricsTimeline:
     trained: list[RawSample] = list(groups[0][1])
     for month_idx, (key, month_samples) in enumerate(groups[1:], start=1):
         predictions = _fit_and_predict(trained, month_samples, config,
-                                       seeds[month_idx], stream.schema)
+                                       seeds[month_idx])
         labels = [sample.label for sample in month_samples]
         for prediction, label in zip(predictions, labels):
             timeline.record(prediction, label)
@@ -455,7 +456,7 @@ def run_temporal_split(stream: SampleStream,
             f"for n={len(stream)}")
     seed, = _spawn_seeds(config.seed, 1)
     counts = ConfusionCounts.of(
-        _fit_and_predict(train, test, config, seed, stream.schema),
+        _fit_and_predict(train, test, config, seed),
         [sample.label for sample in test])
     vals = metrics(counts)
     out = {name: vals[name] for name in METRIC_NAMES}
@@ -497,8 +498,7 @@ def run_cross_validation(stream: SampleStream,
                 f"fold {fold}: training split lost a class "
                 f"(has {sorted(train_labels)})")
         per_fold.append(ConfusionCounts.of(
-            _fit_and_predict(train, test, config, fold_seeds[fold],
-                             stream.schema),
+            _fit_and_predict(train, test, config, fold_seeds[fold]),
             [sample.label for sample in test]))
 
     fold_metrics = [metrics(c) for c in per_fold]

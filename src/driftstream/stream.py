@@ -24,18 +24,9 @@ def _normalize_token(tok) -> str:
     return str(tok).strip().lower()
 
 
-def normalize_tokens(tokens: Iterable[str]) -> list[str]:
-    """Lowercase and strip tokens, dropping any that end up empty.
-
-    Duplicates are preserved: token multiplicity carries term-frequency
-    information for the featurizer.
-    """
-    return [tok for tok in map(_normalize_token, tokens) if tok]
-
-
 def _token_interner():
-    """A ``normalize_tokens`` for one load that shares one ``str`` per
-    distinct normalized token.
+    """A token-list normalizer for one load: ``_normalize_token`` per token,
+    empty results dropped, duplicates kept, one ``str`` per distinct result.
 
     Raw ``str`` tokens map to their normalized object through one table, so
     a list whose tokens were all seen before is normalized by one C-level
@@ -123,8 +114,7 @@ class SampleStream:
         return self.samples[idx]
 
 
-def stream_from_samples(samples: Iterable[RawSample],
-                        schema: StreamSchema | None = None) -> SampleStream:
+def stream_from_samples(samples: Iterable[RawSample]) -> SampleStream:
     """Sort samples into a stream, inferring the schema from the first one.
 
     Every sample must carry exactly the schema's attribute-name set.  A
@@ -134,8 +124,7 @@ def stream_from_samples(samples: Iterable[RawSample],
     materialized = list(samples)
     if not materialized:
         raise EmptyStream("cannot build a stream from zero samples")
-    if schema is None:
-        schema = StreamSchema(tuple(materialized[0].attributes.keys()))
+    schema = StreamSchema(tuple(materialized[0].attributes.keys()))
     names = schema.attribute_names
     wanted = set(names)
     for i, sample in enumerate(materialized):

@@ -201,7 +201,7 @@ def test_removed_config_key_exits_2(tmp_path, stream_file, capsys, key):
     ["--classifier", "arf", "--hoeffding-delta", "0"],
     ["--hoeffding-delta", "2"], ["--arf-lambda", "-1"],
     ["--sgd-learning-rate", "nan"], ["--sgd-l2", "200"],
-    ["--classifier", "arf", "--hoeffding-grace", "-5"],
+    ["--classifier", "arf", "--hoeffding-grace", "-5"], ["--seed", "-1"],
 ])
 def test_bad_knob_exits_2_before_running(tmp_path, stream_file, capsys,
                                          flags):
@@ -313,6 +313,19 @@ def test_grid_rejects_out_of_range_knob_before_running(tmp_path,
                     "--out", str(out), "--workers", "1"])
     assert code == 2
     assert "adwin_delta" in capsys.readouterr().err
+    assert not out.exists()  # no job ran
+
+
+def test_grid_rejects_negative_seed_before_running(tmp_path, stream_file,
+                                                   capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"name": "a", "strategy": "temporal"},
+                                {"name": "b", "seed": -1}]))
+    out = tmp_path / "g"
+    code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
+                    "--out", str(out), "--workers", "1"])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()  # no job ran
 
 

@@ -221,6 +221,32 @@ def test_transform_schema_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# schema
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_stream_slice_fits_the_stream_schema(data):
+    """Samples whose attribute dicts come in shuffled orders all leave
+    ``stream_from_samples`` in schema order, so an extractor fitted on any
+    non-empty slice of the stream has the stream's schema."""
+    names = data.draw(st.lists(st.sampled_from(["api", "perm", "url", "x"]),
+                               min_size=1, max_size=4, unique=True))
+    tokens = st.lists(st.sampled_from(["a", "b", "c"]), max_size=3)
+    samples = [
+        RawSample(id=f"s{i}", timestamp=data.draw(st.integers(0, 5)), label=0,
+                  attributes={name: data.draw(tokens)
+                              for name in data.draw(st.permutations(names))})
+        for i in range(data.draw(st.integers(1, 8)))]
+    stream = stream_from_samples(samples)
+    for sample in stream:
+        assert tuple(sample.attributes) == stream.schema.attribute_names
+    lo = data.draw(st.integers(0, len(stream) - 1))
+    hi = data.draw(st.integers(lo + 1, len(stream)))
+    assert fit_extractor(stream[lo:hi], k=2).schema == stream.schema
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 

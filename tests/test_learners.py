@@ -5,7 +5,7 @@ import pytest
 
 from driftstream import (ArfEnsemble, DimensionMismatch,
                          HoeffdingTreeClassifier, PoolMember, SgdClassifier)
-from driftstream.learners import hoeffding_bound
+from driftstream.learners import _LeafNode, _SplitNode, hoeffding_bound
 
 # ---------------------------------------------------------------------------
 # SGD with hinge loss
@@ -106,7 +106,7 @@ def test_hoeffding_bound_vanishes_with_data():
 def test_tree_untrained_predicts_zero():
     t = HoeffdingTreeClassifier(dim=2)
     assert t.predict(np.array([0.3, 0.9])) == 0
-    assert t.depth == 0
+    assert isinstance(t._root, _LeafNode)
 
 
 def test_tree_learns_single_threshold_concept():
@@ -115,7 +115,7 @@ def test_tree_learns_single_threshold_concept():
     for _ in range(3000):
         x = rng.random(3)
         t.partial_fit(x, int(x[0] > 0.5))
-    assert t.depth >= 1
+    assert isinstance(t._root, _SplitNode)
     checks = rng.random((500, 3))
     acc = np.mean([t.predict(x) == int(x[0] > 0.5) for x in checks])
     assert acc > 0.95
@@ -126,7 +126,7 @@ def test_tree_never_splits_on_pure_labels():
     t = HoeffdingTreeClassifier(dim=3)
     for _ in range(2000):
         t.partial_fit(rng.random(3), 0)
-    assert t.depth == 0
+    assert isinstance(t._root, _LeafNode)
     assert t.predict(rng.random(3)) == 0
 
 
@@ -162,9 +162,9 @@ def test_arf_subspace_sizes():
         assert len(sub) == 6  # ceil(sqrt(30))
         assert len(set(sub.tolist())) == len(sub)
         assert list(sub) == sorted(sub)
-    small = ArfEnsemble(dim=2, n_trees=3, seed=0, subspace_size=5)
+    small = ArfEnsemble(dim=2, n_trees=3, seed=0)
     for sub in small.subspaces:
-        assert len(sub) == 2  # clamped to dim
+        assert len(sub) == 2  # ceil(sqrt(2)), the whole space
 
 
 def test_arf_untrained_majority_is_zero():
@@ -249,27 +249,27 @@ def test_pool_untrained_predicts_zero():
 
 
 def test_perceptron_update_rule():
-    m = PoolMember("perceptron", learning_rate=0.5)
+    m = PoolMember("perceptron")         # step size 0.01
     m.partial_fit([0], 1)                # mistake: score 0 -> update
-    assert m.score([0]) == pytest.approx(1.0)   # w=0.5 plus b=0.5
-    m.partial_fit([0], 1)                # margin 1 > 0 -> no update
-    assert m.score([0]) == pytest.approx(1.0)
+    assert m.score([0]) == pytest.approx(0.02)  # w=0.01 plus b=0.01
+    m.partial_fit([0], 1)                # margin 0.02 > 0 -> no update
+    assert m.score([0]) == pytest.approx(0.02)
 
 
 def test_sgd_hinge_updates_inside_margin_where_perceptron_stops():
-    hinge = PoolMember("sgd-hinge", learning_rate=0.2)
-    mistake = PoolMember("perceptron", learning_rate=0.2)
+    hinge = PoolMember("sgd-hinge")
+    mistake = PoolMember("perceptron")
     for m in (hinge, mistake):
         m.partial_fit([0], 1)            # both update from zero
-        assert m.score([0]) == pytest.approx(0.4)
-    hinge.partial_fit([0], 1)            # margin 0.4 < 1 -> another step
-    mistake.partial_fit([0], 1)          # margin 0.4 > 0 -> no step
-    assert hinge.score([0]) == pytest.approx(0.8)
-    assert mistake.score([0]) == pytest.approx(0.4)
+        assert m.score([0]) == pytest.approx(0.02)
+    hinge.partial_fit([0], 1)            # margin 0.02 < 1 -> another step
+    mistake.partial_fit([0], 1)          # margin 0.02 > 0 -> no step
+    assert hinge.score([0]) == pytest.approx(0.04)
+    assert mistake.score([0]) == pytest.approx(0.02)
 
 
 def test_passive_aggressive_step_size():
-    m = PoolMember("passive-aggressive", aggressiveness=1.0)
+    m = PoolMember("passive-aggressive")
     m.partial_fit([0, 1], 1)
     # loss 1 over squared norm 3 (two features + bias) -> tau = 1/3
     assert m.score([0, 1]) == pytest.approx(1.0)
@@ -279,19 +279,20 @@ def test_passive_aggressive_step_size():
 
 
 def test_passive_aggressive_cap():
-    m = PoolMember("passive-aggressive", aggressiveness=0.1)
-    m.partial_fit([0, 1], 1)
-    np.testing.assert_allclose(m.weights, [0.1, 0.1])
-    assert m.bias == pytest.approx(0.1)
+    m = PoolMember("passive-aggressive")  # C = 1
+    m.partial_fit([], 1)                 # loss 1 over squared norm 1 -> tau 1
+    assert m.bias == pytest.approx(1.0)
+    m.partial_fit([], 0)                 # loss 2 -> tau 2, capped at 1
+    assert m.bias == pytest.approx(0.0)
 
 
 def test_pool_member_grows_feature_space():
-    m = PoolMember("perceptron", learning_rate=1.0)
+    m = PoolMember("perceptron")
     m.partial_fit([2], 1)
     assert m.weights.size == 3
     m.partial_fit([10], 1)
     assert m.weights.size == 11
-    assert m.weights[2] == 1.0           # old weight untouched by growth
+    assert m.weights[2] == 0.01          # old weight untouched by growth
     # indices beyond current capacity contribute nothing to the score
     assert m.score([2, 99]) == pytest.approx(m.score([2]))
 

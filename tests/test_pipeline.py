@@ -98,6 +98,8 @@ def test_config_rejects_unknown_keys():
     ("sgd_l2", -1.0), ("sgd_l2", 100.0), ("sgd_l2", 200.0),
     ("hoeffding_grace", 0), ("hoeffding_grace", -5),
     ("hoeffding_tie", -1.0),
+    # np.random.SeedSequence rejects a negative seed only once a run starts
+    ("seed", -1),
 ])
 def test_config_validation_catches_bad_values(field, value):
     with pytest.raises(ConfigError):
@@ -107,7 +109,7 @@ def test_config_validation_catches_bad_values(field, value):
 @pytest.mark.parametrize("field,value", [
     ("adwin_max_buckets", None), ("arf_lambda", 6), ("fading", 1),
     ("warmup", 10), ("warmup", "30d"), ("kswin_sampled", True),
-    ("seed", np.int64(3)), ("warmup", np.int64(10)),
+    ("seed", np.int64(3)), ("warmup", np.int64(10)), ("seed", 2**64),
 ])
 def test_config_validation_accepts_right_types(field, value):
     ExperimentConfig.from_dict({field: value}).validate()

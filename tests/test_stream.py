@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from driftstream import (EmptyStream, InvalidFraction, ParseError, RawSample,
                          SchemaMismatch, StreamSchema, load_stream,
-                         normalize_tokens, save_stream, split_temporal,
-                         stream_from_samples)
+                         save_stream, split_temporal, stream_from_samples)
 from .oracles import reference_load_stream
 
 
@@ -23,13 +22,20 @@ def make_sample(sid, ts, label=0, tokens=("alpha",)):
 # normalization and schema
 # ---------------------------------------------------------------------------
 
-def test_tokens_are_lowercased_stripped_and_non_empty():
-    assert normalize_tokens([" Foo ", "BAR", "", "  ", "baz"]) == \
+def _loaded_tokens(tmp_path, tokens):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"id": "a", "timestamp": 1,
+                                "attributes": {"x": tokens}}) + "\n")
+    return load_stream(path)[0].attributes["x"]
+
+
+def test_tokens_are_lowercased_stripped_and_non_empty(tmp_path):
+    assert _loaded_tokens(tmp_path, [" Foo ", "BAR", "", "  ", "baz"]) == \
         ["foo", "bar", "baz"]
 
 
-def test_duplicate_tokens_survive_normalization():
-    assert normalize_tokens(["A", "a", " a"]) == ["a", "a", "a"]
+def test_duplicate_tokens_survive_normalization(tmp_path):
+    assert _loaded_tokens(tmp_path, ["A", "a", " a"]) == ["a", "a", "a"]
 
 
 def test_schema_rejects_duplicate_names():
