@@ -26,6 +26,7 @@ from .stream import load_stream, save_stream
 from .synth import SynthStreamSpec, generate_synth_stream
 
 _RUN_ONLY_KEYS = ("input", "format", "out")
+_FLAG_TYPES = {"int": int, "float": float}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -33,32 +34,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     the merge step can tell explicit flags from omissions."""
     for spec in fields(ExperimentConfig):
         flag = "--" + spec.name.replace("_", "-")
-        if spec.type == "bool":
-            parser.add_argument(flag, default=None, type=_parse_bool,
-                                metavar="0|1",
-                                help=f"{spec.name} (default: {spec.default})")
-        elif spec.name == "warmup":
+        if spec.name == "warmup":
             parser.add_argument(flag, default=None, type=_parse_warmup,
                                 help=f"sample count or duration such as 365d "
                                      f"(default: {spec.default})")
-        elif spec.type in ("int", "int | None"):
-            parser.add_argument(flag, default=None, type=int,
-                                help=f"{spec.name} (default: {spec.default})")
-        elif spec.type == "float":
-            parser.add_argument(flag, default=None, type=float,
-                                help=f"{spec.name} (default: {spec.default})")
         else:
             parser.add_argument(flag, default=None,
+                                type=_FLAG_TYPES.get(spec.type, str),
                                 help=f"{spec.name} (default: {spec.default})")
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 def _parse_warmup(text: str):

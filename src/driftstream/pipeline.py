@@ -45,20 +45,24 @@ log = logging.getLogger(__name__)
 
 STRATEGIES = ("cross-val", "temporal", "iwc", "fnf-update", "fnf-retrain",
               "pool", "mts", "static")
-DETECTORS = ("ddm", "eddm", "adwin", "kswin", "none")
+# each detector is built with its constructor's defaults, the published ones
+_DETECTOR_CLASSES = {"ddm": DdmDetector, "eddm": EddmDetector,
+                     "adwin": AdwinDetector, "kswin": KswinDetector,
+                     "none": NeverFiresDetector}
+DETECTORS = tuple(_DETECTOR_CLASSES)
 CLASSIFIERS = ("arf", "sgd")
 
 
 # the values each annotation of ExperimentConfig admits; a bool is admitted
-# only by "bool", although Python counts it as an int
-_FIELD_TYPES = {"str": str, "bool": bool, "int": numbers.Integral,
-                "float": numbers.Real, "int | str": (numbers.Integral, str),
-                "int | None": (numbers.Integral, type(None))}
+# by none, although Python counts it as an int
+_FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real,
+                "int | str": (numbers.Integral, str)}
 
 
 @dataclass
 class ExperimentConfig:
-    """Flat bag of every tunable knob, one field per CLI flag."""
+    """The experiment's own choices, one field per CLI flag.  Detectors and
+    classifiers run at their published defaults, their constructors'."""
 
     strategy: str = "fnf-retrain"
     detector: str = "adwin"
@@ -70,39 +74,14 @@ class ExperimentConfig:
     cv_folds: int = 10
     mts_folds: int = 11
     mts_inner: str = "fnf-retrain"
-    # detector knobs
-    ddm_min_instances: int = 30
-    ddm_warning_factor: float = 2.0
-    ddm_drift_factor: float = 3.0
-    eddm_min_errors: int = 30
-    eddm_warning_ratio: float = 0.95
-    eddm_drift_ratio: float = 0.90
-    adwin_delta: float = 0.002
-    adwin_max_buckets: int | None = 5
-    kswin_window: int = 100
-    kswin_stat_size: int = 30
-    kswin_alpha: float = 0.005
-    kswin_sampled: bool = False
-    # classifier knobs
-    sgd_learning_rate: float = 0.01
-    sgd_l2: float = 1e-4
-    hoeffding_grace: int = 200
-    hoeffding_delta: float = 1e-7
-    hoeffding_tie: float = 0.05
     arf_trees: int = 10
-    arf_lambda: float = 6.0
-    # model-pool knobs
-    pool_tau_low: float = 0.3
-    pool_tau_high: float = 0.7
     pool_interval: int = 500
-    # reporting knobs
-    fading: float = 0.999
     metrics_window: int = 1000
 
     def validate(self) -> None:
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if (isinstance(value, bool) != (spec.type == "bool")
+            if (isinstance(value, bool)
                     or not isinstance(value, _FIELD_TYPES[spec.type])):
                 raise ConfigError(f"{spec.name} must be {spec.type}, "
                                   f"got {value!r}")
@@ -132,40 +111,12 @@ class ExperimentConfig:
             raise ConfigError("cv_folds must be >= 2")
         if self.mts_folds < 2:
             raise ConfigError("mts_folds must be >= 2")
-        if not 0.0 <= self.pool_tau_low < self.pool_tau_high <= 1.0:
-            raise ConfigError("need 0 <= pool_tau_low < pool_tau_high <= 1")
         if self.pool_interval < 1:
             raise ConfigError("pool_interval must be >= 1")
-        if not 0.0 < self.fading <= 1.0:
-            raise ConfigError("fading must lie in (0, 1]")
         if self.metrics_window < 1:
             raise ConfigError("metrics_window must be >= 1")
         if self.arf_trees < 1:
             raise ConfigError("arf_trees must be >= 1")
-        if self.arf_lambda <= 0.0:
-            raise ConfigError("arf_lambda must be > 0")
-        if not 0.0 < self.hoeffding_delta < 1.0:
-            raise ConfigError("hoeffding_delta must lie in (0, 1)")
-        if self.sgd_learning_rate <= 0.0:
-            raise ConfigError("sgd_learning_rate must be > 0")
-        if self.sgd_l2 < 0.0 or self.sgd_learning_rate * self.sgd_l2 >= 1.0:
-            # at learning rate x L2 >= 1 the decay flips the weights' sign
-            raise ConfigError(
-                "need sgd_l2 >= 0 and sgd_learning_rate * sgd_l2 < 1")
-        if self.hoeffding_grace < 1:
-            raise ConfigError("hoeffding_grace must be >= 1")
-        if self.hoeffding_tie < 0.0:
-            raise ConfigError("hoeffding_tie must be >= 0")
-        # the ranges the detector constructors enforce (DDM and EDDM
-        # enforce none), checked here so they fail before any run starts
-        if not 0.0 < self.adwin_delta < 1.0:
-            raise ConfigError("adwin_delta must lie in (0, 1)")
-        if self.adwin_max_buckets is not None and self.adwin_max_buckets < 2:
-            raise ConfigError("adwin_max_buckets must be >= 2 (or null)")
-        if not 1 <= self.kswin_stat_size < self.kswin_window:
-            raise ConfigError("need kswin_window > kswin_stat_size >= 1")
-        if not 0.0 < self.kswin_alpha < 1.0:
-            raise ConfigError("kswin_alpha must lie in (0, 1)")
         if isinstance(self.warmup, numbers.Integral):
             if self.warmup < 1:
                 raise ConfigError("warmup sample count must be >= 1")
@@ -238,33 +189,14 @@ def _split_warmup(stream: SampleStream,
     return warm, list(stream.samples[count:])
 
 
-def build_detector(config: ExperimentConfig, seed: int = 0):
-    name = config.detector
-    if name == "ddm":
-        return DdmDetector(config.ddm_min_instances,
-                           config.ddm_warning_factor,
-                           config.ddm_drift_factor)
-    if name == "eddm":
-        return EddmDetector(config.eddm_min_errors,
-                            config.eddm_warning_ratio,
-                            config.eddm_drift_ratio)
-    if name == "adwin":
-        return AdwinDetector(config.adwin_delta, config.adwin_max_buckets)
-    if name == "kswin":
-        return KswinDetector(config.kswin_window, config.kswin_stat_size,
-                             config.kswin_alpha, config.kswin_sampled,
-                             seed=seed)
-    return NeverFiresDetector()
+def build_detector(config: ExperimentConfig):
+    return _DETECTOR_CLASSES[config.detector]()
 
 
 def build_classifier(config: ExperimentConfig, dim: int, seed: int = 0):
-    name = config.classifier
-    if name == "sgd":
-        return SgdClassifier(dim, config.sgd_learning_rate, config.sgd_l2)
-    return ArfEnsemble(dim, config.arf_trees, config.arf_lambda, seed=seed,
-                       grace_period=config.hoeffding_grace,
-                       split_confidence=config.hoeffding_delta,
-                       tie_threshold=config.hoeffding_tie)
+    if config.classifier == "sgd":
+        return SgdClassifier(dim)
+    return ArfEnsemble(dim, config.arf_trees, seed=seed)
 
 
 def _train_on(classifier, extractor: FeatureExtractorModel, samples) -> None:
@@ -349,17 +281,16 @@ class FnFPipeline:
         self.vocab_diff_events: list[tuple[int, list]] = []
         self.degenerate_drifts = 0
         self.rebuild_count = 0
-        clf_seed, det_seed = _spawn_seeds(cfg.seed, 2)
+        clf_seed, = _spawn_seeds(cfg.seed, 1)
         self.extractor = fit_extractor(warm, cfg.vocab_size)
         self.extractor_fingerprints.append(self.extractor.fingerprint())
         self.classifier = self._classifier_factory(cfg, self.extractor.dim,
                                                    clf_seed)
         _train_on(self.classifier, self.extractor, warm)
         static = cfg.strategy == "static"
-        self.detector = None if static else self._detector_factory(cfg, det_seed)
+        self.detector = None if static else self._detector_factory(cfg)
 
-        timeline = MetricsTimeline(fading=cfg.fading,
-                                   window=cfg.metrics_window)
+        timeline = MetricsTimeline(window=cfg.metrics_window)
         warning_from = None  # first step of the open warning episode
         vectors = self.extractor.iter_transform(rest)
         for step, sample in enumerate(rest, start=1):
@@ -422,8 +353,7 @@ def run_iwc(stream: SampleStream, config: ExperimentConfig) -> MetricsTimeline:
             "calendar months")
 
     seeds = _spawn_seeds(config.seed, len(groups))
-    timeline = MetricsTimeline(fading=config.fading,
-                               window=config.metrics_window)
+    timeline = MetricsTimeline(window=config.metrics_window)
     trained: list[RawSample] = list(groups[0][1])
     for month_idx, (key, month_samples) in enumerate(groups[1:], start=1):
         predictions = _fit_and_predict(trained, month_samples, config,
@@ -542,17 +472,23 @@ class TokenIndexer:
         return ids
 
 
+# the agreement band outside which a pool member is aged
+POOL_TAU_LOW = 0.3
+POOL_TAU_HIGH = 0.7
+
+
 class ModelPoolPipeline:
     """Three linear learners vote; disagreeing or stale members get refreshed.
 
     Every sample receives a pseudo-label from the weighted vote of the
     members (weights are each member's agreement fraction from the previous
     check interval).  Every ``pool_interval`` steps each member's agreement
-    with the vote is measured; members outside (tau_low, tau_high) are
-    considered aged and replay the interval's samples with their
-    pseudo-labels.  True labels are used for metrics only.  Each ``run``
-    starts from untrained members; after it, ``members``, ``weights``,
-    ``indexer`` and ``aging_events`` hold that run's final state.
+    with the vote is measured; members outside (``POOL_TAU_LOW``,
+    ``POOL_TAU_HIGH``) are considered aged and replay the interval's samples
+    with their pseudo-labels.  True labels are used for metrics only.  Each
+    ``run`` starts from untrained members; after it, ``members``,
+    ``weights``, ``indexer`` and ``aging_events`` hold that run's final
+    state.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -571,8 +507,7 @@ class ModelPoolPipeline:
             for member in self.members:
                 member.partial_fit(indices, sample.label)
 
-        timeline = MetricsTimeline(fading=cfg.fading,
-                                   window=cfg.metrics_window)
+        timeline = MetricsTimeline(window=cfg.metrics_window)
         buffer: list[tuple[np.ndarray, int]] = []
         agreements = [0] * len(self.members)
         for step, sample in enumerate(rest, start=1):
@@ -586,7 +521,7 @@ class ModelPoolPipeline:
                 agreements[i] += int(vote == pseudo)
             if len(buffer) == cfg.pool_interval:
                 ji = [hits / len(buffer) for hits in agreements]
-                aged = [value < cfg.pool_tau_low or value > cfg.pool_tau_high
+                aged = [value < POOL_TAU_LOW or value > POOL_TAU_HIGH
                         for value in ji]
                 if any(aged):
                     self.aging_events += 1

@@ -18,6 +18,9 @@ from typing import Iterable, Iterator
 
 from .errors import EmptyStream, InvalidFraction, ParseError, SchemaMismatch
 
+# 9999-12-31T23:59:59Z, the last second datetime can represent
+MAX_TIMESTAMP = 253402300799
+
 
 def _normalize_token(tok) -> str:
     """The one normalization rule: text, stripped, lowercased."""
@@ -174,7 +177,7 @@ def _parse_timestamp(value, line: int) -> int:
     ts = _parse_int(value, "timestamp", line)
     if ts < 0:
         raise ParseError(f"timestamp {ts} is negative", line)
-    if ts > 253402300799:  # the last second datetime can represent
+    if ts > MAX_TIMESTAMP:
         raise ParseError(f"timestamp {ts} is past 9999-12-31T23:59:59Z", line)
     return ts
 

@@ -17,12 +17,14 @@ Generation is fully deterministic for a given spec (including the seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpec
-from .stream import RawSample, SampleStream, stream_from_samples
+from .stream import (MAX_TIMESTAMP, RawSample, SampleStream,
+                     stream_from_samples)
 
 _ATTRIBUTE_NAMES = ("api_calls", "permissions", "intents", "urls",
                     "opcodes", "libraries", "providers", "receivers")
@@ -58,12 +60,18 @@ class SynthStreamSpec:
                 f"malware_rate {self.malware_rate} not in (0, 1)")
         if self.n_attributes < 1:
             raise InvalidSpec("need at least one attribute")
-        if self.tokens_mean <= 0.0:
-            raise InvalidSpec("tokens_mean must be positive")
+        if not 0.0 < self.tokens_mean < math.inf:
+            raise InvalidSpec("tokens_mean must be positive and finite")
+        if self.seed < 0:  # numpy's seeding rejects it
+            raise InvalidSpec("seed must be >= 0")
         if self.step_seconds < 1:
             raise InvalidSpec("step_seconds must be >= 1")
         if self.start_timestamp < 0:
             raise InvalidSpec("start_timestamp must be >= 0")
+        last = self.start_timestamp + (self.n_samples - 1) * self.step_seconds
+        if last > MAX_TIMESTAMP:  # load_stream would reject the stream
+            raise InvalidSpec(
+                f"last timestamp {last} is past 9999-12-31T23:59:59Z")
         previous = 0
         for point in self.drift_points:
             if not 0 < point < self.n_samples:

@@ -7,6 +7,7 @@ import pytest
 from driftstream import (FeatureExtractorModel, RawSample, fit_extractor,
                          load_stream)
 from driftstream.cli import main
+from driftstream.stream import MAX_TIMESTAMP
 
 
 @pytest.fixture()
@@ -48,6 +49,31 @@ def test_gen_rejects_bad_spec(tmp_path, capsys):
     code = main(["gen", "--n", "100", "--drift-at", "500", "--out", str(out)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    # numpy's seeding and Poisson draws reject these mid-generation
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--tokens-mean", "nan"], "tokens_mean must be positive and finite"),
+    (["--tokens-mean", "inf"], "tokens_mean must be positive and finite"),
+    # the 50th timestamp would be past what load_stream accepts
+    (["--step-seconds", "100000000000"],
+     "last timestamp 4901230768000 is past 9999-12-31T23:59:59Z"),
+], ids=["negative-seed", "nan-tokens-mean", "inf-tokens-mean",
+        "past-year-9999"])
+def test_gen_rejects_spec_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "s.jsonl"
+    assert main(["gen", "--n", "50", *flags, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_last_timestamp_may_be_the_loader_bound(tmp_path):
+    out = tmp_path / "s.jsonl"
+    step = MAX_TIMESTAMP - 1230768000  # the default start timestamp
+    assert main(["gen", "--n", "2", "--step-seconds", str(step),
+                 "--out", str(out)]) == 0
+    assert load_stream(out)[1].timestamp == MAX_TIMESTAMP
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +210,19 @@ def test_unknown_config_key_exits_2(tmp_path, stream_file, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["update_mode", "adwin_check_interval"])
+REMOVED_KNOBS = [
+    "ddm_min_instances", "ddm_warning_factor", "ddm_drift_factor",
+    "eddm_min_errors", "eddm_warning_ratio", "eddm_drift_ratio",
+    "adwin_delta", "adwin_max_buckets",
+    "kswin_window", "kswin_stat_size", "kswin_alpha", "kswin_sampled",
+    "sgd_learning_rate", "sgd_l2",
+    "hoeffding_grace", "hoeffding_delta", "hoeffding_tie", "arf_lambda",
+    "pool_tau_low", "pool_tau_high", "fading",
+]
+
+
+@pytest.mark.parametrize("key", ["update_mode", "adwin_check_interval",
+                                 *REMOVED_KNOBS])
 def test_removed_config_key_exits_2(tmp_path, stream_file, capsys, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"strategy": "fnf-update", "classifier": "sgd",
@@ -198,10 +236,10 @@ def test_removed_config_key_exits_2(tmp_path, stream_file, capsys, key):
 
 @pytest.mark.parametrize("flags", [
     ["--warmup", "infd"], ["--warmup", "1e400d"],
-    ["--classifier", "arf", "--hoeffding-delta", "0"],
-    ["--hoeffding-delta", "2"], ["--arf-lambda", "-1"],
-    ["--sgd-learning-rate", "nan"], ["--sgd-l2", "200"],
-    ["--classifier", "arf", "--hoeffding-grace", "-5"], ["--seed", "-1"],
+    ["--classifier", "arf", "--arf-trees", "0"],
+    ["--metrics-window", "0"], ["--vocab-size", "0"],
+    ["--split-fraction", "nan"], ["--pool-interval", "0"],
+    ["--strategy", "cross-val", "--cv-folds", "1"], ["--seed", "-1"],
 ])
 def test_bad_knob_exits_2_before_running(tmp_path, stream_file, capsys,
                                          flags):
@@ -212,6 +250,32 @@ def test_bad_knob_exits_2_before_running(tmp_path, stream_file, capsys,
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--ddm-min-instances", "10"], ["--eddm-min-errors", "10"],
+    ["--adwin-delta", "0.01"], ["--kswin-sampled", "1"],
+    ["--sgd-l2", "200"], ["--hoeffding-grace", "50"], ["--arf-lambda", "1"],
+    ["--pool-tau-low", "0.2"], ["--fading", "0.99"],
+])
+def test_removed_knob_flag_is_unknown(stream_file, tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as caught:
+        run_cli(["run", "--input", str(stream_file),
+                 "--out", str(tmp_path / "x"), *flags])
+    assert caught.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_help_lists_no_removed_knob(capsys):
+    with pytest.raises(SystemExit) as caught:
+        run_cli(["run", "--help"])
+    assert caught.value.code == 0
+    text = capsys.readouterr().out
+    assert "--metrics-window" in text
+    for key in REMOVED_KNOBS:
+        assert "--" + key.replace("_", "-") not in text
 
 
 @pytest.mark.parametrize("key,value", [
@@ -307,12 +371,12 @@ def test_grid_rejects_out_of_range_knob_before_running(tmp_path,
                                                        stream_file, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([{"name": "a", "strategy": "temporal"},
-                                {"name": "b", "adwin_delta": 0}]))
+                                {"name": "b", "cv_folds": 1}]))
     out = tmp_path / "g"
     code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
                     "--out", str(out), "--workers", "1"])
     assert code == 2
-    assert "adwin_delta" in capsys.readouterr().err
+    assert "cv_folds must be >= 2" in capsys.readouterr().err
     assert not out.exists()  # no job ran
 
 
@@ -333,12 +397,12 @@ def test_grid_rejects_wrong_type_before_running(tmp_path, stream_file,
                                                capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([{"name": "a", "strategy": "temporal"},
-                                {"name": "b", "kswin_sampled": "no"}]))
+                                {"name": "b", "vocab_size": "100"}]))
     out = tmp_path / "g"
     code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
                     "--out", str(out), "--workers", "1"])
     assert code == 2
-    assert "kswin_sampled must be bool" in capsys.readouterr().err
+    assert "vocab_size must be int, got '100'" in capsys.readouterr().err
     assert not out.exists()  # no job ran
 
 
@@ -346,12 +410,12 @@ def test_grid_rejects_non_finite_knob_before_running(tmp_path, stream_file,
                                                     capsys):
     grid = tmp_path / "grid.json"
     grid.write_text('[{"name": "a", "strategy": "temporal"}, '
-                    '{"name": "b", "sgd_learning_rate": NaN}]')
+                    '{"name": "b", "split_fraction": NaN}]')
     out = tmp_path / "g"
     code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
                     "--out", str(out), "--workers", "1"])
     assert code == 2
-    assert "sgd_learning_rate must be finite" in capsys.readouterr().err
+    assert "split_fraction must be finite" in capsys.readouterr().err
     assert not out.exists()  # no job ran
 
 

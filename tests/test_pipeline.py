@@ -2,24 +2,29 @@
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream import (CLASSIFIERS, ClassMissingInFold, ConfigError,
-                         ConfusionCounts, DriftLevel, ExperimentConfig,
-                         FnFPipeline, InsufficientData, InsufficientTimeSpan,
-                         ModelPoolPipeline, RawSample, SynthStreamSpec,
-                         UnlabeledSample, WarmupTooSmall,
-                         generate_synth_stream, metrics, parse_duration,
-                         resolve_warmup_count, run_cross_validation, run_iwc,
+from driftstream import (CLASSIFIERS, DETECTORS, AdwinDetector, ArfEnsemble,
+                         ClassMissingInFold, ConfigError, ConfusionCounts,
+                         DdmDetector, DriftLevel, EddmDetector,
+                         ExperimentConfig, FnFPipeline, InsufficientData,
+                         InsufficientTimeSpan, KswinDetector,
+                         ModelPoolPipeline, NeverFiresDetector, RawSample,
+                         SgdClassifier, SynthStreamSpec, UnlabeledSample,
+                         WarmupTooSmall, generate_synth_stream, metrics,
+                         parse_duration, resolve_warmup_count,
+                         run_cross_validation, run_iwc,
                          run_multiple_time_spans, run_temporal_split,
                          stream_from_samples)
 from driftstream import features
 from driftstream.cli import main as cli_main
-from driftstream.pipeline import TokenIndexer, _chunk_sizes, build_classifier
+from driftstream.pipeline import (TokenIndexer, _chunk_sizes,
+                                  build_classifier, build_detector)
 
 from .oracles import reference_pool_run
 
@@ -29,11 +34,13 @@ def synth(n=600, drift=(), seed=0, **kw):
         n_samples=n, drift_points=tuple(drift), seed=seed, **kw))
 
 
+BASE = dict(strategy="fnf-update", detector="none", classifier="sgd",
+            warmup=100, seed=0, metrics_window=100)
+FIELD_NAMES = {spec.name for spec in fields(ExperimentConfig)}
+
+
 def config(**overrides):
-    base = dict(strategy="fnf-update", detector="none", classifier="sgd",
-                warmup=100, seed=0, metrics_window=100)
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(**{**BASE, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -73,46 +80,82 @@ def test_config_rejects_unknown_keys():
     ("strategy", "bagging"), ("detector", "page-hinkley"),
     ("classifier", "svm"), ("classifier", "hoeffding"),
     ("cv_folds", 1), ("mts_folds", 1), ("split_fraction", 1.0),
-    ("pool_tau_low", 0.9), ("pool_interval", 0), ("vocab_size", 0),
+    ("pool_interval", 0), ("vocab_size", 0),
     ("warmup", 0), ("warmup", "yesterday"), ("warmup", "infd"),
     ("warmup", "1e400d"), ("mts_inner", "temporal"),
-    ("fading", 0.0), ("fading", 1.5),
     ("metrics_window", 0), ("arf_trees", 0),
+    # values of the wrong type
+    ("warmup", True), ("vocab_size", "100"), ("vocab_size", True),
+    ("metrics_window", None), ("seed", 1.5),
+    # np.random.SeedSequence rejects a negative seed only once a run starts
+    ("seed", -1),
+    # detector, classifier, pool and reporting knobs that are no longer
+    # config fields: the algorithms run at their published defaults, and a
+    # config that still names one is rejected as naming an unknown key
+    ("pool_tau_low", 0.9), ("fading", 0.0), ("fading", 1.5),
     ("adwin_delta", 0.0), ("adwin_delta", 1.0), ("adwin_max_buckets", 1),
     ("kswin_stat_size", 0),
     ("kswin_stat_size", 100), ("kswin_window", 30),
     ("kswin_alpha", 0.0), ("kswin_alpha", 1.0),
-    # values of the wrong type
-    ("kswin_sampled", "no"), ("kswin_sampled", 1), ("warmup", True),
-    ("vocab_size", "100"), ("vocab_size", True),
-    ("adwin_delta", "0.01"), ("metrics_window", None), ("seed", 1.5),
-    ("adwin_max_buckets", 5.0),
-    # classifier knobs that would fail or go constant only mid-run
+    ("kswin_sampled", "no"), ("kswin_sampled", 1),
+    ("adwin_delta", "0.01"), ("adwin_max_buckets", 5.0),
     ("hoeffding_delta", 0.0), ("hoeffding_delta", 2.0), ("arf_lambda", -1.0),
     ("arf_lambda", 0), ("sgd_learning_rate", 0.0),
     ("sgd_learning_rate", float("nan")),
-    # no float field takes a non-finite value
     ("sgd_l2", float("inf")), ("hoeffding_tie", float("-inf")),
-    # a negative L2, or learning rate x L2 >= 1 (the default rate is 0.01),
-    # flips or blows up the SGD weights; ARF knobs below their floor
     ("sgd_l2", -1.0), ("sgd_l2", 100.0), ("sgd_l2", 200.0),
     ("hoeffding_grace", 0), ("hoeffding_grace", -5),
     ("hoeffding_tie", -1.0),
-    # np.random.SeedSequence rejects a negative seed only once a run starts
-    ("seed", -1),
 ])
 def test_config_validation_catches_bad_values(field, value):
-    with pytest.raises(ConfigError):
-        config(**{field: value}).validate()
+    with pytest.raises(ConfigError) as caught:
+        ExperimentConfig.from_dict({**BASE, field: value}).validate()
+    if field not in FIELD_NAMES:
+        assert "unknown config keys" in str(caught.value)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("adwin_max_buckets", None), ("arf_lambda", 6), ("fading", 1),
-    ("warmup", 10), ("warmup", "30d"), ("kswin_sampled", True),
+    ("split_fraction", np.float64(0.25)), ("vocab_size", np.int32(5)),
+    ("mts_inner", "pool"), ("warmup", 10), ("warmup", "30d"),
+    ("cv_folds", np.uint8(3)),
     ("seed", np.int64(3)), ("warmup", np.int64(10)), ("seed", 2**64),
 ])
 def test_config_validation_accepts_right_types(field, value):
     ExperimentConfig.from_dict({field: value}).validate()
+
+
+# each detector's published defaults, which every run uses; the golden runs
+# build neither EDDM nor the stub, so this is their only pin
+PUBLISHED_DETECTORS = {
+    "ddm": (DdmDetector, dict(min_instances=30, warning_factor=2.0,
+                              drift_factor=3.0)),
+    "eddm": (EddmDetector, dict(min_errors=30, warning_ratio=0.95,
+                                drift_ratio=0.90)),
+    "adwin": (AdwinDetector, dict(delta=0.002, max_buckets=5)),
+    "kswin": (KswinDetector, dict(window_size=100, stat_size=30,
+                                  alpha=0.005, sampled=False)),
+    "none": (NeverFiresDetector, {}),
+}
+
+
+@pytest.mark.parametrize("name", DETECTORS)
+def test_build_detector_uses_published_defaults(name):
+    cls, params = PUBLISHED_DETECTORS[name]
+    detector = build_detector(config(detector=name))
+    assert type(detector) is cls
+    assert {key: getattr(detector, key) for key in params} == params
+
+
+def test_build_classifier_uses_published_defaults():
+    sgd = build_classifier(config(classifier="sgd"), 8, seed=1)
+    assert type(sgd) is SgdClassifier
+    assert (sgd.learning_rate, sgd.l2) == (0.01, 1e-4)
+    arf = build_classifier(config(classifier="arf", arf_trees=3), 8, seed=1)
+    assert type(arf) is ArfEnsemble
+    assert (arf.n_trees, arf.poisson_lambda) == (3, 6.0)
+    for holder in (arf, *arf.trees):
+        assert (holder.grace_period, holder.split_confidence,
+                holder.tie_threshold) == (200, 1e-7, 0.05)
 
 
 def test_fnf_pipeline_rejects_offline_strategy():
@@ -304,7 +347,7 @@ def test_kswin_drift_buffer_is_newest_stat_size_samples():
     log = []
     cfg = config(strategy="fnf-update", detector="kswin", warmup=100)
     pipe = FnFPipeline(cfg, classifier_factory=recording_factory(log),
-                       detector_factory=lambda c, s: ScriptedDetector(
+                       detector_factory=lambda c: ScriptedDetector(
                            {10: DriftLevel.DRIFT}, stat_size=5))
     pipe.run(stream)
     # call log: 100 warmup fits, 9 x (predict, fit), predict, clone, 5 fits
@@ -328,7 +371,7 @@ def test_ddm_drift_buffer_is_the_open_warning_episode():
               8: DriftLevel.WARNING, 9: DriftLevel.WARNING,
               10: DriftLevel.DRIFT}
     pipe = FnFPipeline(cfg, classifier_factory=recording_factory(log),
-                       detector_factory=lambda c, s: ScriptedDetector(script))
+                       detector_factory=lambda c: ScriptedDetector(script))
     timeline = pipe.run(stream)
     assert [(e.step, e.level) for e in timeline.events] == [
         (3, "warning"), (7, "warning"), (10, "drift")]
@@ -348,7 +391,7 @@ def test_ddm_drift_buffer_is_the_open_warning_episode():
 def test_empty_drift_buffer_is_degenerate_not_fatal():
     stream = synth(n=130)
     cfg = config(strategy="fnf-retrain", detector="ddm", warmup=100)
-    pipe = FnFPipeline(cfg, detector_factory=lambda c, s: ScriptedDetector(
+    pipe = FnFPipeline(cfg, detector_factory=lambda c: ScriptedDetector(
         {3: DriftLevel.DRIFT}))
     timeline = pipe.run(stream)
     # drift with no preceding warning: nothing buffered for ddm
@@ -572,8 +615,7 @@ def test_pool_run_is_bit_identical_to_reference(case, warmup):
     timeline = pipe.run(stream)
     count = min(warmup, len(stream))
     predictions, event_steps, members, weights = reference_pool_run(
-        stream.samples[:count], stream.samples[count:], interval,
-        cfg.pool_tau_low, cfg.pool_tau_high)
+        stream.samples[:count], stream.samples[count:], interval, 0.3, 0.7)
     assert timeline.predictions == predictions
     assert [(e.step, e.detector, e.level) for e in timeline.events] == [
         (step, "pool", "drift") for step in event_steps]
