@@ -57,9 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Streaming malware classification with drift detection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the run flags default to None, so that the merge step can tell them
+    # from omissions; their help text names the effective default instead
     run = sub.add_parser(
-        "run", help="run one experiment strategy and export reports",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        "run", help="run one experiment strategy and export reports")
     run.add_argument("--config", help="JSON config file (flags override it)")
     run.add_argument("--input", help="stream file (JSONL or CSV)")
     run.add_argument("--format", choices=("jsonl", "csv"), default=None,
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--attributes", type=int, default=2,
                      help="number of token attributes")
     gen.add_argument("--tokens-mean", type=float, default=8.0,
-                     help="mean tokens per attribute")
+                     help="mean tokens per attribute, at most 1000")
     gen.add_argument("--step-seconds", type=int, default=1,
                      help="seconds between consecutive timestamps")
     gen.add_argument("--seed", type=int, default=0)

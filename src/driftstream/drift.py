@@ -404,16 +404,15 @@ class KswinDetector:
     """Sliding-window KS test between old and recent values.
 
     Keeps the last ``window_size`` values; once the window is full, the
-    newest ``stat_size`` values are tested against the preceding
-    ``window_size - stat_size`` ones.  By default the comparison is
-    deterministic (oldest block vs newest block); ``sampled=True`` draws a
-    bootstrap sample from the old block instead, seeded for
-    reproducibility.  A p-value strictly below ``alpha`` signals Drift and
+    newest ``stat_size`` values are tested against all of the preceding
+    ``window_size - stat_size`` ones, so the test is deterministic.  (Raab
+    et al. 2020 draw ``stat_size`` values at random from the older part
+    instead.)  A p-value strictly below ``alpha`` signals Drift and
     truncates the window to the newest ``stat_size`` values.
     """
 
     def __init__(self, window_size: int = 100, stat_size: int = 30,
-                 alpha: float = 0.005, sampled: bool = False, seed: int = 0):
+                 alpha: float = 0.005):
         if stat_size < 1 or window_size <= stat_size:
             raise ValueOutOfRange(
                 f"need window_size > stat_size >= 1, got "
@@ -423,9 +422,7 @@ class KswinDetector:
         self.window_size = window_size
         self.stat_size = stat_size
         self.alpha = alpha
-        self.sampled = sampled
         self._window: list[float] = []
-        self._rng = np.random.default_rng(seed)
 
     @property
     def window(self) -> tuple[float, ...]:
@@ -439,8 +436,6 @@ class KswinDetector:
             return DriftLevel.NORMAL
         recent = self._window[-self.stat_size:]
         older = self._window[:-self.stat_size]
-        if self.sampled:
-            older = list(self._rng.choice(older, size=len(older), replace=True))
         d = ks_statistic(older, recent)
         p = ks_pvalue(d, len(older), len(recent))
         if p < self.alpha:

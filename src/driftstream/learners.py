@@ -344,7 +344,7 @@ class PoolMember:
     The feature space is extended on the fly as new tokens appear; new
     dimensions start at weight zero, so they do not disturb earlier
     decisions.  Inputs are binary-presence ids, sorted and distinct, as
-    ``TokenIndexer.encode`` returns them; they are used as given.  Update
+    the pool's block encoder yields them; they are used as given.  Update
     rules: "sgd-hinge" (eta * hinge subgradient), "perceptron"
     (mistake-driven) and "passive-aggressive" (PA-I with aggressiveness
     capped at C).  Prediction is sign(w.x + b) with 0 on the boundary.
@@ -375,23 +375,23 @@ class PoolMember:
         return 1 if self.score(indices) > 0.0 else 0
 
     def partial_fit(self, indices, y: int) -> None:
+        """One update; the weights at ``indices`` are gathered once, for
+        the margin and for the step."""
         indices = np.asarray(indices, dtype=np.intp)
         if indices.size:
             self._ensure_capacity(int(indices[-1]))
         y_signed = 1.0 if y == 1 else -1.0
-        margin = y_signed * self.score(indices)
+        gathered = self.weights[indices]
+        margin = y_signed * (float(gathered.sum()) + self.bias)
         if self.kind == "perceptron":
-            if margin <= 0.0:
-                self.weights[indices] += POOL_LEARNING_RATE * y_signed
-                self.bias += POOL_LEARNING_RATE * y_signed
+            step = POOL_LEARNING_RATE if margin <= 0.0 else 0.0
         elif self.kind == "sgd-hinge":
-            if margin < 1.0:
-                self.weights[indices] += POOL_LEARNING_RATE * y_signed
-                self.bias += POOL_LEARNING_RATE * y_signed
+            step = POOL_LEARNING_RATE if margin < 1.0 else 0.0
         else:  # passive-aggressive (PA-I)
             loss = max(0.0, 1.0 - margin)
-            if loss > 0.0:
-                sq_norm = float(indices.size) + 1.0  # bias acts as constant input
-                tau = min(POOL_AGGRESSIVENESS, loss / sq_norm)
-                self.weights[indices] += tau * y_signed
-                self.bias += tau * y_signed
+            sq_norm = float(indices.size) + 1.0  # bias acts as constant input
+            step = min(POOL_AGGRESSIVENESS, loss / sq_norm)
+        if step > 0.0:
+            step *= y_signed
+            self.weights[indices] = gathered + step
+            self.bias += step

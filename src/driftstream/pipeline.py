@@ -28,6 +28,8 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .errors import (ClassMissingInFold, ConfigError, InsufficientData,
                      InsufficientTimeSpan, UnlabeledSample, WarmupTooSmall)
 from .evaluation import (METRIC_NAMES, ConfusionCounts, MetricsTimeline,
                          PeriodMetrics, metrics)
+from . import features
 from .features import FeatureExtractorModel, fit_extractor, vocabulary_diff
 from .learners import ArfEnsemble, PoolMember, SgdClassifier, POOL_MEMBER_KINDS
 from .stream import RawSample, SampleStream, split_temporal
@@ -442,34 +445,57 @@ def run_cross_validation(stream: SampleStream,
 # Pseudo-labeling model pool
 # ---------------------------------------------------------------------------
 
-class TokenIndexer:
-    """Growing bijection (attribute, token) -> feature id, handed out in
-    first-seen order: attributes in the sample's order, tokens in order."""
+def _block_token_ids(block, tables) -> tuple[list[int], list[int]]:
+    """The ids of a block's tokens, attribute by attribute, and the token
+    count of each (attribute, sample) cell; raises ``KeyError`` on an
+    unseen token."""
+    ids, lengths = [], []
+    for name, table in tables.items():
+        cells = [sample.attributes[name] for sample in block]
+        ids += map(table.__getitem__, chain.from_iterable(cells))
+        lengths += map(len, cells)
+    return ids, lengths
 
-    def __init__(self):
-        self._tables: dict[str, dict[str, int]] = {}
-        self._size = 0
 
-    def __len__(self) -> int:
-        return self._size
+def _iter_token_ids(samples: Sequence[RawSample],
+                    tables: dict[str, dict[str, int]]) -> Iterator[np.ndarray]:
+    """Yield each sample's distinct (attribute, token) ids as a sorted
+    ``np.intp`` array, the form ``PoolMember`` takes as given.
 
-    def encode(self, sample: RawSample) -> np.ndarray:
-        """The sample's distinct token ids as a sorted ``np.intp`` array,
-        adding unseen tokens; the form ``PoolMember`` takes as given."""
-        seen = set()
-        for attr, tokens in sample.attributes.items():
-            table = self._tables.setdefault(attr, {})
-            found = set(map(table.get, tokens))
-            if None in found:
-                for token in tokens:
-                    if token not in table:
-                        table[token] = self._size
-                        self._size += 1
-                found = set(map(table.get, tokens))
-            seen |= found
-        ids = np.fromiter(seen, np.intp, len(seen))
-        ids.sort()
-        return ids
+    ``tables`` maps each attribute name to its growing token -> id table.
+    Unseen tokens get the next ids in first-seen order: samples in order,
+    attributes in the sample's order, tokens in order.  Ids are computed
+    ``features.BLOCK_ROWS`` samples ahead: each attribute's tokens of a
+    block are looked up in one pass, and only a block holding an unseen
+    token is walked token by token first.  One sort of the keys
+    ``row * width + id`` orders each row's ids and puts its repeats side
+    by side.
+    """
+    n_ids = sum(map(len, tables.values()))
+    block_rows = features.BLOCK_ROWS
+    for lo in range(0, len(samples), block_rows):
+        block = samples[lo:lo + block_rows]
+        try:
+            ids, lengths = _block_token_ids(block, tables)
+        except KeyError:
+            for sample in block:
+                for name, tokens in sample.attributes.items():
+                    table = tables[name]
+                    for token in tokens:
+                        if token not in table:
+                            table[token] = n_ids
+                            n_ids += 1
+            ids, lengths = _block_token_ids(block, tables)
+        width = max(n_ids, 1)
+        rows = np.arange(len(block))
+        keys = np.repeat(np.tile(rows * width, len(tables)), lengths)
+        keys += np.array(ids, dtype=np.intp)
+        keys.sort()
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        key_rows, row_ids = np.divmod(keys[distinct], width)
+        ends = np.searchsorted(key_rows, rows, side="right").tolist()
+        yield from map(row_ids.__getitem__, map(slice, [0, *ends], ends))
 
 
 # the agreement band outside which a pool member is aged
@@ -485,10 +511,12 @@ class ModelPoolPipeline:
     check interval).  Every ``pool_interval`` steps each member's agreement
     with the vote is measured; members outside (``POOL_TAU_LOW``,
     ``POOL_TAU_HIGH``) are considered aged and replay the interval's samples
-    with their pseudo-labels.  True labels are used for metrics only.  Each
-    ``run`` starts from untrained members; after it, ``members``,
-    ``weights``, ``indexer`` and ``aging_events`` hold that run's final
-    state.
+    with their pseudo-labels.  True labels are used for metrics only.
+    Members see each sample as its sorted, distinct token ids, encoded one
+    block ahead over the whole stream, warmup included.  Each ``run``
+    starts from untrained members and empty token tables; after it,
+    ``members``, ``weights``, ``token_ids`` (attribute -> token -> id) and
+    ``aging_events`` hold that run's final state.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -500,18 +528,17 @@ class ModelPoolPipeline:
         warm, rest = _split_warmup(stream, cfg.warmup)
         self.members = [PoolMember(kind) for kind in POOL_MEMBER_KINDS]
         self.weights = [1.0] * len(self.members)
-        self.indexer = TokenIndexer()
+        self.token_ids = {name: {} for name in stream.schema.attribute_names}
         self.aging_events = 0
-        for sample in warm:
-            indices = self.indexer.encode(sample)
+        encoded = _iter_token_ids(stream.samples, self.token_ids)
+        for sample, indices in zip(warm, encoded):
             for member in self.members:
                 member.partial_fit(indices, sample.label)
 
         timeline = MetricsTimeline(window=cfg.metrics_window)
         buffer: list[tuple[np.ndarray, int]] = []
         agreements = [0] * len(self.members)
-        for step, sample in enumerate(rest, start=1):
-            indices = self.indexer.encode(sample)
+        for step, (sample, indices) in enumerate(zip(rest, encoded), start=1):
             votes = [member.predict(indices) for member in self.members]
             score = sum(w * (2 * v - 1) for w, v in zip(self.weights, votes))
             pseudo = 1 if score > 0.0 else 0

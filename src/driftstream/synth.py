@@ -35,6 +35,12 @@ _MALWARE_POOL = 15       # concept-specific malware tokens per attribute
 _MALWARE_CONCEPT_SHARE = 0.6   # malware token mass on concept tokens
 _MALWARE_SKEW_SHARE = 0.25     # malware token mass on the known skew subset
 
+# Largest accepted ``tokens_mean``.  A stream holds about n_samples x
+# n_attributes x tokens_mean tokens in memory, and numpy's Poisson draw
+# fails outright for a mean past about 1e19; 1,000 tokens per attribute is
+# 50 times the densest benchmark stream (20).
+MAX_TOKENS_MEAN = 1000.0
+
 
 @dataclass(frozen=True)
 class SynthStreamSpec:
@@ -62,6 +68,9 @@ class SynthStreamSpec:
             raise InvalidSpec("need at least one attribute")
         if not 0.0 < self.tokens_mean < math.inf:
             raise InvalidSpec("tokens_mean must be positive and finite")
+        if self.tokens_mean > MAX_TOKENS_MEAN:
+            raise InvalidSpec(f"tokens_mean must be <= {MAX_TOKENS_MEAN:g}, "
+                              f"got {self.tokens_mean:g}")
         if self.seed < 0:  # numpy's seeding rejects it
             raise InvalidSpec("seed must be >= 0")
         if self.step_seconds < 1:

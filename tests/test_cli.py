@@ -1,11 +1,12 @@
 """Command line interface: gen, run (all strategies), grids, diff-vocab."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from driftstream import (FeatureExtractorModel, RawSample, fit_extractor,
-                         load_stream)
+from driftstream import (ExperimentConfig, FeatureExtractorModel, RawSample,
+                         fit_extractor, load_stream)
 from driftstream.cli import main
 from driftstream.stream import MAX_TIMESTAMP
 
@@ -56,11 +57,12 @@ def test_gen_rejects_bad_spec(tmp_path, capsys):
     (["--seed", "-1"], "seed must be >= 0"),
     (["--tokens-mean", "nan"], "tokens_mean must be positive and finite"),
     (["--tokens-mean", "inf"], "tokens_mean must be positive and finite"),
+    (["--tokens-mean", "1e20"], "tokens_mean must be <= 1000, got 1e+20"),
     # the 50th timestamp would be past what load_stream accepts
     (["--step-seconds", "100000000000"],
      "last timestamp 4901230768000 is past 9999-12-31T23:59:59Z"),
 ], ids=["negative-seed", "nan-tokens-mean", "inf-tokens-mean",
-        "past-year-9999"])
+        "huge-tokens-mean", "past-year-9999"])
 def test_gen_rejects_spec_before_writing(tmp_path, capsys, flags, message):
     out = tmp_path / "s.jsonl"
     assert main(["gen", "--n", "50", *flags, "--out", str(out)]) == 1
@@ -276,6 +278,18 @@ def test_run_help_lists_no_removed_knob(capsys):
     assert "--metrics-window" in text
     for key in REMOVED_KNOBS:
         assert "--" + key.replace("_", "-") not in text
+
+
+def test_run_help_shows_each_default_once(capsys):
+    with pytest.raises(SystemExit) as caught:
+        run_cli(["run", "--help"])
+    assert caught.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default: None)" not in text
+    # every config flag, --format, --out and --workers name one default
+    assert text.count("(default: ") == len(fields(ExperimentConfig)) + 3
+    assert "--seed SEED seed (default: 0) --vocab-size" in text
+    assert "input format (default: jsonl) --out" in text
 
 
 @pytest.mark.parametrize("key,value", [

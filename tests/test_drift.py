@@ -365,12 +365,3 @@ def test_kswin_stationary_stream_rarely_fires():
     # alpha = 0.005 over ~1900 tests, but tests are heavily overlapping;
     # a handful of firings would indicate a broken p-value, not bad luck
     assert sum(lv is DriftLevel.DRIFT for lv in levels) <= 2
-
-
-def test_kswin_sampled_mode_is_seeded():
-    rng = np.random.default_rng(8)
-    values = np.concatenate([rng.uniform(0.0, 0.3, 200),
-                             rng.uniform(0.7, 1.0, 100)])
-    a = KswinDetector(sampled=True, seed=17)
-    b = KswinDetector(sampled=True, seed=17)
-    assert run_levels(a, values) == run_levels(b, values)

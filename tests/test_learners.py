@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream import (ArfEnsemble, DimensionMismatch,
                          HoeffdingTreeClassifier, PoolMember, SgdClassifier)
-from driftstream.learners import _LeafNode, _SplitNode, hoeffding_bound
+from driftstream.learners import (POOL_MEMBER_KINDS, _LeafNode, _SplitNode,
+                                  hoeffding_bound)
+
+from .oracles import ReferencePoolMember
 
 # ---------------------------------------------------------------------------
 # SGD with hinge loss
@@ -296,3 +301,22 @@ def test_pool_member_grows_feature_space():
     # indices beyond current capacity contribute nothing to the score
     assert m.score([2, 99]) == pytest.approx(m.score([2]))
 
+
+# updates whose ids are sorted and distinct; a sample's largest id may lie
+# past the member's capacity, and a sample may hold no id at all
+pool_updates = st.lists(
+    st.tuples(st.sets(st.integers(0, 40), max_size=8).map(sorted),
+              st.integers(0, 1)),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(POOL_MEMBER_KINDS), pool_updates)
+def test_pool_member_updates_are_bit_identical_to_reference(kind, updates):
+    member, reference = PoolMember(kind), ReferencePoolMember(kind)
+    for ids, label in updates:
+        member.partial_fit(np.array(ids, dtype=np.intp), label)
+        reference.partial_fit(ids, label)
+        assert ([w.hex() for w in member.weights.tolist()]
+                == [w.hex() for w in reference.weights.tolist()])
+        assert member.bias.hex() == reference.bias.hex()

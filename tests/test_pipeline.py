@@ -23,10 +23,10 @@ from driftstream import (CLASSIFIERS, DETECTORS, AdwinDetector, ArfEnsemble,
                          stream_from_samples)
 from driftstream import features
 from driftstream.cli import main as cli_main
-from driftstream.pipeline import (TokenIndexer, _chunk_sizes,
+from driftstream.pipeline import (_chunk_sizes, _iter_token_ids,
                                   build_classifier, build_detector)
 
-from .oracles import reference_pool_run
+from .oracles import ReferenceTokenIndexer, reference_pool_run
 
 
 def synth(n=600, drift=(), seed=0, **kw):
@@ -133,7 +133,7 @@ PUBLISHED_DETECTORS = {
                                 drift_ratio=0.90)),
     "adwin": (AdwinDetector, dict(delta=0.002, max_buckets=5)),
     "kswin": (KswinDetector, dict(window_size=100, stat_size=30,
-                                  alpha=0.005, sampled=False)),
+                                  alpha=0.005)),
     "none": (NeverFiresDetector, {}),
 }
 
@@ -304,11 +304,14 @@ def test_pool_rerun_on_one_pipeline_starts_afresh():
     stream = synth(n=600, drift=(300,), kind="vocabulary-shift", seed=1)
     pipe = ModelPoolPipeline(config(strategy="pool"))
     first = _run_record(pipe, stream)
-    first_state = (pipe.aging_events, list(pipe.weights), len(pipe.indexer))
+
+    def n_ids():
+        return sum(map(len, pipe.token_ids.values()))
+
+    first_state = (pipe.aging_events, list(pipe.weights), n_ids())
     assert first_state[0] == 1
     assert _run_record(pipe, stream) == first
-    assert (pipe.aging_events, list(pipe.weights),
-            len(pipe.indexer)) == first_state
+    assert (pipe.aging_events, list(pipe.weights), n_ids()) == first_state
 
 
 def test_update_keeps_extractor_retrain_replaces_it():
@@ -570,21 +573,54 @@ def test_pool_interval_boundary_events():
 
 
 def test_encode_returns_sorted_distinct_first_seen_ids():
-    indexer = TokenIndexer()
-
-    def encode(**attributes):
-        return indexer.encode(RawSample("s", 0, 0, attributes))
-
-    first = encode(api=["z", "y", "z"], perm=["y", "x"])
+    tables = {"api": {}, "perm": {}}
+    rows = [dict(api=["z", "y", "z"], perm=["y", "x"]),
+            dict(api=["w", "z"], perm=["x", "x"]),
+            dict(api=["y"], perm=[]), dict(api=[], perm=["y"]),
+            dict(api=[], perm=[]), dict(api=["z", "y", "z"], perm=["y", "x"])]
+    first, *rest = _iter_token_ids(
+        [RawSample("s", 0, 0, attributes) for attributes in rows], tables)
     assert first.dtype == np.intp and first.ndim == 1
     assert first.tolist() == [0, 1, 2, 3]
     # ids in first-seen order: api z, api y, perm y, perm x, then api w
-    assert encode(api=["w", "z"], perm=["x", "x"]).tolist() == [0, 3, 4]
-    assert encode(api=["y"], perm=[]).tolist() == [1]
-    assert encode(api=[], perm=["y"]).tolist() == [2]
-    assert encode(api=[], perm=[]).tolist() == []
-    assert encode(api=["z", "y", "z"], perm=["y", "x"]).tolist() == [0, 1, 2, 3]
-    assert len(indexer) == 5
+    assert rest[0].tolist() == [0, 3, 4]
+    assert rest[1].tolist() == [1]
+    assert rest[2].tolist() == [2]
+    assert rest[3].tolist() == []
+    assert rest[4].tolist() == [0, 1, 2, 3]
+    assert sum(map(len, tables.values())) == 5
+
+
+@st.composite
+def encoder_case(draw):
+    """Samples over 1-4 attributes drawing on one shared token pool, so
+    token lists repeat tokens, may be empty and hold tokens that other
+    attributes hold too.  Tokens no other sample holds are first seen in
+    the last sample of the first block and at drawn steps."""
+    names = [f"a{j}" for j in range(draw(st.integers(1, 4)))]
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 129]))
+    tokens = st.lists(st.sampled_from([f"t{i}" for i in range(8)]),
+                      max_size=4)
+    rows = [{name: draw(tokens) for name in names} for _ in range(n)]
+    last_of_block = min(n, features.BLOCK_ROWS) - 1
+    for step in [last_of_block, *draw(st.lists(st.integers(0, n - 1),
+                                                max_size=3))]:
+        rows[step][draw(st.sampled_from(names))].append(f"new{step}")
+    return [RawSample(f"s{i:03d}", i, 0, attributes)
+            for i, attributes in enumerate(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(encoder_case())
+def test_encoder_matches_reference_indexer(samples):
+    reference = ReferenceTokenIndexer()
+    tables = {name: {} for name in samples[0].attributes}
+    encoded = list(_iter_token_ids(samples, tables))
+    assert len(encoded) == len(samples)
+    for ids, sample in zip(encoded, samples):
+        assert ids.dtype == np.intp
+        assert ids.tolist() == reference.encode(sample)
+    assert sum(map(len, tables.values())) == len(reference)
 
 
 @st.composite
