@@ -12,8 +12,7 @@ from .evaluation import (ConfusionCounts, DriftEvent, MetricsTimeline,
                          prequential_error)
 from .features import (AttributeVocabulary, FeatureExtractorModel,
                        VocabularyDiff, fit_extractor, vocabulary_diff)
-from .learners import (ArfEnsemble, HoeffdingTreeClassifier, PoolMember,
-                       SgdClassifier)
+from .learners import ArfEnsemble, PoolMember, SgdClassifier
 from .pipeline import (CLASSIFIERS, DETECTORS, STRATEGIES, ExperimentConfig,
                        FnFPipeline, FoldReport, ModelPoolPipeline, MtsReport,
                        parse_duration, resolve_warmup_count,

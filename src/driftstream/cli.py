@@ -57,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Streaming malware classification with drift detection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the run flags default to None, so that the merge step can tell them
-    # from omissions; their help text names the effective default instead
+    # each help text names its own default; the run flags default to None,
+    # so that the merge step can tell them from omissions
     run = sub.add_parser(
         "run", help="run one experiment strategy and export reports")
     run.add_argument("--config", help="JSON config file (flags override it)")
@@ -75,27 +75,27 @@ def build_parser() -> argparse.ArgumentParser:
                           "entry (default: cpu count)")
     _add_config_flags(run)
 
-    gen = sub.add_parser(
-        "gen", help="generate a synthetic labeled stream",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    gen = sub.add_parser("gen", help="generate a synthetic labeled stream")
     gen.add_argument("--n", type=int, required=True, help="number of samples")
     gen.add_argument("--drift-at", type=int, action="append", default=None,
-                     help="drift point (repeatable)")
+                     help="drift point, repeatable (default: no drift)")
     gen.add_argument("--kind", choices=("abrupt", "vocabulary-shift"),
-                     default="vocabulary-shift", help="concept change kind")
-    gen.add_argument("--malware-rate", type=float, default=0.35)
+                     default="vocabulary-shift",
+                     help="concept change kind (default: %(default)s)")
+    gen.add_argument("--malware-rate", type=float, default=0.35,
+                     help="share of malware samples (default: %(default)s)")
     gen.add_argument("--attributes", type=int, default=2,
-                     help="number of token attributes")
+                     help="number of token attributes (default: %(default)s)")
     gen.add_argument("--tokens-mean", type=float, default=8.0,
-                     help="mean tokens per attribute, at most 1000")
+                     help="mean tokens per attribute, <= 1000 (default: %(default)s)")
     gen.add_argument("--step-seconds", type=int, default=1,
-                     help="seconds between consecutive timestamps")
-    gen.add_argument("--seed", type=int, default=0)
+                     help="seconds between timestamps (default: %(default)s)")
+    gen.add_argument("--seed", type=int, default=0,
+                     help="random seed (default: %(default)s)")
     gen.add_argument("--out", required=True, help="output JSONL file")
 
     diff = sub.add_parser(
-        "diff-vocab", help="diff the vocabularies of two extractor models",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        "diff-vocab", help="diff the vocabularies of two extractor models")
     diff.add_argument("old", help="JSON file of the older extractor")
     diff.add_argument("new", help="JSON file of the newer extractor")
     diff.add_argument("--out", default=None,

@@ -78,23 +78,23 @@ def ks_pvalue(d: float, n: int, m: int) -> float:
 # DDM
 # ---------------------------------------------------------------------------
 
+DDM_MIN_INSTANCES = 30  # updates before any signal
+DDM_WARNING_FACTOR = 2.0  # standard deviations
+DDM_DRIFT_FACTOR = 3.0
+
+
 class DdmDetector:
     """Error-rate drift detection via minimum-tracking of p + s.
 
     p_i is the running error rate after i samples, s_i = sqrt(p(1-p)/i) its
     standard error.  The detector remembers (p_min, s_min) at the update
     minimizing p + s.  Once the sum climbs back above the recorded minimum,
-    Warning fires at p + s >= p_min + warning_factor * s_min and Drift at
-    p + s >= p_min + drift_factor * s_min.  No signal is emitted before
-    ``min_instances`` updates, and a Drift resets the detector.
+    Warning fires at p + s >= p_min + warning factor * s_min and Drift at
+    p + s >= p_min + drift factor * s_min.  No signal is emitted before
+    the minimum number of updates, and a Drift resets the detector.
     """
 
-    def __init__(self, min_instances: int = 30,
-                 warning_factor: float = 2.0,
-                 drift_factor: float = 3.0):
-        self.min_instances = min_instances
-        self.warning_factor = warning_factor
-        self.drift_factor = drift_factor
+    def __init__(self):
         self.reset()
 
     def reset(self) -> None:
@@ -110,7 +110,7 @@ class DdmDetector:
         self.n += 1
         self.p += (error - self.p) / self.n
         self.s = math.sqrt(self.p * (1.0 - self.p) / self.n)
-        if self.n < self.min_instances:
+        if self.n < DDM_MIN_INSTANCES:
             return DriftLevel.NORMAL
         curr = self.p + self.s
         if curr < self.min_sum:
@@ -119,10 +119,10 @@ class DdmDetector:
             self.min_sum = curr
             return DriftLevel.NORMAL
         if curr > self.min_sum:
-            if curr >= self.p_min + self.drift_factor * self.s_min:
+            if curr >= self.p_min + DDM_DRIFT_FACTOR * self.s_min:
                 self.reset()
                 return DriftLevel.DRIFT
-            if curr >= self.p_min + self.warning_factor * self.s_min:
+            if curr >= self.p_min + DDM_WARNING_FACTOR * self.s_min:
                 return DriftLevel.WARNING
         return DriftLevel.NORMAL
 
@@ -131,23 +131,23 @@ class DdmDetector:
 # EDDM
 # ---------------------------------------------------------------------------
 
+EDDM_MIN_ERRORS = 30  # errors before any signal
+EDDM_WARNING_RATIO = 0.95
+EDDM_DRIFT_RATIO = 0.90
+
+
 class EddmDetector:
     """Drift detection from the spacing between consecutive errors.
 
     Tracks the running mean p' and standard deviation s' of the distances
     (in samples) between consecutive errors and the maximum of p' + 2s'
-    reached so far.  When (p' + 2s') / max falls below ``warning_ratio``
-    the level is Warning, below ``drift_ratio`` it is Drift.  Ratios are
-    only evaluated once ``min_errors`` errors were seen; a Drift resets the
-    detector.  Between errors the last computed level is retained.
+    reached so far.  When (p' + 2s') / max falls below the warning ratio
+    the level is Warning, below the drift ratio it is Drift.  Ratios are
+    only evaluated once the minimum number of errors was seen; a Drift
+    resets the detector.  Between errors the last computed level is kept.
     """
 
-    def __init__(self, min_errors: int = 30,
-                 warning_ratio: float = 0.95,
-                 drift_ratio: float = 0.90):
-        self.min_errors = min_errors
-        self.warning_ratio = warning_ratio
-        self.drift_ratio = drift_ratio
+    def __init__(self):
         self.reset()
 
     def reset(self) -> None:
@@ -180,12 +180,12 @@ class EddmDetector:
         if m2s > self.max_m2s:
             self.max_m2s = m2s
             self.level = DriftLevel.NORMAL
-        elif self.n_errors >= self.min_errors and self.max_m2s > 0.0:
+        elif self.n_errors >= EDDM_MIN_ERRORS and self.max_m2s > 0.0:
             ratio = m2s / self.max_m2s
-            if ratio < self.drift_ratio:
+            if ratio < EDDM_DRIFT_RATIO:
                 self.reset()
                 return DriftLevel.DRIFT
-            if ratio < self.warning_ratio:
+            if ratio < EDDM_WARNING_RATIO:
                 self.level = DriftLevel.WARNING
             else:
                 self.level = DriftLevel.NORMAL

@@ -1,14 +1,14 @@
 """Incremental binary classifiers used by the streaming pipelines.
 
-Everything here follows one contract: ``partial_fit(x, y, weight)`` for a
-single sample and ``predict(x)`` returning 0/1 (an untrained model predicts
-0 and never raises).  A fresh, untrained model comes only from the
-constructor or, for SGD and the forest, from ``clone_untrained()``, which
-the pipeline calls to rebuild after a drift; no model has a ``reset()``.
-The Hoeffding tree serves only as the forest's base learner.  The pool
-members' step size and PA-I cap are module constants.  Prediction never
-mutates model state, and all randomness is derived from the constructor
-seed, so a model is a deterministic function of (seed, training sequence).
+Everything here follows one contract: ``partial_fit(x, y)`` for a single
+sample and ``predict(x)`` returning 0/1 (an untrained model predicts 0 and
+never raises).  A fresh, untrained model comes only from the constructor
+or, for SGD and the forest, from ``clone_untrained()``; no model has a
+``reset()``.  The Hoeffding tree serves only as the forest's base learner;
+its ``partial_fit`` also takes the forest's Poisson draw as a weight.  The
+published defaults are module constants, not constructor options.
+Prediction never mutates model state, and all randomness is derived from
+the constructor seed: a model is a function of (seed, training sequence).
 """
 
 from __future__ import annotations
@@ -21,6 +21,13 @@ from .errors import DimensionMismatch
 
 _SQRT2 = math.sqrt(2.0)
 _SPLIT_POINTS = 10  # candidate thresholds per feature in a split attempt
+
+SGD_LEARNING_RATE = 0.01  # eta
+SGD_L2 = 1e-4  # alpha
+HOEFFDING_GRACE_PERIOD = 200  # leaf weight between split attempts
+HOEFFDING_SPLIT_CONFIDENCE = 1e-7  # delta of the Hoeffding bound
+HOEFFDING_TIE_THRESHOLD = 0.05
+ARF_POISSON_LAMBDA = 6.0  # lambda of the online-bagging weights
 
 
 def _check_dim(x: np.ndarray, dim: int) -> np.ndarray:
@@ -43,32 +50,29 @@ class SgdClassifier:
     and eta*y to the bias (the bias is not regularized).
     """
 
-    def __init__(self, dim: int, learning_rate: float = 0.01, l2: float = 1e-4):
+    def __init__(self, dim: int):
         if dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self.learning_rate = learning_rate
-        self.l2 = l2
         self.weights = np.zeros(dim, dtype=float)
         self.bias = 0.0
 
     def clone_untrained(self) -> "SgdClassifier":
-        return SgdClassifier(self.dim, self.learning_rate, self.l2)
+        return SgdClassifier(self.dim)
 
     def predict(self, x: np.ndarray) -> int:
         x = _check_dim(x, self.dim)
         score = float(self.weights @ x) + self.bias
         return 1 if score > 0.0 else 0
 
-    def partial_fit(self, x: np.ndarray, y: int, weight: float = 1.0) -> None:
+    def partial_fit(self, x: np.ndarray, y: int) -> None:
         x = _check_dim(x, self.dim)
         y_signed = 1.0 if y == 1 else -1.0
-        eta = self.learning_rate * weight
         margin = y_signed * (float(self.weights @ x) + self.bias)
-        self.weights *= (1.0 - eta * self.l2)
+        self.weights *= (1.0 - SGD_LEARNING_RATE * SGD_L2)
         if margin < 1.0:
-            self.weights += eta * y_signed * x
-            self.bias += eta * y_signed
+            self.weights += SGD_LEARNING_RATE * y_signed * x
+            self.bias += SGD_LEARNING_RATE * y_signed
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +147,17 @@ class HoeffdingTreeClassifier:
     """Incremental decision tree with Hoeffding-bound split decisions.
 
     Leaves accumulate per-class Gaussian summaries of each feature.  Every
-    ``grace_period`` units of weight a leaf ranks candidate binary splits by
+    grace period of weight a leaf ranks candidate binary splits by
     information gain and splits when the gain advantage of the best feature
     over the runner-up exceeds eps = sqrt(ln(1/delta) / (2n)) (R = 1 for
-    binary-class entropy), or when eps < tie_threshold.  Leaves predict
+    binary-class entropy), or when eps < the tie threshold.  Leaves predict
     their majority class.
     """
 
-    def __init__(self, dim: int, grace_period: int = 200,
-                 split_confidence: float = 1e-7, tie_threshold: float = 0.05):
+    def __init__(self, dim: int):
         if dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self.grace_period = grace_period
-        self.split_confidence = split_confidence
-        self.tie_threshold = tie_threshold
         self._root = _LeafNode(dim)
 
     # -- prediction --------------------------------------------------------
@@ -184,7 +184,7 @@ class HoeffdingTreeClassifier:
             went_left = x[node.feature] <= node.threshold
             node = node.left if went_left else node.right
         node.observe(x, int(y), float(weight))
-        if node.total_weight() - node.weight_at_last_attempt >= self.grace_period:
+        if node.total_weight() - node.weight_at_last_attempt >= HOEFFDING_GRACE_PERIOD:
             node.weight_at_last_attempt = node.total_weight()
             replacement = self._attempt_split(node)
             if replacement is not None:
@@ -251,8 +251,8 @@ class HoeffdingTreeClassifier:
         second_gain = candidates[1][0] if len(candidates) > 1 else 0.0
         if best_gain <= 1e-12:
             return None
-        eps = hoeffding_bound(1.0, self.split_confidence, n)
-        if best_gain - second_gain > eps or eps < self.tie_threshold:
+        eps = hoeffding_bound(1.0, HOEFFDING_SPLIT_CONFIDENCE, n)
+        if best_gain - second_gain > eps or eps < HOEFFDING_TIE_THRESHOLD:
             left_mass = self._class_mass_below(leaf, feature, threshold)
             right_mass = leaf.class_weights - left_mass
             left = _LeafNode(self.dim, class_weights=np.maximum(left_mass, 0.0))
@@ -276,19 +276,14 @@ class ArfEnsemble:
     the enclosing pipeline's job.
     """
 
-    def __init__(self, dim: int, n_trees: int = 10, poisson_lambda: float = 6.0,
-                 seed: int | np.random.SeedSequence = 0, grace_period: int = 200,
-                 split_confidence: float = 1e-7, tie_threshold: float = 0.05):
+    def __init__(self, dim: int, n_trees: int = 10,
+                 seed: int | np.random.SeedSequence = 0):
         if dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {dim}")
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.dim = dim
         self.n_trees = n_trees
-        self.poisson_lambda = poisson_lambda
-        self.grace_period = grace_period
-        self.split_confidence = split_confidence
-        self.tie_threshold = tie_threshold
         self._seed_seq = (seed if isinstance(seed, np.random.SeedSequence)
                           else np.random.SeedSequence(seed))
         subspace_rng_seed, poisson_rng_seed = self._seed_seq.spawn(2)
@@ -299,28 +294,19 @@ class ArfEnsemble:
             np.sort(subspace_rng.choice(dim, size=size, replace=False))
             for _ in range(n_trees)
         ]
-        self.trees = [
-            HoeffdingTreeClassifier(size, grace_period, split_confidence,
-                                    tie_threshold)
-            for _ in range(n_trees)
-        ]
+        self.trees = [HoeffdingTreeClassifier(size) for _ in range(n_trees)]
 
     def clone_untrained(self) -> "ArfEnsemble":
         # spawn a fresh child seed so that successive rebuilds stay
         # deterministic without replaying the parent's random stream
-        return ArfEnsemble(self.dim, self.n_trees, self.poisson_lambda,
-                           self._seed_seq.spawn(1)[0], self.grace_period,
-                           self.split_confidence, self.tie_threshold)
+        return ArfEnsemble(self.dim, self.n_trees, self._seed_seq.spawn(1)[0])
 
-    def _poisson_weights(self) -> np.ndarray:
-        return self._poisson_rng.poisson(self.poisson_lambda, size=self.n_trees)
-
-    def partial_fit(self, x: np.ndarray, y: int, weight: float = 1.0) -> None:
+    def partial_fit(self, x: np.ndarray, y: int) -> None:
         x = _check_dim(x, self.dim)
-        draws = self._poisson_weights()
+        draws = self._poisson_rng.poisson(ARF_POISSON_LAMBDA, size=self.n_trees)
         for tree, subspace, k in zip(self.trees, self.subspaces, draws):
             if k > 0:
-                tree.partial_fit(x[subspace], y, weight=float(k) * weight)
+                tree.partial_fit(x[subspace], y, weight=float(k))
 
     def predict(self, x: np.ndarray) -> int:
         x = _check_dim(x, self.dim)

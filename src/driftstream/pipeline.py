@@ -28,7 +28,6 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -48,7 +47,7 @@ log = logging.getLogger(__name__)
 
 STRATEGIES = ("cross-val", "temporal", "iwc", "fnf-update", "fnf-retrain",
               "pool", "mts", "static")
-# each detector is built with its constructor's defaults, the published ones
+# every detector runs at its published defaults (see ``drift``)
 _DETECTOR_CLASSES = {"ddm": DdmDetector, "eddm": EddmDetector,
                      "adwin": AdwinDetector, "kswin": KswinDetector,
                      "none": NeverFiresDetector}
@@ -65,7 +64,7 @@ _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real,
 @dataclass
 class ExperimentConfig:
     """The experiment's own choices, one field per CLI flag.  Detectors and
-    classifiers run at their published defaults, their constructors'."""
+    classifiers run at their published defaults (``drift``, ``learners``)."""
 
     strategy: str = "fnf-retrain"
     detector: str = "adwin"
@@ -445,18 +444,6 @@ def run_cross_validation(stream: SampleStream,
 # Pseudo-labeling model pool
 # ---------------------------------------------------------------------------
 
-def _block_token_ids(block, tables) -> tuple[list[int], list[int]]:
-    """The ids of a block's tokens, attribute by attribute, and the token
-    count of each (attribute, sample) cell; raises ``KeyError`` on an
-    unseen token."""
-    ids, lengths = [], []
-    for name, table in tables.items():
-        cells = [sample.attributes[name] for sample in block]
-        ids += map(table.__getitem__, chain.from_iterable(cells))
-        lengths += map(len, cells)
-    return ids, lengths
-
-
 def _iter_token_ids(samples: Sequence[RawSample],
                     tables: dict[str, dict[str, int]]) -> Iterator[np.ndarray]:
     """Yield each sample's distinct (attribute, token) ids as a sorted
@@ -465,19 +452,18 @@ def _iter_token_ids(samples: Sequence[RawSample],
     ``tables`` maps each attribute name to its growing token -> id table.
     Unseen tokens get the next ids in first-seen order: samples in order,
     attributes in the sample's order, tokens in order.  Ids are computed
-    ``features.BLOCK_ROWS`` samples ahead: each attribute's tokens of a
-    block are looked up in one pass, and only a block holding an unseen
-    token is walked token by token first.  One sort of the keys
-    ``row * width + id`` orders each row's ids and puts its repeats side
-    by side.
+    ``features.BLOCK_ROWS`` samples ahead by one
+    ``features.block_token_ids`` lookup per block; only a block holding an
+    unseen token is walked token by token first, and then looked up again.
+    One sort of the keys ``row * width + id`` orders each row's ids and
+    puts its repeats side by side.
     """
     n_ids = sum(map(len, tables.values()))
     block_rows = features.BLOCK_ROWS
     for lo in range(0, len(samples), block_rows):
         block = samples[lo:lo + block_rows]
-        try:
-            ids, lengths = _block_token_ids(block, tables)
-        except KeyError:
+        ids, token_rows = features.block_token_ids(block, tables)
+        if (ids < 0).any():
             for sample in block:
                 for name, tokens in sample.attributes.items():
                     table = tables[name]
@@ -485,11 +471,10 @@ def _iter_token_ids(samples: Sequence[RawSample],
                         if token not in table:
                             table[token] = n_ids
                             n_ids += 1
-            ids, lengths = _block_token_ids(block, tables)
+            ids, token_rows = features.block_token_ids(block, tables)
         width = max(n_ids, 1)
         rows = np.arange(len(block))
-        keys = np.repeat(np.tile(rows * width, len(tables)), lengths)
-        keys += np.array(ids, dtype=np.intp)
+        keys = token_rows * width + ids
         keys.sort()
         distinct = np.ones(len(keys), dtype=bool)
         distinct[1:] = keys[1:] != keys[:-1]

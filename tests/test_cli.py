@@ -290,6 +290,14 @@ def test_run_help_shows_each_default_once(capsys):
     assert text.count("(default: ") == len(fields(ExperimentConfig)) + 3
     assert "--seed SEED seed (default: 0) --vocab-size" in text
     assert "input format (default: jsonl) --out" in text
+    with pytest.raises(SystemExit):
+        run_cli(["gen", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default: None)" not in text
+    # every flag but the required --n and --out names one default
+    assert text.count("(default: ") == 7
+    assert "share of malware samples (default: 0.35)" in text
+    assert "--seed SEED random seed (default: 0) --out" in text
 
 
 @pytest.mark.parametrize("key,value", [

@@ -27,7 +27,7 @@ def test_ddm_stays_normal_on_perfect_stream():
 
 
 def test_ddm_quiet_during_burn_in():
-    det = DdmDetector(min_instances=30)
+    det = DdmDetector()
     levels = run_levels(det, [1.0] * 29)
     assert all(lv is DriftLevel.NORMAL for lv in levels)
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream import (ArfEnsemble, DimensionMismatch,
-                         HoeffdingTreeClassifier, PoolMember, SgdClassifier)
-from driftstream.learners import (POOL_MEMBER_KINDS, _LeafNode, _SplitNode,
-                                  hoeffding_bound)
+from driftstream import (ArfEnsemble, DimensionMismatch, PoolMember,
+                         SgdClassifier)
+from driftstream.learners import (ARF_POISSON_LAMBDA, POOL_MEMBER_KINDS,
+                                  HoeffdingTreeClassifier, _LeafNode,
+                                  _SplitNode, hoeffding_bound)
 
 from .oracles import ReferencePoolMember
 
@@ -36,19 +37,15 @@ def test_sgd_two_step_update_exact():
 
 
 def test_sgd_no_update_when_margin_met():
-    m = SgdClassifier(dim=2, learning_rate=1.0, l2=0.0)
-    x = np.array([1.0, 0.0])
-    m.partial_fit(x, 1)          # margin 0 -> update: w=[1,0], b=1
-    m.partial_fit(x, 1)          # margin 2 >= 1 -> decay only (l2 = 0)
-    np.testing.assert_array_equal(m.weights, [1.0, 0.0])
-    assert m.bias == 1.0
-
-
-def test_sgd_sample_weight_scales_step():
     m = SgdClassifier(dim=2)
-    m.partial_fit(np.array([1.0, 0.0]), 1, weight=2.0)
-    np.testing.assert_allclose(m.weights, [0.02, 0.0], atol=0)
-    assert m.bias == 0.02
+    x = np.array([100.0, 0.0])
+    m.partial_fit(x, 1)          # margin 0 -> update: w=[1,0], b=0.01
+    np.testing.assert_array_equal(m.weights, [1.0, 0.0])
+    assert m.bias == 0.01
+    m.partial_fit(x, 1)          # margin 100.01 >= 1 -> L2 decay only
+    np.testing.assert_allclose(m.weights, [1.0 - 1e-6, 0.0], rtol=0,
+                               atol=1e-15)
+    assert m.bias == 0.01
 
 
 def test_sgd_learns_separable_data():
@@ -156,7 +153,7 @@ def test_tree_prediction_does_not_mutate_state():
 
 def test_arf_poisson_draws_have_expected_mean():
     ens = ArfEnsemble(dim=4, n_trees=10, seed=0)
-    draws = np.concatenate([ens._poisson_weights() for _ in range(2000)])
+    draws = ens._poisson_rng.poisson(ARF_POISSON_LAMBDA, size=(2000, 10))
     assert abs(draws.mean() - 6.0) < 0.1
     assert draws.min() >= 0
 

@@ -21,7 +21,7 @@ from driftstream import (CLASSIFIERS, DETECTORS, AdwinDetector, ArfEnsemble,
                          run_cross_validation, run_iwc,
                          run_multiple_time_spans, run_temporal_split,
                          stream_from_samples)
-from driftstream import features
+from driftstream import drift, features, learners
 from driftstream.cli import main as cli_main
 from driftstream.pipeline import (_chunk_sizes, _iter_token_ids,
                                   build_classifier, build_detector)
@@ -124,38 +124,42 @@ def test_config_validation_accepts_right_types(field, value):
     ExperimentConfig.from_dict({field: value}).validate()
 
 
-# each detector's published defaults, which every run uses; the golden runs
-# build neither EDDM nor the stub, so this is their only pin
+# each detector's published defaults, which every run uses: DDM's and
+# EDDM's are module constants, ADWIN's and KSWIN's are held by the detector;
+# the golden runs build neither EDDM nor the stub, so this is their only pin
 PUBLISHED_DETECTORS = {
-    "ddm": (DdmDetector, dict(min_instances=30, warning_factor=2.0,
-                              drift_factor=3.0)),
-    "eddm": (EddmDetector, dict(min_errors=30, warning_ratio=0.95,
-                                drift_ratio=0.90)),
-    "adwin": (AdwinDetector, dict(delta=0.002, max_buckets=5)),
-    "kswin": (KswinDetector, dict(window_size=100, stat_size=30,
-                                  alpha=0.005)),
-    "none": (NeverFiresDetector, {}),
+    "ddm": (DdmDetector, drift, dict(DDM_MIN_INSTANCES=30,
+                                     DDM_WARNING_FACTOR=2.0,
+                                     DDM_DRIFT_FACTOR=3.0)),
+    "eddm": (EddmDetector, drift, dict(EDDM_MIN_ERRORS=30,
+                                       EDDM_WARNING_RATIO=0.95,
+                                       EDDM_DRIFT_RATIO=0.90)),
+    "adwin": (AdwinDetector, None, dict(delta=0.002, max_buckets=5)),
+    "kswin": (KswinDetector, None, dict(window_size=100, stat_size=30,
+                                        alpha=0.005)),
+    "none": (NeverFiresDetector, None, {}),
 }
 
 
 @pytest.mark.parametrize("name", DETECTORS)
 def test_build_detector_uses_published_defaults(name):
-    cls, params = PUBLISHED_DETECTORS[name]
+    cls, module, params = PUBLISHED_DETECTORS[name]
     detector = build_detector(config(detector=name))
     assert type(detector) is cls
-    assert {key: getattr(detector, key) for key in params} == params
+    holder = module or detector
+    assert {key: getattr(holder, key) for key in params} == params
 
 
 def test_build_classifier_uses_published_defaults():
     sgd = build_classifier(config(classifier="sgd"), 8, seed=1)
     assert type(sgd) is SgdClassifier
-    assert (sgd.learning_rate, sgd.l2) == (0.01, 1e-4)
+    assert (learners.SGD_LEARNING_RATE, learners.SGD_L2) == (0.01, 1e-4)
     arf = build_classifier(config(classifier="arf", arf_trees=3), 8, seed=1)
     assert type(arf) is ArfEnsemble
-    assert (arf.n_trees, arf.poisson_lambda) == (3, 6.0)
-    for holder in (arf, *arf.trees):
-        assert (holder.grace_period, holder.split_confidence,
-                holder.tie_threshold) == (200, 1e-7, 0.05)
+    assert (arf.n_trees, learners.ARF_POISSON_LAMBDA) == (3, 6.0)
+    assert (learners.HOEFFDING_GRACE_PERIOD,
+            learners.HOEFFDING_SPLIT_CONFIDENCE,
+            learners.HOEFFDING_TIE_THRESHOLD) == (200, 1e-7, 0.05)
 
 
 def test_fnf_pipeline_rejects_offline_strategy():
@@ -178,9 +182,9 @@ class RecordingClassifier:
         self.log.append(("predict", tuple(np.round(x, 12))))
         return self.inner.predict(x)
 
-    def partial_fit(self, x, y, weight=1.0):
+    def partial_fit(self, x, y):
         self.log.append(("fit", tuple(np.round(x, 12))))
-        self.inner.partial_fit(x, y, weight)
+        self.inner.partial_fit(x, y)
 
     def clone_untrained(self):
         self.log.append(("clone", ()))
