@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -182,38 +183,70 @@ def _parse_timestamp(value, line: int) -> int:
     return ts
 
 
+# One C scanner for every line, shared the way ``json.loads`` shares its
+# default decoder: a call decodes one JSON value, without the whitespace and
+# trailing-data checks that ``json.loads`` adds around it.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str, line_no: int):
+    """``json.loads`` of a line the scanner did not take whole, with each
+    decode failure as a ``ParseError``."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
+    except ValueError:  # the only other ValueError: an over-long integer
+        raise ParseError("invalid JSON (integer longer than "
+                         f"{sys.get_int_max_str_digits()} digits)",
+                         line_no) from None
+    except RecursionError:
+        raise ParseError("invalid JSON (nested too deeply)", line_no) from None
+
+
 def _load_jsonl(path: Path) -> list[RawSample]:
     samples = []
     intern = _token_interner()
     names: dict[str, str] = {}  # one key object per attribute name
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+            # A record that fills the line up to its "\n" needs one scan;
+            # any other line takes json.loads and its error messages.
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
-            if not isinstance(record, dict):
+                record, end = _scan_json(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(line) and (end != len(line) - 1
+                                     or line[end] != "\n"):
+                if not line.strip():
+                    continue
+                record = _decode_line(line, line_no)
+            if type(record) is not dict:
                 raise ParseError("record is not a JSON object", line_no)
-            for key in ("id", "timestamp", "attributes"):
-                if key not in record:
-                    raise ParseError(f"missing required field {key!r}", line_no)
-            attrs = record["attributes"]
-            if not isinstance(attrs, dict) or not attrs:
+            try:
+                sid = record["id"]
+                ts = record["timestamp"]
+                attrs = record["attributes"]
+            except KeyError:
+                key = next(k for k in ("id", "timestamp", "attributes")
+                           if k not in record)
+                raise ParseError(f"missing required field {key!r}",
+                                 line_no) from None
+            if type(attrs) is not dict or not attrs:
                 raise ParseError("'attributes' must be a non-empty object", line_no)
             parsed_attrs = {}
             for name, tokens in attrs.items():
-                if not isinstance(tokens, list):
+                if type(tokens) is not list:
                     raise ParseError(
                         f"attribute {name!r} must hold a token list", line_no)
                 parsed_attrs[names.setdefault(name, name)] = intern(tokens)
-            samples.append(RawSample(
-                id=str(record["id"]),
-                timestamp=_parse_timestamp(record["timestamp"], line_no),
-                label=_parse_label(record.get("label"), line_no),
-                attributes=parsed_attrs,
-            ))
+            if type(ts) is not int or not 0 <= ts <= MAX_TIMESTAMP:
+                ts = _parse_timestamp(ts, line_no)
+            label = record.get("label")
+            if label is not None and (type(label) is not int
+                                      or not 0 <= label <= 1):
+                label = _parse_label(label, line_no)
+            samples.append(RawSample(str(sid), ts, label, parsed_attrs))
     return samples
 
 
@@ -254,6 +287,17 @@ def _load_csv(path: Path) -> list[RawSample]:
     return samples
 
 
+def _not_utf8_error(path: Path) -> ParseError:
+    """The error for a file that is not UTF-8, naming the first line (split
+    as the text reader splits lines) whose bytes do not decode."""
+    for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(f"not UTF-8 text ({exc.reason})", line_no)
+    return ParseError("not UTF-8 text")
+
+
 def load_stream(path: str | Path, fmt: str = "jsonl") -> SampleStream:
     """Load a labeled or partially labeled stream from disk.
 
@@ -262,15 +306,19 @@ def load_stream(path: str | Path, fmt: str = "jsonl") -> SampleStream:
     repeated column or a row with more or fewer cells than the header is
     a parse error).  Samples are sorted by (timestamp, id); duplicate ids
     are kept as distinct samples.  Tokens are interned per call: equal
-    tokens of the stream share one ``str`` object.
+    tokens of the stream share one ``str`` object.  A file that is not
+    UTF-8 is a ``ParseError`` naming its first line that does not decode.
     """
     path = Path(path)
-    if fmt == "jsonl":
-        samples = _load_jsonl(path)
-    elif fmt == "csv":
-        samples = _load_csv(path)
-    else:
-        raise ParseError(f"unknown stream format {fmt!r}")
+    try:
+        if fmt == "jsonl":
+            samples = _load_jsonl(path)
+        elif fmt == "csv":
+            samples = _load_csv(path)
+        else:
+            raise ParseError(f"unknown stream format {fmt!r}")
+    except UnicodeDecodeError:
+        raise _not_utf8_error(path) from None
     if not samples:
         raise EmptyStream(f"{path} holds no samples")
     return stream_from_samples(samples)

@@ -335,6 +335,45 @@ def test_nonexistent_input_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def _jsonl_with(bad_line: bytes, line_no: int) -> bytes:
+    lines = [json.dumps({"id": f"s{i}", "timestamp": i, "label": i % 2,
+                         "attributes": {"api": [f"t{i}"]}}).encode()
+             for i in range(6)]
+    lines.insert(line_no - 1, bad_line)
+    return b"\n".join(lines) + b"\n"
+
+
+def _csv_with(bad_row: bytes, line_no: int) -> bytes:
+    rows = [b"id,timestamp,label,api"]
+    rows += [f"s{i},{i},{i % 2},t{i} u".encode() for i in range(6)]
+    rows.insert(line_no - 1, bad_row)
+    return b"\r\n".join(rows) + b"\r\n"
+
+
+@pytest.mark.parametrize("name,data,message", [
+    ("long.jsonl", _jsonl_with(b'{"id": "x", "timestamp": ' + b"9" * 5000
+                               + b', "attributes": {"api": []}}', 4),
+     "invalid JSON (integer longer than"),
+    ("deep.jsonl", _jsonl_with(b"[" * 100_000, 4),
+     "invalid JSON (nested too deeply)"),
+    ("latin1.jsonl", _jsonl_with(b'{"id": "x", "timestamp": 1, '
+                                 b'"attributes": {"api": ["caf\xe9"]}}', 4),
+     "not UTF-8 text"),
+    ("latin1.csv", _csv_with(b"x,1,0,t \xff", 4), "not UTF-8 text"),
+], ids=["long-integer", "deep-nesting", "jsonl-not-utf8", "csv-not-utf8"])
+def test_undecodable_input_exits_1_naming_the_line(tmp_path, capsys, name,
+                                                   data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    fmt = path.suffix[1:]
+    code = run_cli(["run", "--input", str(path), "--format", fmt,
+                    "--strategy", "temporal", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: line 4: {message}")
+    assert "Traceback" not in err
+
+
 def test_env_var_overrides_out_dir(tmp_path, stream_file, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("DRIFTSTREAM_OUT", str(env_dir))

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream import (EmptyStream, InvalidFraction, ParseError, RawSample,
-                         SchemaMismatch, StreamSchema, load_stream,
-                         save_stream, split_temporal, stream_from_samples)
+from driftstream import (DriftStreamError, EmptyStream, InvalidFraction,
+                         ParseError, RawSample, SchemaMismatch, StreamSchema,
+                         load_stream, save_stream, split_temporal,
+                         stream_from_samples)
+from driftstream.stream import MAX_TIMESTAMP
 from .oracles import reference_load_stream
 
 
@@ -302,19 +304,65 @@ ATTRIBUTE_NAMES = st.lists(st.sampled_from(["api", "perm", "url", "Api"]),
                            min_size=1, max_size=4, unique=True)
 
 
+# What the loader's one-scan fast path must hand to its json.loads fallback:
+# blanks around a record (JSON and non-JSON whitespace), whitespace-only
+# lines, trailing data, CRLF endings, a BOM, non-object records, missing
+# keys, and field values outside the int fast path.
+AROUND = st.sampled_from(["", " ", "\t ", "  ", "\x0b", "\xa0"])
+TRAILING = st.sampled_from(["", " ", "\t", "  ", "\xa0", " x", "{}", ",",
+                            " 1"])
+BLANK_LINES = st.sampled_from(["", " ", "\t", "\x0b", "\xa0", " \x0b\xa0 "])
+NOT_OBJECTS = st.sampled_from(["null", "[]", "[1]", "3", '"x"', "true"])
+ODD_TIMESTAMPS = st.sampled_from([True, 1.0, 2.5, "3", float("nan"), -1,
+                                  MAX_TIMESTAMP, MAX_TIMESTAMP + 1, None])
+ODD_LABELS = st.sampled_from([True, False, 1.0, 0.5, float("nan"), 2, -1,
+                              "1", " null ", ""])
+LINE_KINDS = st.sampled_from(["record"] * 8 + ["padded record"] * 2
+                             + ["odd record"] * 2 + ["blank"]
+                             + ["not an object"] * 2)
+RARELY = st.sampled_from([False] * 7 + [True])
+
+
 @st.composite
 def jsonl_text(draw):
     names = draw(ATTRIBUTE_NAMES)
     lines = []
     for i in range(draw(st.integers(1, 10))):
+        kind = draw(LINE_KINDS)
+        if kind == "blank":
+            lines.append(draw(BLANK_LINES))
+            continue
+        if kind == "not an object":
+            lines.append(draw(AROUND) + draw(NOT_OBJECTS) + draw(TRAILING))
+            continue
         attrs = {name: draw(st.lists(JSON_TOKENS, max_size=6))
                  for name in draw(st.permutations(names))}
         record = {"id": draw(st.sampled_from(["x", "y", f"s{i}"])),
                   "timestamp": draw(st.integers(0, 5)),
                   "label": draw(st.sampled_from([0, 1, None])),
                   "attributes": attrs}
-        lines.append(json.dumps(record) + "\n" * draw(st.integers(1, 2)))
-    return "".join(lines)
+        if kind == "odd record":
+            odd = draw(st.sets(st.sampled_from(["timestamp", "label", "keys"]),
+                               min_size=1))
+            if "timestamp" in odd:
+                record["timestamp"] = draw(ODD_TIMESTAMPS)
+            if "label" in odd:
+                record["label"] = draw(ODD_LABELS)
+            if "keys" in odd:
+                for key in draw(st.lists(st.sampled_from(list(record)),
+                                         min_size=1, max_size=2)):
+                    record.pop(key, None)
+        line = json.dumps(record)
+        if kind == "padded record":
+            line = draw(AROUND) + line + draw(TRAILING)
+        lines.append(line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + eol * draw(st.integers(1, 2)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # a last line with no newline
+    if draw(RARELY):
+        text = "\ufeff" + text
+    return text
 
 
 @st.composite
@@ -334,20 +382,80 @@ def _records(stream):
                              list(s.attributes.items())) for s in stream])
 
 
-@settings(max_examples=150, deadline=None)
+def _outcome(load, path, fmt):
+    """The loaded stream and its records, or the error's type, message
+    and line."""
+    try:
+        stream = load(path, fmt)
+    except DriftStreamError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return stream, _records(stream)  # _records: also the attribute order
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_interning_loader_matches_reference(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("load") / "s"
     fmt = data.draw(st.sampled_from(["jsonl", "csv"]))
     if fmt == "jsonl":
-        path.write_text(data.draw(jsonl_text()), encoding="utf-8")
+        path.write_bytes(data.draw(jsonl_text()).encode("utf-8"))
     else:
         with path.open("w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows(data.draw(csv_rows()))
-    got = load_stream(path, fmt)
-    want = reference_load_stream(path, fmt)
-    assert got == want
-    assert _records(got) == _records(want)  # also the attribute order
+    assert (_outcome(load_stream, path, fmt)
+            == _outcome(reference_load_stream, path, fmt))
+
+
+def _jsonl_record(sid="a", **fields):
+    """One JSONL record; a field given as ``...`` is left out."""
+    record = {"id": sid, "timestamp": 1, "label": 0,
+              "attributes": {"x": ["t"]}}
+    record.update(fields)
+    return json.dumps({k: v for k, v in record.items() if v is not ...})
+
+
+FALLBACK_TEXTS = {
+    "leading-blanks": f" \t{_jsonl_record()}\n",
+    "trailing-blanks": f"{_jsonl_record()} \t\n",
+    "leading-vertical-tab": f"\x0b{_jsonl_record()}\n",
+    "trailing-no-break-space": f"{_jsonl_record()}\xa0\n",
+    "blank-lines": (f"\n{_jsonl_record()}\n \n\x0b\n\xa0\n"
+                    f"{_jsonl_record('b')}\n\n"),
+    "only-blank-lines": "\n \x0b \n\xa0\n",
+    "trailing-data": f"{_jsonl_record()} x\n",
+    "trailing-object": f"{_jsonl_record()}{{}}\n",
+    "crlf": f"{_jsonl_record()}\r\n\r\n{_jsonl_record('b')}\r\n",
+    "no-final-newline": f"{_jsonl_record()}\n{_jsonl_record('b')}",
+    "bom": f"\ufeff{_jsonl_record()}\n",
+    "array": f"{_jsonl_record()}\n[1]\n",
+    "string": '"x"\n',
+    "padded-null": f" null \n{_jsonl_record()}\n",
+    "no-id": f"{_jsonl_record(sid=...)}\n",
+    "no-timestamp": f"{_jsonl_record(timestamp=...)}\n",
+    "no-attributes": f"{_jsonl_record(attributes=...)}\n",
+    "no-keys": "{}\n",
+    "no-label": f"{_jsonl_record(label=...)}\n",
+    "timestamp-true": f"{_jsonl_record(timestamp=True)}\n",
+    "timestamp-1.0": f"{_jsonl_record(timestamp=1.0)}\n",
+    "timestamp-nan": f"{_jsonl_record(timestamp=float('nan'))}\n",
+    "timestamp-negative": f"{_jsonl_record(timestamp=-1)}\n",
+    "timestamp-past-max": f"{_jsonl_record(timestamp=MAX_TIMESTAMP + 1)}\n",
+    "timestamp-max": f"{_jsonl_record(timestamp=MAX_TIMESTAMP)}\n",
+    "label-true": f"{_jsonl_record(label=True)}\n",
+    "label-false": f"{_jsonl_record(label=False)}\n",
+    "label-1.0": f"{_jsonl_record(label=1.0)}\n",
+    "label-nan": f"{_jsonl_record(label=float('nan'))}\n",
+    "label-2": f"{_jsonl_record(label=2)}\n",
+    "label-negative": f"{_jsonl_record(label=-1)}\n",
+}
+
+
+@pytest.mark.parametrize("text", FALLBACK_TEXTS.values(), ids=FALLBACK_TEXTS)
+def test_fallback_lines_match_reference(tmp_path, text):
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_outcome(load_stream, path, "jsonl")
+            == _outcome(reference_load_stream, path, "jsonl"))
 
 
 # ---------------------------------------------------------------------------
