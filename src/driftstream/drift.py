@@ -27,6 +27,12 @@ class DriftLevel(Enum):
     DRIFT = "drift"
 
 
+# per-update returns, bound once: a module global is cheaper to read than
+# an enum member
+_NORMAL = DriftLevel.NORMAL
+_DRIFT = DriftLevel.DRIFT
+
+
 # ---------------------------------------------------------------------------
 # Two-sample Kolmogorov-Smirnov primitives
 # ---------------------------------------------------------------------------
@@ -200,9 +206,10 @@ class EddmDetector:
 # by this factor, so the rounding of the running sums and of the horizon
 # formula can never hide a cut that the exact scan would have made.
 _HORIZON_SLACK = 1.0 - 1e-6
-# No horizon reaches past this window length.  Up to it, K running-sum
-# additions move a right-side mean by at most 2^-53 * (n + K), under a
-# fortieth of the slack at the smallest eps such a window can have.
+# No horizon reaches past this window length, and no boundary of a longer
+# window is settled untested.  Up to it, K running-sum additions move a
+# right-side mean by at most 2^-53 * (n + K), under a fortieth of the slack
+# at the smallest eps such a window can have.
 _HORIZON_MAX_WIDTH = 1 << 20
 
 
@@ -228,9 +235,13 @@ class AdwinDetector:
     The buckets are kept in one flat oldest-to-newest list; a row is a run
     of that list, so merges happen in place.  Prefix counts and sums equal
     the running left-to-right sums of a full scan bit for bit, and each
-    boundary carries a tick up to which it provably cannot cut
-    (``_no_cut_ticks``), so an update tests only the boundaries whose
-    horizon has run out.
+    boundary carries a tick up to which it provably cannot cut, so an
+    update tests only the boundaries whose horizon has run out.  A due
+    boundary whose eps is at least 1 (a short side, such as the newest few
+    values) cannot cut, since no gap between two means of values in [0, 1]
+    exceeds 1.  It is settled untested: its horizon is the closed-form
+    number of inserts that keep eps at least 1.  Any other due boundary is
+    tested, and its horizon comes from ``_no_cut_ticks``.
     """
 
     def __init__(self, delta: float = 0.002, max_buckets: int | None = 5):
@@ -366,6 +377,10 @@ class AdwinDetector:
         while self._count >= 2:
             n = self._count
             ln_term = math.log(4.0 * n / self.delta)
+            limit = _HORIZON_MAX_WIDTH - n
+            # eps >= 1 (after the slack), which no gap between two means in
+            # [0, 1] reaches, while 1/n0 + 1/n1 stays at or above this
+            wide = 2.0 / (ln_term * _HORIZON_SLACK) if limit > 0 else math.inf
             total = self._sum
             counts, sums = self._prefix_counts, self._prefix_sums
             horizon = self._horizon
@@ -373,10 +388,17 @@ class AdwinDetector:
                 if until >= tick:
                     continue
                 n0 = counts[j + 1]
-                s0 = sums[j + 1]
                 n1 = n - n0
-                s1 = total - s0
                 inv_m = 1.0 / n0 + 1.0 / n1
+                if inv_m >= wide:
+                    # K inserts keep n0 and ln_term from falling, so eps
+                    # stays >= 1 while 1/(n1 + K) >= wide - 1/n0
+                    rest = wide - 1.0 / n0
+                    horizon[j] = tick + (limit if rest <= 0.0 else min(
+                        limit, math.floor(1.0 / rest - n1)))
+                    continue
+                s0 = sums[j + 1]
+                s1 = total - s0
                 eps = math.sqrt(inv_m * ln_term / 2.0)
                 if abs(s0 / n0 - s1 / n1) > eps:
                     break
@@ -393,7 +415,7 @@ class AdwinDetector:
             raise ValueOutOfRange(f"ADWIN input {value} outside [0, 1]")
         self._insert(float(value))
         self._ticks += 1
-        return DriftLevel.DRIFT if self._shrink() else DriftLevel.NORMAL
+        return _DRIFT if self._shrink() else _NORMAL
 
 
 # ---------------------------------------------------------------------------

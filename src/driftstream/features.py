@@ -162,6 +162,7 @@ class FeatureExtractorModel:
         training ranges with clamping, so unseen samples cannot escape the
         unit cube.  Callers pass at most ``BLOCK_ROWS`` samples at a time,
         which bounds the temporaries to a few ``BLOCK_ROWS x dim`` arrays.
+        The matrix is read-only, and so is every row taken from it.
         """
         for sample in samples:
             if sample.attributes.keys() != self._names:
@@ -171,10 +172,11 @@ class FeatureExtractorModel:
         scaled -= self.minmax_min
         scaled /= self._scale
         np.clip(scaled, 0.0, 1.0, out=scaled)
+        scaled.flags.writeable = False
         return scaled
 
     def transform(self, sample: RawSample) -> np.ndarray:
-        """Map one sample to a dense vector in [0, 1]^dim."""
+        """Map one sample to a dense, read-only vector in [0, 1]^dim."""
         return self.transform_many([sample])[0]
 
     def iter_transform(self, samples: Sequence[RawSample],
@@ -250,12 +252,9 @@ class FeatureExtractorModel:
 def _top_k_tokens(samples: Sequence[RawSample], attribute: str,
                   k: int) -> tuple[list[str], list[int]]:
     """Pick the k highest total-term-frequency tokens, ties lexicographic."""
-    term_freq: Counter = Counter()
-    doc_freq: Counter = Counter()
-    for sample in samples:
-        tokens = sample.attributes[attribute]
-        term_freq.update(tokens)
-        doc_freq.update(set(tokens))
+    cells = [sample.attributes[attribute] for sample in samples]
+    term_freq = Counter(chain.from_iterable(cells))
+    doc_freq = Counter(chain.from_iterable(map(set, cells)))
     ranked = sorted(term_freq.items(), key=lambda item: (-item[1], item[0]))
     chosen = [tok for tok, _ in ranked[:k]]
     return chosen, [doc_freq[tok] for tok in chosen]
@@ -276,8 +275,9 @@ def fit_extractor(samples: Sequence[RawSample],
     if k < 1:
         raise ValueError(f"vocabulary size k must be >= 1, got {k}")
     schema = StreamSchema(tuple(samples[0].attributes.keys()))
+    names = set(schema.attribute_names)
     for sample in samples:
-        if set(sample.attributes.keys()) != set(schema.attribute_names):
+        if sample.attributes.keys() != names:
             raise SchemaMismatch(
                 f"sample {sample.id!r} does not match schema")
 

@@ -9,6 +9,9 @@ its ``partial_fit`` also takes the forest's Poisson draw as a weight.  The
 published defaults are module constants, not constructor options.
 Prediction never mutates model state, and all randomness is derived from
 the constructor seed: a model is a function of (seed, training sequence).
+SGD's ``predict`` keeps the score it computed, which is not model state: a
+``partial_fit`` called next on the same read-only array reuses it instead
+of computing ``w.x + b`` again, and any other input is scored afresh.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ class SgdClassifier:
         self.dim = dim
         self.weights = np.zeros(dim, dtype=float)
         self.bias = 0.0
+        # (x, w.x + b) of the last predict, for the partial_fit that follows
+        # it on the same read-only x; any later call clears it
+        self._scored = None
 
     def clone_untrained(self) -> "SgdClassifier":
         return SgdClassifier(self.dim)
@@ -63,12 +69,18 @@ class SgdClassifier:
     def predict(self, x: np.ndarray) -> int:
         x = _check_dim(x, self.dim)
         score = float(self.weights @ x) + self.bias
+        self._scored = (x, score)
         return 1 if score > 0.0 else 0
 
     def partial_fit(self, x: np.ndarray, y: int) -> None:
         x = _check_dim(x, self.dim)
+        scored, self._scored = self._scored, None
+        if scored is not None and scored[0] is x and not x.flags.writeable:
+            score = scored[1]
+        else:
+            score = float(self.weights @ x) + self.bias
         y_signed = 1.0 if y == 1 else -1.0
-        margin = y_signed * (float(self.weights @ x) + self.bias)
+        margin = y_signed * score
         self.weights *= (1.0 - SGD_LEARNING_RATE * SGD_L2)
         if margin < 1.0:
             self.weights += SGD_LEARNING_RATE * y_signed * x

@@ -294,6 +294,7 @@ class FnFPipeline:
 
         timeline = MetricsTimeline(window=cfg.metrics_window)
         warning_from = None  # first step of the open warning episode
+        normal, warning = DriftLevel.NORMAL, DriftLevel.WARNING  # read once
         vectors = self.extractor.iter_transform(rest)
         for step, sample in enumerate(rest, start=1):
             vec = next(vectors)
@@ -303,10 +304,10 @@ class FnFPipeline:
                 continue
             error = float(prediction != sample.label)
             level = self.detector.update(error)
-            if level is DriftLevel.NORMAL:
+            if level is normal:
                 self.classifier.partial_fit(vec, sample.label)
                 warning_from = None  # a warning episode fizzles out
-            elif level is DriftLevel.WARNING:
+            elif level is warning:
                 self.classifier.partial_fit(vec, sample.label)
                 if warning_from is None:
                     timeline.record_event(step, cfg.detector, "warning")

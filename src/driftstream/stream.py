@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
@@ -157,7 +158,8 @@ def _parse_int(value, what: str, line: int) -> int:
                                        and as_int != value):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{what} {value!r} is not an integer", line) from None
+        raise ParseError(f"{what} {reprlib.repr(value)} is not an integer",
+                         line) from None
     return as_int
 
 
@@ -170,16 +172,18 @@ def _parse_label(value, line: int) -> int | None:
             return None
     as_int = _parse_int(value, "label", line)
     if as_int not in (0, 1):
-        raise ParseError(f"label {as_int} outside {{0, 1}}", line)
+        raise ParseError(f"label {reprlib.repr(as_int)} outside {{0, 1}}",
+                         line)
     return as_int
 
 
 def _parse_timestamp(value, line: int) -> int:
     ts = _parse_int(value, "timestamp", line)
     if ts < 0:
-        raise ParseError(f"timestamp {ts} is negative", line)
+        raise ParseError(f"timestamp {reprlib.repr(ts)} is negative", line)
     if ts > MAX_TIMESTAMP:
-        raise ParseError(f"timestamp {ts} is past 9999-12-31T23:59:59Z", line)
+        raise ParseError(f"timestamp {reprlib.repr(ts)} is past "
+                         "9999-12-31T23:59:59Z", line)
     return ts
 
 
@@ -238,7 +242,8 @@ def _load_jsonl(path: Path) -> list[RawSample]:
             for name, tokens in attrs.items():
                 if type(tokens) is not list:
                     raise ParseError(
-                        f"attribute {name!r} must hold a token list", line_no)
+                        f"attribute {reprlib.repr(name)} must hold a token "
+                        "list", line_no)
                 parsed_attrs[names.setdefault(name, name)] = intern(tokens)
             if type(ts) is not int or not 0 <= ts <= MAX_TIMESTAMP:
                 ts = _parse_timestamp(ts, line_no)

@@ -10,7 +10,9 @@ transform (reference of the block transform),
 every boundary on each update (reference of the incremental detector), and
 ``ReferenceTokenIndexer`` with ``ReferencePoolMember``, the pool path on
 plain index lists that each member re-sorts and deduplicates (reference of
-the sorted-id path), ``ReferenceTimeline``, the timeline that keeps
+the sorted-id path), ``ReferenceSgdClassifier``, the SGD classifier that
+computes w.x + b afresh on every call (reference of the one that reuses
+its prediction's score), ``ReferenceTimeline``, the timeline that keeps
 running confusion counts and error bits next to the prediction and label
 lists (reference of the timeline that derives them from the lists), and
 ``reference_load_stream``, the loader that normalizes every token
@@ -491,6 +493,28 @@ class ReferencePoolMember:
                 tau = min(self.aggressiveness, loss / sq_norm)
                 self.weights[indices] += tau * y_signed
                 self.bias += tau * y_signed
+
+
+class ReferenceSgdClassifier:
+    """Hinge-loss SGD with L2 decay that keeps nothing between calls."""
+
+    def __init__(self, dim: int, learning_rate: float = 0.01,
+                 l2: float = 1e-4):
+        self.weights = np.zeros(dim, dtype=float)
+        self.bias = 0.0
+        self.learning_rate = learning_rate
+        self.l2 = l2
+
+    def predict(self, x) -> int:
+        return 1 if float(self.weights @ x) + self.bias > 0.0 else 0
+
+    def partial_fit(self, x, y: int) -> None:
+        y_signed = 1.0 if y == 1 else -1.0
+        margin = y_signed * (float(self.weights @ x) + self.bias)
+        self.weights *= (1.0 - self.learning_rate * self.l2)
+        if margin < 1.0:
+            self.weights += self.learning_rate * y_signed * x
+            self.bias += self.learning_rate * y_signed
 
 
 def reference_pool_run(warm, rest, pool_interval, tau_low, tau_high):

@@ -156,6 +156,38 @@ def test_run_iwc_rejects_timestamp_past_year_9999(tmp_path, capsys):
     assert "error: line 31" in capsys.readouterr().err
 
 
+def _nested(depth):
+    return "[" * depth + "0" + "]" * depth
+
+
+# JSON text of a field whose value's full repr runs to thousands of
+# characters (written by hand: encoding deep nesting would recurse)
+HUGE_FIELDS = {
+    "timestamp-4000-digits": ("timestamp", "1" + "0" * 3999),
+    "label-nested-500-deep": ("label", _nested(500)),
+    "label-3000-characters": ("label", json.dumps("x" * 3000)),
+    "attribute-name-3000-characters": ("attributes",
+                                       json.dumps({"n" * 3000: 5})),
+}
+
+
+@pytest.mark.parametrize("field, text", HUGE_FIELDS.values(),
+                         ids=HUGE_FIELDS)
+def test_run_error_quotes_a_bounded_value(tmp_path, capsys, field, text):
+    record = {"id": '"a"', "timestamp": "1", "label": "0",
+              "attributes": '{"api": ["t"]}', field: text}
+    path = tmp_path / "huge.jsonl"
+    path.write_text(
+        "{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}\n")
+    code = run_cli(["run", "--input", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line 1: ")
+    assert len(lines[0]) < 200
+
+
 def test_run_mts_writes_report(tmp_path, stream_file):
     out = tmp_path / "mts"
     code = run_cli(["run", "--input", str(stream_file), "--out", str(out),

@@ -235,6 +235,14 @@ def _adwin_state(det, buckets):
          segments=[(0.4878787630597822, 87), (0.4834181147525649, 104),
                    (0.9646969872568616, 186), (0.7525046995401022, 97)],
          reset_at=1600, seed=2402811634)
+# the retrain regime: a long, quiet window whose boundaries with a short
+# side are settled untested (eps >= 1) on long horizons, then a jump
+@example(delta=0.002, max_buckets=5, real=False,
+         segments=[(0.01, 3000), (0.3, 500)], reset_at=4000, seed=0)
+# a step from 0 to 1: the gap is 1, so the first cut comes at the first
+# tick at which the newest boundaries' eps falls below 1
+@example(delta=0.002, max_buckets=None, real=False,
+         segments=[(0.0, 20), (1.0, 20)], reset_at=0, seed=0)
 def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets, real,
                                                segments, reset_at, seed):
     """The incremental detector against the former bucket-scan detector:

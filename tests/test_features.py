@@ -168,6 +168,16 @@ def test_block_transform_is_bit_identical_to_per_sample(case):
     assert not want[-1].any()  # OOV tokens leave every column at the min
 
 
+def test_transform_outputs_are_read_only():
+    model = worked_extractor()
+    queries = [doc("q1", 3, ["a", "c"]), doc("q2", 4, ["b"])]
+    for out in (model.transform_many(queries), model.transform(queries[0]),
+                *model.iter_transform(queries)):
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0] = 0.5
+
+
 def test_values_bounded_in_unit_interval():
     rng = np.random.default_rng(11)
     stream = random_corpus(rng, n_docs=60, n_attrs=2, pool_size=15, max_len=10)

@@ -11,7 +11,7 @@ from driftstream.learners import (ARF_POISSON_LAMBDA, POOL_MEMBER_KINDS,
                                   HoeffdingTreeClassifier, _LeafNode,
                                   _SplitNode, hoeffding_bound)
 
-from .oracles import ReferencePoolMember
+from .oracles import ReferencePoolMember, ReferenceSgdClassifier
 
 # ---------------------------------------------------------------------------
 # SGD with hinge loss
@@ -85,6 +85,44 @@ def test_sgd_reset_and_clone():
     assert clone.predict(np.ones(2)) == 0
     np.testing.assert_array_equal(clone.weights, np.zeros(2))
     assert clone.bias == 0.0
+
+
+def _read_only(values):
+    x = np.array(values, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sgd_score_reuse_is_bit_identical_to_reference(data):
+    """Random interleavings of predict and partial_fit: each step may
+    predict on a vector, then fits zero to two times on the same read-only
+    array, a distinct read-only array with equal or other values, or the
+    predicted writeable array after changing it in place."""
+    dim = data.draw(st.integers(1, 4))
+    values = st.lists(st.floats(-100.0, 100.0, allow_nan=False),
+                      min_size=dim, max_size=dim)
+    steps = data.draw(st.lists(st.tuples(
+        st.sampled_from(["same", "equal", "other", "changed"]), values,
+        values, st.booleans(), st.integers(0, 2), st.integers(0, 1)),
+        min_size=1, max_size=30))
+    model, reference = SgdClassifier(dim), ReferenceSgdClassifier(dim)
+    for form, first, second, predict_first, fits, label in steps:
+        x = np.array(first) if form == "changed" else _read_only(first)
+        if predict_first:
+            assert model.predict(x) == reference.predict(x)
+        if form == "equal":
+            x = _read_only(first)
+        elif form == "other":
+            x = _read_only(second)
+        elif form == "changed":
+            x[:] = second
+        for _ in range(fits):
+            model.partial_fit(x, label)
+            reference.partial_fit(x, label)
+            assert model.weights.tobytes() == reference.weights.tobytes()
+            assert model.bias.hex() == reference.bias.hex()
 
 
 # ---------------------------------------------------------------------------
