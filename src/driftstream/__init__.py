@@ -14,10 +14,9 @@ from .features import (AttributeVocabulary, FeatureExtractorModel,
                        VocabularyDiff, fit_extractor, vocabulary_diff)
 from .learners import ArfEnsemble, PoolMember, SgdClassifier
 from .pipeline import (CLASSIFIERS, DETECTORS, STRATEGIES, ExperimentConfig,
-                       FnFPipeline, FoldReport, ModelPoolPipeline, MtsReport,
-                       parse_duration, resolve_warmup_count,
-                       run_cross_validation, run_iwc, run_multiple_time_spans,
-                       run_temporal_split)
+                       FnFPipeline, ModelPoolPipeline, parse_duration,
+                       resolve_warmup_count, run_cross_validation, run_iwc,
+                       run_multiple_time_spans, run_temporal_split)
 from .stream import (RawSample, SampleStream, StreamSchema, load_stream,
                      save_stream, split_temporal, stream_from_samples)
 from .synth import SynthStreamSpec, generate_synth_stream

@@ -108,16 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
 # run subcommand
 # ---------------------------------------------------------------------------
 
+def _read_json_file(path: str, what: str):
+    """The JSON value of a ``what`` file ("config", "grid") named by a flag."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{what} file {path} does not exist")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}")
+
+
 def _merge_run_config(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        payload = _read_json_file(args.config, "config")
         if not isinstance(payload, dict):
             raise ConfigError("config file must hold a JSON object")
         merged.update(payload)  # _build_config rejects unknown keys
@@ -167,13 +172,8 @@ def _execute_run(merged: dict, out_dir: Path) -> dict:
         summary = {name: result[name] for name in METRIC_NAMES}
         summary["drifts"] = 0
     elif config.strategy == "mts":
-        report = run_multiple_time_spans(stream, config)
-        summary = report.summary
-        write_json(out_dir / "mts.json", {
-            "folds": [{"iteration": r.iteration,
-                       "warmup_size": r.warmup_size, **r.summary}
-                      for r in report.folds],
-            "f1_mean": report.f1_mean, "f1_std": report.f1_std})
+        summary, report = run_multiple_time_spans(stream, config)
+        write_json(out_dir / "mts.json", report)
     else:  # prequential runs; export_reports writes their summary.json
         diffs, extractor = [], None
         if config.strategy == "pool":
@@ -221,13 +221,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _cmd_run_grid(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         raise ConfigError("--workers must be >= 1")
-    path = Path(args.grid)
-    if not path.exists():
-        raise ConfigError(f"grid file {path} does not exist")
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"grid file {path} is not valid JSON: {exc}")
+    entries = _read_json_file(args.grid, "grid")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("grid file must hold a non-empty JSON array")
     base = _merge_run_config(args)

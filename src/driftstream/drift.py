@@ -109,7 +109,6 @@ class DdmDetector:
         self.s = 0.0
         self.p_min = math.inf
         self.s_min = math.inf
-        self.min_sum = math.inf
 
     def update(self, value: float) -> DriftLevel:
         error = 1.0 if value >= 0.5 else 0.0
@@ -119,12 +118,12 @@ class DdmDetector:
         if self.n < DDM_MIN_INSTANCES:
             return DriftLevel.NORMAL
         curr = self.p + self.s
-        if curr < self.min_sum:
+        min_sum = self.p_min + self.s_min
+        if curr < min_sum:
             self.p_min = self.p
             self.s_min = self.s
-            self.min_sum = curr
             return DriftLevel.NORMAL
-        if curr > self.min_sum:
+        if curr > min_sum:
             if curr >= self.p_min + DDM_DRIFT_FACTOR * self.s_min:
                 self.reset()
                 return DriftLevel.DRIFT

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
+import textwrap
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -20,7 +22,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyTrainingSet, SchemaMismatch
+from .errors import (DimensionMismatch, DriftStreamError, EmptyTrainingSet,
+                     ParseError, SchemaMismatch)
 from .stream import RawSample, StreamSchema
 
 # Samples transformed per numpy pass.  Larger blocks hold larger
@@ -242,7 +245,20 @@ class FeatureExtractorModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureExtractorModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """The model ``save`` wrote to ``path``; a file that does not hold
+        one is a ``ParseError`` naming the file."""
+        path = Path(path)
+        try:
+            return cls.from_json(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing key "
+                             f"{reprlib.repr(exc.args[0])}") from None
+        except (ValueError, TypeError, RecursionError,
+                DriftStreamError) as exc:
+            raise ParseError(f"{path}: not an extractor model "
+                             f"({textwrap.shorten(str(exc), 120)})") from None
 
     def fingerprint(self) -> str:
         """Stable content hash; changes iff the fitted model changes."""

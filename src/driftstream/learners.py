@@ -109,7 +109,8 @@ def _entropy(class_weights: np.ndarray) -> float:
 
 
 class _LeafNode:
-    """Leaf with per-class Gaussian statistics per feature."""
+    """Leaf with per-class Gaussian statistics per feature.  Every feature
+    is observed with the sample's weight: one weight per class serves all."""
 
     __slots__ = ("class_weights", "feat_weight", "feat_mean", "feat_m2",
                  "feat_min", "feat_max", "weight_at_last_attempt")
@@ -117,7 +118,7 @@ class _LeafNode:
     def __init__(self, dim: int, class_weights=None):
         self.class_weights = (np.zeros(2) if class_weights is None
                               else np.asarray(class_weights, dtype=float))
-        self.feat_weight = np.zeros((2, dim))
+        self.feat_weight = np.zeros(2)
         self.feat_mean = np.zeros((2, dim))
         self.feat_m2 = np.zeros((2, dim))
         self.feat_min = np.full(dim, np.inf)
@@ -151,9 +152,6 @@ class _SplitNode:
         self.left = left
         self.right = right
 
-    def route(self, x: np.ndarray):
-        return self.left if x[self.feature] <= self.threshold else self.right
-
 
 class HoeffdingTreeClassifier:
     """Incremental decision tree with Hoeffding-bound split decisions.
@@ -174,27 +172,24 @@ class HoeffdingTreeClassifier:
 
     # -- prediction --------------------------------------------------------
 
-    def _find_leaf(self, x: np.ndarray) -> _LeafNode:
-        node = self._root
+    def _find_leaf(self, x: np.ndarray):
+        """(parent, went_left, leaf) of ``x``'s path; no parent at the root."""
+        parent, went_left, node = None, False, self._root
         while isinstance(node, _SplitNode):
-            node = node.route(x)
-        return node
+            parent = node
+            went_left = x[node.feature] <= node.threshold
+            node = node.left if went_left else node.right
+        return parent, went_left, node
 
     def predict(self, x: np.ndarray) -> int:
         x = _check_dim(x, self.dim)
-        return self._find_leaf(x).majority()
+        return self._find_leaf(x)[2].majority()
 
     # -- training ----------------------------------------------------------
 
     def partial_fit(self, x: np.ndarray, y: int, weight: float = 1.0) -> None:
         x = _check_dim(x, self.dim)
-        path_parent = None
-        went_left = False
-        node = self._root
-        while isinstance(node, _SplitNode):
-            path_parent = node
-            went_left = x[node.feature] <= node.threshold
-            node = node.left if went_left else node.right
+        path_parent, went_left, node = self._find_leaf(x)
         node.observe(x, int(y), float(weight))
         if node.total_weight() - node.weight_at_last_attempt >= HOEFFDING_GRACE_PERIOD:
             node.weight_at_last_attempt = node.total_weight()
@@ -212,7 +207,7 @@ class HoeffdingTreeClassifier:
         """Estimated per-class weight with feature value <= threshold."""
         mass = np.zeros(2)
         for cls in (0, 1):
-            w = leaf.feat_weight[cls][feature]
+            w = leaf.feat_weight[cls]
             if w <= 0.0:
                 continue
             mean = leaf.feat_mean[cls][feature]

@@ -26,8 +26,11 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -159,13 +162,7 @@ def resolve_warmup_count(stream: SampleStream, warmup: int | str) -> int:
     if len(stream) == 0:
         return 0
     cutoff = stream[0].timestamp + seconds
-    count = 0
-    for sample in stream:
-        if sample.timestamp < cutoff:
-            count += 1
-        else:
-            break
-    return count
+    return bisect_left(stream.samples, cutoff, key=attrgetter("timestamp"))
 
 
 def _require_labels(samples) -> None:
@@ -230,11 +227,10 @@ class FnFPipeline:
     """Prequential loop with drift-triggered model rebuilds.
 
     After the run, ``extractor``/``classifier`` hold the final models,
-    ``extractor_fingerprints`` the content hash of every extractor that was
-    ever active, ``vocab_diff_events`` the per-retrain vocabulary diffs and
-    ``degenerate_drifts`` the number of drift signals whose buffer was
-    empty (models kept unchanged in that case).  Each ``run`` starts these
-    records afresh.
+    ``vocab_diff_events`` the per-retrain vocabulary diffs,
+    ``rebuild_count`` the number of rebuilds and ``degenerate_drifts`` the
+    number of drift signals whose buffer was empty (models kept unchanged
+    in that case).  Each ``run`` starts these records afresh.
     """
 
     def __init__(self, config: ExperimentConfig,
@@ -271,7 +267,6 @@ class FnFPipeline:
             self.vocab_diff_events.append(
                 (step, vocabulary_diff(self.extractor, new_extractor)))
             self.extractor = new_extractor
-            self.extractor_fingerprints.append(new_extractor.fingerprint())
         self.classifier = self.classifier.clone_untrained()
         _train_on(self.classifier, self.extractor, buffer)
         self.rebuild_count += 1
@@ -279,13 +274,11 @@ class FnFPipeline:
     def run(self, stream: SampleStream) -> MetricsTimeline:
         cfg = self.config
         warm, rest = _split_warmup(stream, cfg.warmup)
-        self.extractor_fingerprints: list[str] = []
         self.vocab_diff_events: list[tuple[int, list]] = []
         self.degenerate_drifts = 0
         self.rebuild_count = 0
         clf_seed, = _spawn_seeds(cfg.seed, 1)
         self.extractor = fit_extractor(warm, cfg.vocab_size)
-        self.extractor_fingerprints.append(self.extractor.fingerprint())
         self.classifier = self._classifier_factory(cfg, self.extractor.dim,
                                                    clf_seed)
         _train_on(self.classifier, self.extractor, warm)
@@ -331,8 +324,8 @@ class FnFPipeline:
 # Month-by-month incremental retraining (offline windowed baseline)
 # ---------------------------------------------------------------------------
 
-def _month_key(timestamp: int) -> tuple[int, int]:
-    stamp = datetime.fromtimestamp(timestamp, tz=timezone.utc)
+def _month_key(sample: RawSample) -> tuple[int, int]:
+    stamp = datetime.fromtimestamp(sample.timestamp, tz=timezone.utc)
     return stamp.year, stamp.month
 
 
@@ -344,12 +337,8 @@ def run_iwc(stream: SampleStream, config: ExperimentConfig) -> MetricsTimeline:
     """
     config.validate()
     _require_labels(stream)
-    groups: list[tuple[tuple[int, int], list[RawSample]]] = []
-    for sample in stream:
-        key = _month_key(sample.timestamp)
-        if not groups or groups[-1][0] != key:
-            groups.append((key, []))
-        groups[-1][1].append(sample)
+    groups = [(key, list(month))
+              for key, month in groupby(stream, key=_month_key)]
     if len(groups) < 2:
         raise InsufficientTimeSpan(
             "month-by-month evaluation needs a stream spanning at least two "
@@ -418,8 +407,7 @@ def run_cross_validation(stream: SampleStream,
         indices = np.flatnonzero(
             np.fromiter((s.label == cls for s in stream), bool, len(stream)))
         rng.shuffle(indices)
-        for pos, sample_idx in enumerate(indices):
-            fold_of[sample_idx] = pos % k
+        fold_of[indices] = np.arange(len(indices)) % k
 
     per_fold = []
     for fold in range(k):
@@ -553,35 +541,20 @@ class ModelPoolPipeline:
 # Growing-warmup sweep over equal time chunks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FoldReport:
-    iteration: int
-    warmup_size: int
-    summary: dict
-
-
-@dataclass(frozen=True)
-class MtsReport:
-    """One report per warmup size, their F1 mean and std, and ``summary``:
-    the mean of each metric plus the total drift count."""
-
-    folds: list[FoldReport]
-    f1_mean: float
-    f1_std: float
-    summary: dict
-
-
 def _chunk_sizes(n: int, folds: int) -> list[int]:
     base, extra = divmod(n, folds)
     return [base + (1 if i < extra else 0) for i in range(folds)]
 
 
 def run_multiple_time_spans(stream: SampleStream,
-                            config: ExperimentConfig) -> MtsReport:
+                            config: ExperimentConfig) -> tuple[dict, dict]:
     """Cut the stream into equal chunks; sweep warmup = first i chunks.
 
     For i = 1 .. folds-1, the configured inner strategy runs with the
     first i chunks as warmup and the remainder as the evaluated stream.
+    Returns ``(summary, report)``: the mean of each metric plus the total
+    drift count, and the ``mts.json`` payload ``{"folds": [{"iteration",
+    "warmup_size", **fold summary}], "f1_mean", "f1_std"}``.
     """
     config.validate()
     _require_labels(stream)
@@ -599,12 +572,11 @@ def run_multiple_time_spans(stream: SampleStream,
             timeline = ModelPoolPipeline(inner_cfg).run(stream)
         else:
             timeline = FnFPipeline(inner_cfg).run(stream)
-        reports.append(FoldReport(iteration=iteration, warmup_size=warm,
-                                  summary=timeline.summary()))
-    f1_values = np.array([r.summary["f1"] for r in reports])
-    summary = {name: float(sum(r.summary[name] for r in reports)
-                           / len(reports))
+        reports.append({"iteration": iteration, "warmup_size": warm,
+                        **timeline.summary()})
+    f1_values = np.array([r["f1"] for r in reports])
+    summary = {name: float(sum(r[name] for r in reports) / len(reports))
                for name in METRIC_NAMES}
-    summary["drifts"] = sum(r.summary["drifts"] for r in reports)
-    return MtsReport(folds=reports, f1_mean=float(f1_values.mean()),
-                     f1_std=float(f1_values.std()), summary=summary)
+    summary["drifts"] = sum(r["drifts"] for r in reports)
+    return summary, {"folds": reports, "f1_mean": float(f1_values.mean()),
+                     "f1_std": float(f1_values.std())}

@@ -271,14 +271,16 @@ def _load_csv(path: Path) -> list[RawSample]:
             raise ParseError("CSV header declares no attribute columns", line=1)
         for i, name in enumerate(header):
             if name in header[:i]:
-                raise ParseError(f"CSV header repeats column {name!r}", line=1)
+                raise ParseError(
+                    f"CSV header repeats column {reprlib.repr(name)}", line=1)
         for row in reader:
             if not row:  # a blank line
                 continue
             line_no = reader.line_num
             if len(row) < len(header):
                 raise ParseError(
-                    f"missing column {header[len(row)]!r}", line_no)
+                    f"missing column {reprlib.repr(header[len(row)])}",
+                    line_no)
             if len(row) > len(header):
                 raise ParseError(f"row has {len(row)} cells, the header "
                                  f"has {len(header)} columns", line_no)

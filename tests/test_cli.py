@@ -188,6 +188,32 @@ def test_run_error_quotes_a_bounded_value(tmp_path, capsys, field, text):
     assert len(lines[0]) < 200
 
 
+# a 3,000-character column name, repeated or missing from a row
+LONG_NAME = "n" * 3000
+HUGE_CSV_HEADERS = {
+    "repeated-column": (f"id,timestamp,label,{LONG_NAME},{LONG_NAME}\n"
+                        "s1,1,0,x,y\n", "error: line 1: CSV header repeats"),
+    "missing-column": (f"id,timestamp,label,a,{LONG_NAME}\ns1,1,0,x\n",
+                       "error: line 2: missing column"),
+}
+
+
+@pytest.mark.parametrize("text, start", HUGE_CSV_HEADERS.values(),
+                         ids=HUGE_CSV_HEADERS)
+def test_csv_error_quotes_a_bounded_column_name(tmp_path, capsys, text,
+                                                start):
+    path = tmp_path / "huge.csv"
+    path.write_text(text)
+    code = run_cli(["run", "--input", str(path), "--format", "csv",
+                    "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(start)
+    assert len(lines[0]) < 200
+
+
 def test_run_mts_writes_report(tmp_path, stream_file):
     out = tmp_path / "mts"
     code = run_cli(["run", "--input", str(stream_file), "--out", str(out),
@@ -242,6 +268,31 @@ def test_unknown_config_key_exits_2(tmp_path, stream_file, capsys):
                                "input": str(stream_file)}))
     assert run_cli(["run", "--config", str(cfg)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+# bytes of a JSON file that does not decode
+UNDECODABLE_JSON = {"not-utf8": b'{"seed": "caf\xe9"}',
+                    "deep-nesting": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("data,message", [
+    (None, "config file {path} does not exist"),
+    (b'{"strategy": ', "config file {path} is not valid JSON: "),
+    *((data, "config file {path} is not valid JSON: ")
+      for data in UNDECODABLE_JSON.values()),
+    (b'["temporal"]', "config file must hold a JSON object"),
+], ids=["missing", "not-json", *UNDECODABLE_JSON, "not-object"])
+def test_bad_config_file_exits_2(tmp_path, stream_file, capsys, data,
+                                 message):
+    cfg = tmp_path / "cfg.json"
+    if data is not None:
+        cfg.write_bytes(data)
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", str(cfg), "--input", str(stream_file),
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: " + message.format(path=cfg))
+    assert not out.exists()
 
 
 REMOVED_KNOBS = [
@@ -578,6 +629,25 @@ def test_grid_runs_mts_entry(tmp_path, stream_file):
     assert (out / "m" / "mts.json").exists()
 
 
+@pytest.mark.parametrize("data,message", [
+    (None, "grid file {path} does not exist"),
+    (b'[{"name": ', "grid file {path} is not valid JSON: "),
+    *((data, "grid file {path} is not valid JSON: ")
+      for data in UNDECODABLE_JSON.values()),
+    (b'[{"name": "a"}, "temporal"]', "grid entry 1 is not an object"),
+], ids=["missing", "not-json", *UNDECODABLE_JSON, "entry-not-object"])
+def test_bad_grid_file_exits_2(tmp_path, stream_file, capsys, data, message):
+    grid = tmp_path / "grid.json"
+    if data is not None:
+        grid.write_bytes(data)
+    out = tmp_path / "g"
+    assert run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
+                    "--out", str(out), "--workers", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: " + message.format(path=grid))
+    assert not out.exists()
+
+
 def test_grid_requires_array(tmp_path, stream_file):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"strategy": "temporal"}))
@@ -610,3 +680,39 @@ def test_diff_vocab_prints_and_writes(tmp_path, capsys):
     assert "+ z" in printed and "- x" in printed
     payload = json.loads((out / "vocab_diffs.json").read_text())
     assert payload[0]["diffs"][0]["added"] == ["z"]
+
+
+def _extractor_payload(**changes):
+    old = fit_extractor([RawSample("a", 1, 0, {"api": ["x", "y"]})], k=2)
+    return json.dumps({**old.to_dict(), **changes})
+
+
+MALFORMED_EXTRACTORS = {
+    "not-json": ('{"kind": ', "invalid JSON (Expecting value)"),
+    "missing-key": (json.dumps({"kind": "tfidf-minmax-extractor"}),
+                    "missing key 'schema'"),
+    "k-zero": (_extractor_payload(k=0), "not an extractor model (vocabulary "
+                                        "size k must be >= 1, got 0)"),
+    "repeated-tokens": (
+        _extractor_payload(attributes=[{
+            "name": "api", "tokens": ["x", "x"], "document_frequency": [1, 1],
+            "n_train_docs": 1}]),
+        "not an extractor model (vocabulary tokens must be unique)"),
+    "min-above-max": (
+        _extractor_payload(minmax_min=[1.0, 1.0], minmax_max=[0.0, 0.0]),
+        "not an extractor model (per-dimension min must not exceed max)"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_EXTRACTORS.values(),
+                         ids=MALFORMED_EXTRACTORS)
+def test_diff_vocab_malformed_extractor_exits_1(tmp_path, capsys, text,
+                                                message):
+    good = tmp_path / "good.json"
+    fit_extractor([RawSample("a", 1, 0, {"api": ["x"]})], k=2).save(good)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_cli(["diff-vocab", str(good), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"error: {bad}: {message}"]

@@ -1,7 +1,10 @@
 """Experiment strategies: prequential loop, baselines, pool, warmup sweep."""
 
+import calendar
 import hashlib
+import itertools
 import json
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -16,8 +19,8 @@ from driftstream import (CLASSIFIERS, DETECTORS, AdwinDetector, ArfEnsemble,
                          InsufficientTimeSpan, KswinDetector,
                          ModelPoolPipeline, NeverFiresDetector, RawSample,
                          SgdClassifier, SynthStreamSpec, UnlabeledSample,
-                         WarmupTooSmall, generate_synth_stream, metrics,
-                         parse_duration, resolve_warmup_count,
+                         WarmupTooSmall, fit_extractor, generate_synth_stream,
+                         metrics, parse_duration, resolve_warmup_count,
                          run_cross_validation, run_iwc,
                          run_multiple_time_spans, run_temporal_split,
                          stream_from_samples)
@@ -69,6 +72,40 @@ def test_resolve_warmup_count_by_count_and_duration():
     assert resolve_warmup_count(stream, 500) == 50  # clamped
     # timestamps are 1 second apart -> "5s" covers the first five samples
     assert resolve_warmup_count(stream, "5s") == 5
+
+
+def _stream_at(timestamps):
+    return stream_from_samples(
+        RawSample(f"s{i:03d}", ts, i % 2, {"api": [f"t{i % 3}"]})
+        for i, ts in enumerate(timestamps))
+
+
+@st.composite
+def warmup_case(draw):
+    """Sorted timestamps with ties, and a duration in seconds that often
+    lands exactly on one of them."""
+    gaps = draw(st.lists(st.integers(0, 4), min_size=1, max_size=40))
+    timestamps = list(itertools.accumulate(gaps, initial=draw(
+        st.integers(0, 10**6))))
+    on_a_sample = [ts - timestamps[0] for ts in timestamps
+                   if ts > timestamps[0]]
+    seconds = draw(st.sampled_from(on_a_sample) if on_a_sample and draw(
+        st.booleans()) else st.integers(1, 200))
+    return timestamps, seconds
+
+
+@settings(max_examples=200, deadline=None)
+@given(warmup_case())
+def test_duration_warmup_counts_samples_before_the_cutoff(case):
+    timestamps, seconds = case
+    stream = _stream_at(timestamps)
+    cutoff = stream[0].timestamp + seconds
+    count = 0
+    for sample in stream:  # the linear count bisection replaced
+        if sample.timestamp >= cutoff:
+            break
+        count += 1
+    assert resolve_warmup_count(stream, f"{seconds}s") == count
 
 
 def test_config_rejects_unknown_keys():
@@ -294,12 +331,11 @@ def test_fnf_rerun_on_one_pipeline_starts_afresh():
 
     def counters():
         return (pipe.rebuild_count, pipe.degenerate_drifts,
-                list(pipe.extractor_fingerprints),
-                list(pipe.vocab_diff_events))
+                pipe.extractor.fingerprint(), list(pipe.vocab_diff_events))
 
     first = _run_record(pipe, stream)
     first_counters = counters()
-    assert first_counters[0] == 3 and len(first_counters[2]) == 4
+    assert first_counters[0] == 3 and len(first_counters[3]) == 3
     assert _run_record(pipe, stream) == first
     assert counters() == first_counters
 
@@ -322,14 +358,16 @@ def test_update_keeps_extractor_retrain_replaces_it():
     stream = synth(n=1500, drift=(700,), kind="vocabulary-shift", seed=3)
     upd_pipe = FnFPipeline(config(strategy="fnf-update", detector="adwin"))
     upd_pipe.run(stream)
-    assert len(upd_pipe.extractor_fingerprints) == 1
+    warm_fingerprint = fit_extractor(stream.samples[:100],
+                                     upd_pipe.config.vocab_size).fingerprint()
+    assert upd_pipe.extractor.fingerprint() == warm_fingerprint
     assert upd_pipe.vocab_diff_events == []
     assert upd_pipe.rebuild_count >= 1
 
     ret_pipe = FnFPipeline(config(strategy="fnf-retrain", detector="adwin"))
     ret_pipe.run(stream)
     assert ret_pipe.rebuild_count >= 1
-    assert len(ret_pipe.extractor_fingerprints) == 1 + ret_pipe.rebuild_count
+    assert ret_pipe.extractor.fingerprint() != warm_fingerprint
     assert len(ret_pipe.vocab_diff_events) == ret_pipe.rebuild_count
     step, diffs = ret_pipe.vocab_diff_events[0]
     assert step >= 1
@@ -404,7 +442,9 @@ def test_empty_drift_buffer_is_degenerate_not_fatal():
     # drift with no preceding warning: nothing buffered for ddm
     assert pipe.degenerate_drifts == 1
     assert pipe.rebuild_count == 0
-    assert len(pipe.extractor_fingerprints) == 1
+    assert pipe.vocab_diff_events == []
+    assert pipe.extractor.fingerprint() == fit_extractor(
+        stream.samples[:100], cfg.vocab_size).fingerprint()
     assert timeline.drift_count() == 1
     assert timeline.n_steps == 30
 
@@ -475,6 +515,40 @@ def test_iwc_groups_by_calendar_month():
     assert labels == ["2009-02", "2009-03"]
     assert [p.counts.total for p in timeline.periods] == [28, 31]
     assert timeline.n_steps == 59  # first month only trains
+
+
+@st.composite
+def month_straddling_timestamps(draw):
+    """Timestamps within 40 days of a UTC month start, many within
+    seconds of it; none is negative, since the earliest start is 1971."""
+    year = draw(st.integers(1971, 2100))
+    month = draw(st.integers(1, 12))
+    start = calendar.timegm((year, month, 1, 0, 0, 0))
+    near = st.integers(-3, 3) | st.integers(-86400, 86400)
+    offsets = draw(st.lists(near | st.integers(-40 * 86400, 40 * 86400),
+                            min_size=2, max_size=30))
+    return [start + offset for offset in offsets]
+
+
+@settings(max_examples=60, deadline=None)
+@given(month_straddling_timestamps())
+def test_iwc_periods_match_a_per_sample_month_walk(timestamps):
+    stream = _stream_at(timestamps)
+    labels, counts = [], []
+    for sample in stream:
+        year, month = time.gmtime(sample.timestamp)[:2]
+        label = f"{year:04d}-{month:02d}"
+        if not labels or labels[-1] != label:
+            labels.append(label)
+            counts.append(0)
+        counts[-1] += 1
+    if len(labels) < 2:
+        with pytest.raises(InsufficientTimeSpan):
+            run_iwc(stream, config(strategy="iwc"))
+        return
+    timeline = run_iwc(stream, config(strategy="iwc"))
+    assert [p.label for p in timeline.periods] == labels[1:]
+    assert [p.counts.total for p in timeline.periods] == counts[1:]
 
 
 def test_iwc_needs_two_months():
@@ -679,23 +753,28 @@ def test_chunk_sizes_divide_evenly_and_unevenly():
 def test_mts_sweeps_growing_warmups():
     stream = synth(n=220, seed=6)
     cfg = config(strategy="mts", mts_folds=11, mts_inner="fnf-update")
-    report = run_multiple_time_spans(stream, cfg)
-    assert [f.warmup_size for f in report.folds] == list(range(20, 201, 20))
-    assert [f.iteration for f in report.folds] == list(range(1, 11))
-    f1s = [f.summary["f1"] for f in report.folds]
-    assert report.f1_mean == pytest.approx(np.mean(f1s))
-    assert report.f1_std == pytest.approx(np.std(f1s))
+    summary, report = run_multiple_time_spans(stream, cfg)
+    folds = report["folds"]
+    assert [f["warmup_size"] for f in folds] == list(range(20, 201, 20))
+    assert [f["iteration"] for f in folds] == list(range(1, 11))
+    f1s = [f["f1"] for f in folds]
+    assert report["f1_mean"] == pytest.approx(np.mean(f1s))
+    assert report["f1_std"] == pytest.approx(np.std(f1s))
+    assert summary["f1"] == pytest.approx(np.mean(f1s))
+    assert summary["drifts"] == sum(f["drifts"] for f in folds)
 
 
 def test_mts_with_pool_inner():
     stream = synth(n=220, seed=6)
     cfg = config(strategy="mts", mts_folds=4, mts_inner="pool",
                  pool_interval=25)
-    report = run_multiple_time_spans(stream, cfg)
-    assert len(report.folds) == 3
-    for fold in report.folds:
-        assert set(fold.summary) == {"accuracy", "f1", "recall", "precision",
-                                     "drifts"}
+    summary, report = run_multiple_time_spans(stream, cfg)
+    assert len(report["folds"]) == 3
+    for fold in report["folds"]:
+        assert set(fold) == {"iteration", "warmup_size", "accuracy", "f1",
+                             "recall", "precision", "drifts"}
+    assert set(summary) == {"accuracy", "f1", "recall", "precision",
+                            "drifts"}
 
 
 def test_mts_needs_enough_samples():

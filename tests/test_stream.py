@@ -185,6 +185,49 @@ def test_empty_file_raises_empty_stream(tmp_path):
         load_stream(path)
 
 
+def test_empty_csv_raises_empty_stream(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(EmptyStream):
+        load_stream(path, fmt="csv")
+
+
+def test_csv_header_without_attribute_columns(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("id,timestamp,label\ns1,1,0\n")
+    with pytest.raises(ParseError, match="declares no attribute columns") as err:
+        load_stream(path, fmt="csv")
+    assert err.value.line == 1
+
+
+def test_csv_blank_line_is_skipped(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("id,timestamp,label,a\ns1,1,0,x\n\ns2,2,1,y\n")
+    stream = load_stream(path, fmt="csv")
+    assert [(s.id, s.attributes["a"]) for s in stream] == [("s1", ["x"]),
+                                                          ("s2", ["y"])]
+
+
+def test_jsonl_empty_attributes_object_line_number(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"id": "a", "timestamp": 1,
+                                "attributes": {"x": ["t"]}}) + "\n"
+                    + json.dumps({"id": "b", "timestamp": 2,
+                                  "attributes": {}}) + "\n")
+    with pytest.raises(ParseError, match="'attributes' must be a non-empty "
+                                         "object") as err:
+        load_stream(path)
+    assert err.value.line == 2
+
+
+def test_jsonl_empty_attribute_name_is_a_schema_error(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"id": "a", "timestamp": 1,
+                                "attributes": {"": ["t"]}}) + "\n")
+    with pytest.raises(SchemaMismatch, match="empty attribute name"):
+        load_stream(path)
+
+
 def test_load_csv(tmp_path):
     path = tmp_path / "stream.csv"
     path.write_text(
