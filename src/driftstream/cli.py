@@ -12,6 +12,7 @@ import argparse
 import json
 import multiprocessing
 import os
+import reprlib
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -145,7 +146,17 @@ def _print_summary(summary: dict) -> None:
 
 
 def _build_config(merged: dict) -> ExperimentConfig:
-    """The validated experiment config of a merged run config dict."""
+    """The validated experiment config of a merged run config dict, after
+    checking its run-only keys."""
+    for key in _RUN_ONLY_KEYS:
+        if not isinstance(merged.get(key, ""), str):
+            raise ConfigError(f"{key} must be str, got "
+                              f"{reprlib.repr(merged[key])}")
+    if "input" not in merged:
+        raise ConfigError("an --input stream file is required")
+    if merged.get("format", "jsonl") not in ("jsonl", "csv"):
+        raise ConfigError(f"format must be jsonl or csv, got "
+                          f"{reprlib.repr(merged['format'])}")
     config = ExperimentConfig.from_dict(
         {key: value for key, value in merged.items()
          if key not in _RUN_ONLY_KEYS})
@@ -153,12 +164,10 @@ def _build_config(merged: dict) -> ExperimentConfig:
     return config
 
 
-def _execute_run(merged: dict, out_dir: Path) -> dict:
-    """Run one experiment from a merged config dict; returns the summary."""
-    if merged.get("input") is None:
-        raise ConfigError("an --input stream file is required")
-    config = _build_config(merged)
-    stream = load_stream(merged["input"], merged.get("format") or "jsonl")
+def _execute_run(config: ExperimentConfig, merged: dict,
+                 out_dir: Path) -> dict:
+    """Run ``config``, built from ``merged``; returns the summary."""
+    stream = load_stream(merged["input"], merged.get("format", "jsonl"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if config.strategy in ("temporal", "cross-val"):
@@ -202,17 +211,18 @@ def _resolve_out_dir(requested: str | None) -> Path:
     return Path(requested) if requested else Path("out")
 
 
-def _grid_worker(job: tuple[dict, str]) -> tuple[str, dict]:
-    merged, out_dir = job
-    return out_dir, _execute_run(merged, Path(out_dir))
+def _grid_worker(job: tuple[ExperimentConfig, dict, str]) -> tuple[str, dict]:
+    config, merged, out_dir = job
+    return out_dir, _execute_run(config, merged, Path(out_dir))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.grid:
         return _cmd_run_grid(args)
     merged = _merge_run_config(args)
-    out_dir = _resolve_out_dir(merged.pop("out", None))
-    summary = _execute_run(merged, out_dir)
+    config = _build_config(merged)
+    out_dir = _resolve_out_dir(merged.get("out"))
+    summary = _execute_run(config, merged, out_dir)
     _print_summary(summary)
     print(f"reports written to {out_dir}")
     return 0
@@ -225,28 +235,31 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
     if not isinstance(entries, list) or not entries:
         raise ConfigError("grid file must hold a non-empty JSON array")
     base = _merge_run_config(args)
-    root = _resolve_out_dir(base.pop("out", None))
-    jobs = []
-    names = set()
-    allowed = ({spec.name for spec in fields(ExperimentConfig)}
-               | set(_RUN_ONLY_KEYS) | {"name"})
+    checked = {}  # name -> (config, merged); every mistake exits 2 up front
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"grid entry {i} is not an object")
-        unknown = set(entry) - allowed
-        if unknown:
-            raise ConfigError(f"grid entry {i}: unknown keys {sorted(unknown)}")
         entry = dict(entry)
         name = entry.pop("name", f"job{i:03d}")
-        if name in names:
+        # each entry writes to <out>/<name>/ and nowhere else
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or Path(name).name != name):
+            raise ConfigError(f"grid entry {i}: name must be one path "
+                              f"component, got {reprlib.repr(name)}")
+        if name in checked:
             raise ConfigError(f"grid entry {i}: duplicate name {name!r}; "
                               f"entries would share one output directory")
-        names.add(name)
-        merged = dict(base)
-        merged.update(entry)
-        merged.pop("out", None)
-        _build_config(merged)  # config mistakes exit with code 2 up front
-        jobs.append((merged, str(root / name)))
+        if "out" in entry:
+            raise ConfigError(f"grid entry {i}: out is set for the whole "
+                              f"grid only")
+        merged = {**base, **entry}
+        try:
+            checked[name] = (_build_config(merged), merged)
+        except ConfigError as exc:
+            raise ConfigError(f"grid entry {i}: {exc}") from None
+    root = _resolve_out_dir(base.get("out"))
+    jobs = [(config, merged, str(root / name))
+            for name, (config, merged) in checked.items()]
     workers = min(len(jobs), args.workers or os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as pool:

@@ -421,6 +421,9 @@ class AdwinDetector:
 # KSWIN
 # ---------------------------------------------------------------------------
 
+KSWIN_ALPHA = 0.005  # significance level of each KS test
+
+
 class KswinDetector:
     """Sliding-window KS test between old and recent values.
 
@@ -428,21 +431,17 @@ class KswinDetector:
     newest ``stat_size`` values are tested against all of the preceding
     ``window_size - stat_size`` ones, so the test is deterministic.  (Raab
     et al. 2020 draw ``stat_size`` values at random from the older part
-    instead.)  A p-value strictly below ``alpha`` signals Drift and
+    instead.)  A p-value strictly below ``KSWIN_ALPHA`` signals Drift and
     truncates the window to the newest ``stat_size`` values.
     """
 
-    def __init__(self, window_size: int = 100, stat_size: int = 30,
-                 alpha: float = 0.005):
+    def __init__(self, window_size: int = 100, stat_size: int = 30):
         if stat_size < 1 or window_size <= stat_size:
             raise ValueOutOfRange(
                 f"need window_size > stat_size >= 1, got "
                 f"{window_size}/{stat_size}")
-        if not 0.0 < alpha < 1.0:
-            raise ValueOutOfRange(f"alpha {alpha} not in (0, 1)")
         self.window_size = window_size
         self.stat_size = stat_size
-        self.alpha = alpha
         self._window: list[float] = []
 
     @property
@@ -459,7 +458,7 @@ class KswinDetector:
         older = self._window[:-self.stat_size]
         d = ks_statistic(older, recent)
         p = ks_pvalue(d, len(older), len(recent))
-        if p < self.alpha:
+        if p < KSWIN_ALPHA:
             self._window = self._window[-self.stat_size:]
             return DriftLevel.DRIFT
         return DriftLevel.NORMAL

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -87,9 +87,6 @@ class DriftEvent:
     step: int
     detector: str
     level: str  # "warning" or "drift"
-
-    def to_dict(self) -> dict:
-        return {"step": self.step, "detector": self.detector, "level": self.level}
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,7 @@ def export_reports(timeline: MetricsTimeline,
 
     with paths["events"].open("w", encoding="utf-8") as fh:
         for event in timeline.events:
-            fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(event), sort_keys=True) + "\n")
 
     write_json(paths["vocab_diffs"],
                [{"step": step, "diffs": [d.to_dict() for d in diffs]}

@@ -15,7 +15,7 @@ import json
 import reprlib
 import textwrap
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -52,23 +52,14 @@ class AttributeVocabulary:
     """Top-K token vocabulary of one attribute with document frequencies.
 
     ``tokens[i]`` is the token mapped to column ``i`` of the attribute's
-    block; ``idf[i]`` its smoothed inverse document frequency
-    ln((1 + n_docs) / (1 + df)) + 1, which is strictly positive.
+    block, and ``document_frequency[i]`` the number of the
+    ``n_train_docs`` training samples that contain it.
     """
 
     attribute_name: str
     tokens: list[str]
     document_frequency: list[int]
     n_train_docs: int
-    token_to_index: dict[str, int] = field(init=False, repr=False)
-    idf: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.token_to_index = {tok: i for i, tok in enumerate(self.tokens)}
-        if len(self.token_to_index) != len(self.tokens):
-            raise ValueError("vocabulary tokens must be unique")
-        df = np.asarray(self.document_frequency, dtype=float)
-        self.idf = np.log((1.0 + self.n_train_docs) / (1.0 + df)) + 1.0
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -124,16 +115,21 @@ class FeatureExtractorModel:
         if np.any(self.minmax_min > self.minmax_max):
             raise ValueError("per-dimension min must not exceed max")
         # Derived lookups of the block transform: the token -> flat column
-        # map of each attribute, idf per column (0 past a short vocabulary)
-        # and the min-max divisor.
+        # map of each attribute, the smoothed idf
+        # ln((1 + n_docs) / (1 + df)) + 1 per column (0 past a short
+        # vocabulary) and the min-max divisor.
         self._names = frozenset(schema.attribute_names)
-        self._columns = {
-            vocab.attribute_name:
-                {tok: a_idx * k + col for tok, col in vocab.token_to_index.items()}
-            for a_idx, vocab in enumerate(self.vocabularies)}
+        self._columns = {}
         self._idf = np.zeros(self.dim)
         for a_idx, vocab in enumerate(self.vocabularies):
-            self._idf[a_idx * k:a_idx * k + len(vocab)] = vocab.idf
+            lo = a_idx * k
+            columns = {tok: lo + col for col, tok in enumerate(vocab.tokens)}
+            if len(columns) != len(vocab):
+                raise ValueError("vocabulary tokens must be unique")
+            self._columns[vocab.attribute_name] = columns
+            df = np.asarray(vocab.document_frequency, dtype=float)
+            self._idf[lo:lo + len(vocab)] = (
+                np.log((1.0 + vocab.n_train_docs) / (1.0 + df)) + 1.0)
         span = self.minmax_max - self.minmax_min
         self._scale = np.where(span > 0.0, span, 1.0)
 
@@ -178,13 +174,9 @@ class FeatureExtractorModel:
         scaled.flags.writeable = False
         return scaled
 
-    def transform(self, sample: RawSample) -> np.ndarray:
-        """Map one sample to a dense, read-only vector in [0, 1]^dim."""
-        return self.transform_many([sample])[0]
-
     def iter_transform(self, samples: Sequence[RawSample],
                        start: int = 0) -> Iterator[np.ndarray]:
-        """Yield ``transform(s)`` for each ``s`` of ``samples[start:]``.
+        """Yield the ``transform_many`` row of each of ``samples[start:]``.
 
         Rows are computed ``BLOCK_ROWS`` samples ahead of the consumer.  A
         caller that replaces the extractor mid-stream drops the iterator and
@@ -236,10 +228,6 @@ class FeatureExtractorModel:
             minmax_max=np.asarray(payload["minmax_max"], dtype=float),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "FeatureExtractorModel":
-        return cls.from_dict(json.loads(text))
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
@@ -249,7 +237,7 @@ class FeatureExtractorModel:
         one is a ``ParseError`` naming the file."""
         path = Path(path)
         try:
-            return cls.from_json(path.read_text(encoding="utf-8"))
+            return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
         except KeyError as exc:
@@ -288,8 +276,6 @@ def fit_extractor(samples: Sequence[RawSample],
     samples = list(samples)
     if not samples:
         raise EmptyTrainingSet("fit_extractor needs at least one sample")
-    if k < 1:
-        raise ValueError(f"vocabulary size k must be >= 1, got {k}")
     schema = StreamSchema(tuple(samples[0].attributes.keys()))
     names = set(schema.attribute_names)
     for sample in samples:

@@ -382,12 +382,15 @@ def per_sample_raw_vector(extractor, sample) -> np.ndarray:
     k = extractor.k
     vec = np.zeros(extractor.dim, dtype=float)
     for a_idx, vocab in enumerate(extractor.vocabularies):
+        column = {tok: i for i, tok in enumerate(vocab.tokens)}
+        df = np.asarray(vocab.document_frequency, dtype=float)
+        idf = np.log((1.0 + vocab.n_train_docs) / (1.0 + df)) + 1.0
         counts = Counter(sample.attributes.get(vocab.attribute_name, ()))
         block = np.zeros(k, dtype=float)
         for tok, count in counts.items():
-            col = vocab.token_to_index.get(tok)
+            col = column.get(tok)
             if col is not None:
-                block[col] = count * vocab.idf[col]
+                block[col] = count * idf[col]
         norm = np.linalg.norm(block)
         if norm > 0.0:
             block /= norm

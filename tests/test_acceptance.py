@@ -254,7 +254,7 @@ def test_criterion_6_tfidf_oracle():
         docs = [dict(s.attributes) for s in stream]
         expected = naive_fit_transform(docs, docs, k)
         for sample, want in zip(stream, expected):
-            got = model.transform(sample)
+            got = model.transform_many([sample])[0]
             worst = max(worst, float(np.max(np.abs(got - np.asarray(want)))))
     ok = worst <= 1e-9
     _verdict("6", ok, f"max deviation from naive oracle {worst:.2e} "

@@ -295,6 +295,32 @@ def test_bad_config_file_exits_2(tmp_path, stream_file, capsys, data,
     assert not out.exists()
 
 
+# run-only keys of a config file without a usable value (None: key left out)
+BAD_RUN_ONLY_KEYS = {
+    "input-not-str": ({"input": 5}, "input must be str, got 5"),
+    "input-missing": ({"input": None}, "an --input stream file is required"),
+    "out-not-str": ({"out": 5}, "out must be str, got 5"),
+    "format-not-str": ({"format": 5}, "format must be str, got 5"),
+    "format-unknown": ({"format": "xml"},
+                       "format must be jsonl or csv, got 'xml'"),
+}
+
+
+@pytest.mark.parametrize("keys,message", BAD_RUN_ONLY_KEYS.values(),
+                         ids=BAD_RUN_ONLY_KEYS)
+def test_bad_run_only_key_exits_2(tmp_path, stream_file, monkeypatch, capsys,
+                                  keys, message):
+    payload = {"strategy": "temporal", "input": str(stream_file), **keys}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value for key, value in payload.items()
+                               if value is not None}))
+    monkeypatch.chdir(tmp_path)  # where the default out directory would go
+    before = set(tmp_path.iterdir())
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert set(tmp_path.iterdir()) == before
+
+
 REMOVED_KNOBS = [
     "ddm_min_instances", "ddm_warning_factor", "ddm_drift_factor",
     "eddm_min_errors", "eddm_warning_ratio", "eddm_drift_ratio",
@@ -496,7 +522,8 @@ def test_grid_rejects_unknown_entry_keys(tmp_path, stream_file, capsys):
     code = run_cli(["run", "--input", str(stream_file), "--grid", str(grid),
                     "--out", str(tmp_path / "g")])
     assert code == 2
-    assert "unknown keys" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: grid entry 0: unknown config keys: ['strategyy']\n")
 
 
 def test_grid_rejects_duplicate_names(tmp_path, stream_file, capsys):
@@ -561,6 +588,49 @@ def test_grid_rejects_non_finite_knob_before_running(tmp_path, stream_file,
     assert code == 2
     assert "split_fraction must be finite" in capsys.readouterr().err
     assert not out.exists()  # no job ran
+
+
+# second grid entries that must stop the grid before any entry runs
+# (None: key left out; ABSOLUTE: a path outside the grid's out directory)
+BAD_GRID_ENTRIES = {
+    "name-parent": ({"name": "../escaped"}, "name must be one path "
+                                            "component, got '../escaped'"),
+    "name-absolute": ({"name": "ABSOLUTE"}, "name must be one path "
+                                            "component, got '"),
+    "name-nested": ({"name": "sub/escaped"}, "name must be one path "
+                                             "component, got 'sub/escaped'"),
+    "name-empty": ({"name": ""}, "name must be one path component, got ''"),
+    "name-dot": ({"name": "."}, "name must be one path component, got '.'"),
+    "name-dotdot": ({"name": ".."},
+                    "name must be one path component, got '..'"),
+    "name-not-str": ({"name": 5}, "name must be one path component, got 5"),
+    "out": ({"out": "elsewhere"}, "out is set for the whole grid only"),
+    "input-not-str": ({"input": 5}, "input must be str, got 5"),
+    "input-missing": ({"input": None}, "an --input stream file is required"),
+}
+
+
+@pytest.mark.parametrize("keys,message", BAD_GRID_ENTRIES.values(),
+                         ids=BAD_GRID_ENTRIES)
+def test_bad_grid_entry_exits_2_before_running(tmp_path, stream_file, capsys,
+                                               keys, message):
+    entry = {"name": "b", "input": str(stream_file), **keys}
+    if entry["name"] == "ABSOLUTE":
+        entry["name"] = str(tmp_path / "escaped")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([
+        {"name": "a", "strategy": "temporal", "input": str(stream_file)},
+        {key: value for key, value in entry.items() if value is not None}]))
+    out = tmp_path / "g"
+    assert run_cli(["run", "--grid", str(grid), "--out", str(out),
+                    "--classifier", "sgd", "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: grid entry 1: " + message)
+    assert not out.exists()  # no entry ran
+    assert not any(path.name == "escaped" for path in tmp_path.rglob("*"))
 
 
 class FakePool:
@@ -701,6 +771,24 @@ MALFORMED_EXTRACTORS = {
     "min-above-max": (
         _extractor_payload(minmax_min=[1.0, 1.0], minmax_max=[0.0, 0.0]),
         "not an extractor model (per-dimension min must not exceed max)"),
+    "attribute-count": (
+        _extractor_payload(attributes=[]),
+        "not an extractor model (one vocabulary per schema attribute "
+        "required)"),
+    "attribute-name": (
+        _extractor_payload(attributes=[{
+            "name": "perm", "tokens": ["x"], "document_frequency": [1],
+            "n_train_docs": 1}]),
+        "not an extractor model (vocabulary for 'perm' does not match "
+        "schema attribute 'api')"),
+    "tokens-above-k": (
+        _extractor_payload(attributes=[{
+            "name": "api", "tokens": ["x", "y", "z"],
+            "document_frequency": [1, 1, 1], "n_train_docs": 1}]),
+        "not an extractor model (vocabulary larger than block size k)"),
+    "minmax-length": (
+        _extractor_payload(minmax_min=[0.0], minmax_max=[1.0]),
+        "not an extractor model (min-max arrays must have length dim)"),
 }
 
 

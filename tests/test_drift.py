@@ -334,8 +334,6 @@ def test_kswin_validates_window_config():
         KswinDetector(window_size=50, stat_size=50)
     with pytest.raises(ValueOutOfRange):
         KswinDetector(window_size=10, stat_size=0)
-    with pytest.raises(ValueOutOfRange):
-        KswinDetector(alpha=0.0)
 
 
 def test_kswin_silent_until_window_full():

@@ -47,9 +47,8 @@ def test_topk_selection_and_tiebreak():
 
 def test_idf_values():
     model = worked_extractor()
-    vocab = model.vocabularies[0]
-    assert vocab.idf[0] == pytest.approx(IDF_A, abs=1e-15)
-    assert vocab.idf[1] == pytest.approx(1.0, abs=1e-15)
+    assert model._idf[0] == pytest.approx(IDF_A, abs=1e-15)
+    assert model._idf[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_worked_example_raw_geometry():
@@ -64,8 +63,8 @@ def test_worked_example_raw_geometry():
 def test_train_transforms_span_unit_interval():
     """The fitted min-max puts each seen dimension's extremes at 0 and 1."""
     model = worked_extractor()
-    v1 = model.transform(doc("d1", 1, ["a", "a", "b"]))
-    v2 = model.transform(doc("d2", 2, ["b", "c"]))
+    v1 = model.transform_many([doc("d1", 1, ["a", "a", "b"])])[0]
+    v2 = model.transform_many([doc("d2", 2, ["b", "c"])])[0]
     # d2 has no "a" -> raw 0 is the min, d1's is the max
     assert v1[0] == pytest.approx(1.0)
     assert v2[0] == pytest.approx(0.0)
@@ -76,7 +75,7 @@ def test_train_transforms_span_unit_interval():
 
 def test_oov_only_document_maps_to_zero_vector():
     model = worked_extractor()
-    vec = model.transform(doc("q", 9, ["zzz", "qqq"]))
+    vec = model.transform_many([doc("q", 9, ["zzz", "qqq"])])[0]
     np.testing.assert_array_equal(vec, np.zeros(2))
 
 
@@ -111,7 +110,7 @@ def test_matches_naive_reference(seed, k):
     query_docs = [dict(s.attributes) for s in queries]
     expected = naive_fit_transform(train_docs, query_docs, k)
     for sample, want in zip(queries, expected):
-        got = model.transform(sample)
+        got = model.transform_many([sample])[0]
         np.testing.assert_allclose(got, np.asarray(want), atol=1e-9)
 
 
@@ -164,14 +163,14 @@ def test_block_transform_is_bit_identical_to_per_sample(case):
     want = np.array([per_sample_transform(model, s) for s in queries])
     assert np.array_equal(model.transform_many(queries), want)
     assert np.array_equal(np.array(list(model.iter_transform(queries))), want)
-    assert np.array_equal(model.transform(queries[-1]), want[-1])
     assert not want[-1].any()  # OOV tokens leave every column at the min
 
 
 def test_transform_outputs_are_read_only():
     model = worked_extractor()
     queries = [doc("q1", 3, ["a", "c"]), doc("q2", 4, ["b"])]
-    for out in (model.transform_many(queries), model.transform(queries[0]),
+    for out in (model.transform_many(queries),
+                model.transform_many([queries[0]])[0],
                 *model.iter_transform(queries)):
         assert not out.flags.writeable
         with pytest.raises(ValueError):
@@ -184,7 +183,7 @@ def test_values_bounded_in_unit_interval():
     model = fit_extractor(stream, k=5)
     queries = random_corpus(rng, n_docs=40, n_attrs=2, pool_size=40, max_len=10)
     for sample in queries:
-        vec = model.transform(sample)
+        vec = model.transform_many([sample])[0]
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
 
@@ -211,7 +210,7 @@ def test_dim_is_attributes_times_k_even_when_vocab_short():
                   attributes={"x": ["only"], "y": ["t1", "t2"]})])
     model = fit_extractor(train, k=100)
     assert model.dim == 200
-    vec = model.transform(train[0])
+    vec = model.transform_many([train[0]])[0]
     assert vec.shape == (200,)
     # block for "x" has one live dimension, the rest of its 100 are zero
     assert np.count_nonzero(vec[:100]) <= 1
@@ -222,12 +221,18 @@ def test_empty_training_set_rejected():
         fit_extractor([], k=2)
 
 
+def test_vocabulary_size_below_one_rejected():
+    train = [doc("d1", 1, ["a"])]
+    with pytest.raises(ValueError, match="vocabulary size k must be >= 1"):
+        fit_extractor(train, k=0)
+
+
 def test_transform_schema_mismatch():
     model = worked_extractor()
     other = RawSample(id="q", timestamp=1, label=0,
                       attributes={"permissions": ["a"]})
     with pytest.raises(SchemaMismatch):
-        model.transform(other)
+        model.transform_many([other])
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +274,8 @@ def test_json_roundtrip_preserves_transforms(tmp_path):
     loaded = FeatureExtractorModel.load(path)
     assert loaded.fingerprint() == model.fingerprint()
     for sample in stream:
-        np.testing.assert_array_equal(loaded.transform(sample),
-                                      model.transform(sample))
+        np.testing.assert_array_equal(loaded.transform_many([sample])[0],
+                                      model.transform_many([sample])[0])
 
 
 def test_serialization_is_byte_stable(tmp_path):

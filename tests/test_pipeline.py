@@ -161,30 +161,29 @@ def test_config_validation_accepts_right_types(field, value):
     ExperimentConfig.from_dict({field: value}).validate()
 
 
-# each detector's published defaults, which every run uses: DDM's and
-# EDDM's are module constants, ADWIN's and KSWIN's are held by the detector;
-# the golden runs build neither EDDM nor the stub, so this is their only pin
+# each detector's published defaults, which every run uses: the upper-case
+# ones are module constants of ``drift``, the others are held by the
+# detector; the golden runs build neither EDDM nor the stub, so this is
+# their only pin
 PUBLISHED_DETECTORS = {
-    "ddm": (DdmDetector, drift, dict(DDM_MIN_INSTANCES=30,
-                                     DDM_WARNING_FACTOR=2.0,
-                                     DDM_DRIFT_FACTOR=3.0)),
-    "eddm": (EddmDetector, drift, dict(EDDM_MIN_ERRORS=30,
-                                       EDDM_WARNING_RATIO=0.95,
-                                       EDDM_DRIFT_RATIO=0.90)),
-    "adwin": (AdwinDetector, None, dict(delta=0.002, max_buckets=5)),
-    "kswin": (KswinDetector, None, dict(window_size=100, stat_size=30,
-                                        alpha=0.005)),
-    "none": (NeverFiresDetector, None, {}),
+    "ddm": (DdmDetector, dict(DDM_MIN_INSTANCES=30, DDM_WARNING_FACTOR=2.0,
+                              DDM_DRIFT_FACTOR=3.0)),
+    "eddm": (EddmDetector, dict(EDDM_MIN_ERRORS=30, EDDM_WARNING_RATIO=0.95,
+                                EDDM_DRIFT_RATIO=0.90)),
+    "adwin": (AdwinDetector, dict(delta=0.002, max_buckets=5)),
+    "kswin": (KswinDetector, dict(window_size=100, stat_size=30,
+                                  KSWIN_ALPHA=0.005)),
+    "none": (NeverFiresDetector, {}),
 }
 
 
 @pytest.mark.parametrize("name", DETECTORS)
 def test_build_detector_uses_published_defaults(name):
-    cls, module, params = PUBLISHED_DETECTORS[name]
+    cls, params = PUBLISHED_DETECTORS[name]
     detector = build_detector(config(detector=name))
     assert type(detector) is cls
-    holder = module or detector
-    assert {key: getattr(holder, key) for key in params} == params
+    assert {key: getattr(drift if key.isupper() else detector, key)
+            for key in params} == params
 
 
 def test_build_classifier_uses_published_defaults():
@@ -579,6 +578,10 @@ def test_temporal_split_needs_data():
     stream = synth(n=1)
     with pytest.raises(InsufficientData):
         run_temporal_split(stream, config(strategy="temporal"))
+    # 10 % of 5 samples rounds down to an empty training side
+    with pytest.raises(InsufficientData, match="leaves an empty side"):
+        run_temporal_split(synth(n=5), config(strategy="temporal",
+                                              split_fraction=0.1))
 
 
 def separable_stream(n_each=30):

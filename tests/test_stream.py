@@ -255,6 +255,13 @@ def test_csv_and_jsonl_agree(tmp_path):
     assert load_stream(csv_path, "csv").samples == load_stream(jsonl_path).samples
 
 
+def test_unknown_format_is_a_parse_error(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"id": "a", "timestamp": 1, "attributes": {"x": []}}\n')
+    with pytest.raises(ParseError, match="unknown stream format 'xml'"):
+        load_stream(path, "xml")
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("timestamp,id,label,a\n1,x,0,t\n")
