@@ -5,8 +5,8 @@ from .drift import (AdwinDetector, DdmDetector, DriftLevel, EddmDetector,
 from .errors import (ClassMissingInFold, ConfigError, DimensionMismatch,
                      DriftStreamError, EmptyCounts, EmptyInput, EmptyStream,
                      EmptyTrainingSet, InsufficientData, InsufficientTimeSpan,
-                     InvalidFraction, InvalidSpec, ParseError, SchemaMismatch,
-                     UnlabeledSample, ValueOutOfRange, WarmupTooSmall)
+                     InvalidSpec, ParseError, SchemaMismatch, UnlabeledSample,
+                     ValueOutOfRange, WarmupTooSmall)
 from .evaluation import (ConfusionCounts, DriftEvent, MetricsTimeline,
                          PeriodMetrics, export_reports, metrics,
                          prequential_error)
@@ -18,7 +18,7 @@ from .pipeline import (CLASSIFIERS, DETECTORS, STRATEGIES, ExperimentConfig,
                        resolve_warmup_count, run_cross_validation, run_iwc,
                        run_multiple_time_spans, run_temporal_split)
 from .stream import (RawSample, SampleStream, StreamSchema, load_stream,
-                     save_stream, split_temporal, stream_from_samples)
+                     save_stream, stream_from_samples)
 from .synth import SynthStreamSpec, generate_synth_stream
 
 __version__ = "0.1.0"

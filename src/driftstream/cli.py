@@ -146,22 +146,22 @@ def _print_summary(summary: dict) -> None:
 
 
 def _build_config(merged: dict) -> ExperimentConfig:
-    """The validated experiment config of a merged run config dict, after
-    checking its run-only keys."""
+    """The experiment config of a merged run config dict, after checking
+    its run-only keys."""
     for key in _RUN_ONLY_KEYS:
-        if not isinstance(merged.get(key, ""), str):
-            raise ConfigError(f"{key} must be str, got "
-                              f"{reprlib.repr(merged[key])}")
+        value = merged.get(key, "")
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be str, got {reprlib.repr(value)}")
+        if "\0" in value:  # no path or format holds one
+            raise ConfigError(f"{key} holds a NUL byte: {reprlib.repr(value)}")
     if "input" not in merged:
         raise ConfigError("an --input stream file is required")
     if merged.get("format", "jsonl") not in ("jsonl", "csv"):
         raise ConfigError(f"format must be jsonl or csv, got "
                           f"{reprlib.repr(merged['format'])}")
-    config = ExperimentConfig.from_dict(
+    return ExperimentConfig.from_dict(
         {key: value for key, value in merged.items()
          if key not in _RUN_ONLY_KEYS})
-    config.validate()
-    return config
 
 
 def _execute_run(config: ExperimentConfig, merged: dict,
@@ -170,16 +170,13 @@ def _execute_run(config: ExperimentConfig, merged: dict,
     stream = load_stream(merged["input"], merged.get("format", "jsonl"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if config.strategy in ("temporal", "cross-val"):
-        if config.strategy == "temporal":
-            result = run_temporal_split(stream, config)
-        else:
-            result = run_cross_validation(stream, config)
-            write_json(out_dir / "folds.json",
-                       [{"fold": i, **asdict(counts)}
-                        for i, counts in enumerate(result["per_fold"])])
-        summary = {name: result[name] for name in METRIC_NAMES}
-        summary["drifts"] = 0
+    if config.strategy == "temporal":
+        summary, _ = run_temporal_split(stream, config)
+    elif config.strategy == "cross-val":
+        summary, per_fold = run_cross_validation(stream, config)
+        write_json(out_dir / "folds.json",
+                   [{"fold": i, **asdict(counts)}
+                    for i, counts in enumerate(per_fold)])
     elif config.strategy == "mts":
         summary, report = run_multiple_time_spans(stream, config)
         write_json(out_dir / "mts.json", report)
@@ -243,7 +240,7 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
         name = entry.pop("name", f"job{i:03d}")
         # each entry writes to <out>/<name>/ and nowhere else
         if (not isinstance(name, str) or name in ("", ".", "..")
-                or Path(name).name != name):
+                or "\0" in name or Path(name).name != name):
             raise ConfigError(f"grid entry {i}: name must be one path "
                               f"component, got {reprlib.repr(name)}")
         if name in checked:

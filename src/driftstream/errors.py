@@ -23,10 +23,6 @@ class EmptyStream(DriftStreamError):
     """An operation that needs at least one sample received none."""
 
 
-class InvalidFraction(DriftStreamError):
-    """Split fraction outside the open interval (0, 1)."""
-
-
 class EmptyTrainingSet(DriftStreamError):
     """Feature extractor fitting requires at least one sample."""
 

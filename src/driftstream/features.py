@@ -208,26 +208,6 @@ class FeatureExtractorModel:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FeatureExtractorModel":
-        schema = StreamSchema(tuple(payload["schema"]))
-        vocabs = [
-            AttributeVocabulary(
-                attribute_name=entry["name"],
-                tokens=list(entry["tokens"]),
-                document_frequency=list(entry["document_frequency"]),
-                n_train_docs=int(entry["n_train_docs"]),
-            )
-            for entry in payload["attributes"]
-        ]
-        return cls(
-            schema=schema,
-            k=int(payload["k"]),
-            vocabularies=vocabs,
-            minmax_min=np.asarray(payload["minmax_min"], dtype=float),
-            minmax_max=np.asarray(payload["minmax_max"], dtype=float),
-        )
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
 
@@ -237,7 +217,24 @@ class FeatureExtractorModel:
         one is a ``ParseError`` naming the file."""
         path = Path(path)
         try:
-            return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            schema = StreamSchema(tuple(payload["schema"]))
+            vocabs = [
+                AttributeVocabulary(
+                    attribute_name=entry["name"],
+                    tokens=list(entry["tokens"]),
+                    document_frequency=list(entry["document_frequency"]),
+                    n_train_docs=int(entry["n_train_docs"]),
+                )
+                for entry in payload["attributes"]
+            ]
+            return cls(
+                schema=schema,
+                k=int(payload["k"]),
+                vocabularies=vocabs,
+                minmax_min=np.asarray(payload["minmax_min"], dtype=float),
+                minmax_max=np.asarray(payload["minmax_max"], dtype=float),
+            )
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
         except KeyError as exc:

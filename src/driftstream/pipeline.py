@@ -44,7 +44,7 @@ from .evaluation import (METRIC_NAMES, ConfusionCounts, MetricsTimeline,
 from . import features
 from .features import FeatureExtractorModel, fit_extractor, vocabulary_diff
 from .learners import ArfEnsemble, PoolMember, SgdClassifier, POOL_MEMBER_KINDS
-from .stream import RawSample, SampleStream, split_temporal
+from .stream import RawSample, SampleStream
 
 log = logging.getLogger(__name__)
 
@@ -62,11 +62,18 @@ CLASSIFIERS = ("arf", "sgd")
 # by none, although Python counts it as an int
 _FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real,
                 "int | str": (numbers.Integral, str)}
+_CHOICES = {"strategy": STRATEGIES, "detector": DETECTORS,
+            "classifier": CLASSIFIERS}
+# the least value of each integer field; np.random.SeedSequence rejects a
+# negative seed only once a run has started
+_MINIMUM = {"seed": 0, "vocab_size": 1, "cv_folds": 2, "mts_folds": 2,
+            "pool_interval": 1, "metrics_window": 1, "arf_trees": 1}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """The experiment's own choices, one field per CLI flag.  Detectors and
+    """The experiment's own choices, one field per CLI flag, checked when
+    built (``dataclasses.replace`` included) and frozen.  Detectors and
     classifiers run at their published defaults (``drift``, ``learners``)."""
 
     strategy: str = "fnf-retrain"
@@ -83,7 +90,7 @@ class ExperimentConfig:
     pool_interval: int = 500
     metrics_window: int = 1000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for spec in fields(self):
             value = getattr(self, spec.name)
             if (isinstance(value, bool)
@@ -93,35 +100,19 @@ class ExperimentConfig:
             if spec.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{spec.name} must be finite, "
                                   f"got {value!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; "
-                              f"choose from {', '.join(STRATEGIES)}")
-        if self.detector not in DETECTORS:
-            raise ConfigError(f"unknown detector {self.detector!r}; "
-                              f"choose from {', '.join(DETECTORS)}")
-        if self.classifier not in CLASSIFIERS:
-            raise ConfigError(f"unknown classifier {self.classifier!r}; "
-                              f"choose from {', '.join(CLASSIFIERS)}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
+                                  f"choose from {', '.join(choices)}")
         if self.mts_inner not in ("fnf-update", "fnf-retrain", "pool"):
             raise ConfigError(
                 f"mts_inner must be fnf-update, fnf-retrain or pool, "
                 f"got {self.mts_inner!r}")
-        if self.seed < 0:  # np.random.SeedSequence rejects it mid-run
-            raise ConfigError("seed must be >= 0")
-        if self.vocab_size < 1:
-            raise ConfigError("vocab_size must be >= 1")
+        for name, minimum in _MINIMUM.items():
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError("split_fraction must lie in (0, 1)")
-        if self.cv_folds < 2:
-            raise ConfigError("cv_folds must be >= 2")
-        if self.mts_folds < 2:
-            raise ConfigError("mts_folds must be >= 2")
-        if self.pool_interval < 1:
-            raise ConfigError("pool_interval must be >= 1")
-        if self.metrics_window < 1:
-            raise ConfigError("metrics_window must be >= 1")
-        if self.arf_trees < 1:
-            raise ConfigError("arf_trees must be >= 1")
         if isinstance(self.warmup, numbers.Integral):
             if self.warmup < 1:
                 raise ConfigError("warmup sample count must be >= 1")
@@ -177,7 +168,7 @@ def _split_warmup(stream: SampleStream,
                   warmup: int | str) -> tuple[list, list]:
     """(warmup, evaluated) samples of a labeled stream.
 
-    The warmup slice must hold both classes.
+    The warmup slice must hold both classes and leave a sample to evaluate.
     """
     _require_labels(stream)
     count = resolve_warmup_count(stream, warmup)
@@ -185,6 +176,9 @@ def _split_warmup(stream: SampleStream,
     if {s.label for s in warm} != {0, 1}:
         raise WarmupTooSmall(
             "warmup slice must be non-empty and contain both classes")
+    if count == len(stream):
+        raise InsufficientData(f"warmup covers all {count} samples; none is "
+                               f"left to evaluate")
     return warm, list(stream.samples[count:])
 
 
@@ -235,7 +229,6 @@ class FnFPipeline:
 
     def __init__(self, config: ExperimentConfig,
                  classifier_factory=None, detector_factory=None):
-        config.validate()
         if config.strategy not in ("fnf-update", "fnf-retrain", "static"):
             raise ConfigError(
                 f"FnFPipeline cannot run strategy {config.strategy!r}")
@@ -335,7 +328,6 @@ def run_iwc(stream: SampleStream, config: ExperimentConfig) -> MetricsTimeline:
     The first month only seeds the training set; months without samples are
     skipped.  Per-month confusion counts are kept in ``timeline.periods``.
     """
-    config.validate()
     _require_labels(stream)
     groups = [(key, list(month))
               for key, month in groupby(stream, key=_month_key)]
@@ -364,37 +356,34 @@ def run_iwc(stream: SampleStream, config: ExperimentConfig) -> MetricsTimeline:
 # Temporal split and stratified cross-validation baselines
 # ---------------------------------------------------------------------------
 
-def run_temporal_split(stream: SampleStream,
-                       config: ExperimentConfig) -> dict:
-    """Train once on the oldest fraction, evaluate on the rest."""
-    config.validate()
+def run_temporal_split(stream: SampleStream, config: ExperimentConfig
+                       ) -> tuple[dict, ConfusionCounts]:
+    """Train once on the oldest ``floor(split_fraction * n)`` samples and
+    evaluate the rest.  Returns ``(summary, counts)``: the ``summary.json``
+    dict (the four metrics and ``"drifts": 0``) and the evaluated counts."""
     _require_labels(stream)
-    if len(stream) < 2:
-        raise InsufficientData("temporal split needs at least two samples")
-    train, test = split_temporal(stream, config.split_fraction)
-    if len(train) == 0 or len(test) == 0:
+    cut = math.floor(config.split_fraction * len(stream))
+    if cut == 0:  # the newest side is never empty, as split_fraction < 1
         raise InsufficientData(
             f"split fraction {config.split_fraction} leaves an empty side "
             f"for n={len(stream)}")
+    train, test = stream.samples[:cut], stream.samples[cut:]
     seed, = _spawn_seeds(config.seed, 1)
     counts = ConfusionCounts.of(
         _fit_and_predict(train, test, config, seed),
         [sample.label for sample in test])
-    vals = metrics(counts)
-    out = {name: vals[name] for name in METRIC_NAMES}
-    out["counts"] = counts
-    return out
+    return {**metrics(counts), "drifts": 0}, counts
 
 
-def run_cross_validation(stream: SampleStream,
-                         config: ExperimentConfig) -> dict:
+def run_cross_validation(stream: SampleStream, config: ExperimentConfig
+                         ) -> tuple[dict, list[ConfusionCounts]]:
     """Stratified ``cv_folds``-fold evaluation with a fresh
     extractor+classifier per fold.
 
-    Reported metrics are the unweighted mean of the per-fold metrics; the
-    per-fold confusion counts are returned alongside for recomputation.
+    Returns ``(summary, per_fold)``: the ``summary.json`` dict, whose
+    metrics are the unweighted means of the per-fold metrics and whose
+    ``"drifts"`` is 0, and the per-fold confusion counts.
     """
-    config.validate()
     _require_labels(stream)
     k = config.cv_folds
     if len(stream) < k:
@@ -423,10 +412,10 @@ def run_cross_validation(stream: SampleStream,
             [sample.label for sample in test]))
 
     fold_metrics = [metrics(c) for c in per_fold]
-    out = {name: float(np.mean([m[name] for m in fold_metrics]))
-           for name in METRIC_NAMES}
-    out["per_fold"] = per_fold
-    return out
+    summary = {name: float(np.mean([m[name] for m in fold_metrics]))
+               for name in METRIC_NAMES}
+    summary["drifts"] = 0
+    return summary, per_fold
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +483,6 @@ class ModelPoolPipeline:
     """
 
     def __init__(self, config: ExperimentConfig):
-        config.validate()
         self.config = config
 
     def run(self, stream: SampleStream) -> MetricsTimeline:
@@ -556,7 +544,6 @@ def run_multiple_time_spans(stream: SampleStream,
     drift count, and the ``mts.json`` payload ``{"folds": [{"iteration",
     "warmup_size", **fold summary}], "f1_mean", "f1_std"}``.
     """
-    config.validate()
     _require_labels(stream)
     folds = config.mts_folds
     if len(stream) < folds:

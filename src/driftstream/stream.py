@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import EmptyStream, InvalidFraction, ParseError, SchemaMismatch
+from .errors import EmptyStream, ParseError, SchemaMismatch
 
 # 9999-12-31T23:59:59Z, the last second datetime can represent
 MAX_TIMESTAMP = 253402300799
@@ -345,19 +344,3 @@ def save_stream(stream: SampleStream, path: str | Path) -> None:
             }
             fh.write(json.dumps(record) + "\n")
 
-
-def split_temporal(stream: SampleStream,
-                   fraction: float) -> tuple[SampleStream, SampleStream]:
-    """Split a stream into (oldest, newest) parts.
-
-    The first part receives floor(fraction * n) samples; ordering is
-    inherited from the stream, so the split point is purely temporal.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise InvalidFraction(f"fraction {fraction} not in (0, 1)")
-    if len(stream) == 0:
-        raise EmptyStream("cannot split an empty stream")
-    n_first = math.floor(fraction * len(stream))
-    first = SampleStream(stream.schema, stream.samples[:n_first])
-    second = SampleStream(stream.schema, stream.samples[n_first:])
-    return first, second

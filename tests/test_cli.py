@@ -237,6 +237,18 @@ def test_run_pool_strategy(tmp_path, stream_file):
     assert (out / "events.jsonl").exists()
 
 
+@pytest.mark.parametrize("strategy", ["fnf-retrain", "static", "pool"])
+def test_run_whose_warmup_covers_the_stream_exits_1(tmp_path, stream_file,
+                                                    capsys, strategy):
+    # the default warmup, 365d, covers the 600 samples one second apart
+    out = tmp_path / "o"
+    assert run_cli(["run", "--input", str(stream_file), "--out", str(out),
+                    "--strategy", strategy, "--classifier", "sgd"]) == 1
+    assert capsys.readouterr().err == (
+        "error: warmup covers all 600 samples; none is left to evaluate\n")
+    assert not (out / "summary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # config file and precedence
 # ---------------------------------------------------------------------------
@@ -303,6 +315,10 @@ BAD_RUN_ONLY_KEYS = {
     "format-not-str": ({"format": 5}, "format must be str, got 5"),
     "format-unknown": ({"format": "xml"},
                        "format must be jsonl or csv, got 'xml'"),
+    # open and mkdir raise ValueError on a NUL byte
+    "input-nul": ({"input": "s\0.jsonl"},
+                  "input holds a NUL byte: 's\\x00.jsonl'"),
+    "out-nul": ({"out": "o\0x"}, "out holds a NUL byte: 'o\\x00x'"),
 }
 
 
@@ -604,9 +620,12 @@ BAD_GRID_ENTRIES = {
     "name-dotdot": ({"name": ".."},
                     "name must be one path component, got '..'"),
     "name-not-str": ({"name": 5}, "name must be one path component, got 5"),
+    "name-nul": ({"name": "a\0b"},
+                 "name must be one path component, got 'a\\x00b'"),
     "out": ({"out": "elsewhere"}, "out is set for the whole grid only"),
     "input-not-str": ({"input": 5}, "input must be str, got 5"),
     "input-missing": ({"input": None}, "an --input stream file is required"),
+    "input-nul": ({"input": "s\0.jsonl"}, "input holds a NUL byte: "),
 }
 
 

@@ -5,7 +5,7 @@ import hashlib
 import itertools
 import json
 import time
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -117,6 +117,8 @@ def test_config_rejects_unknown_keys():
     ("strategy", "bagging"), ("detector", "page-hinkley"),
     ("classifier", "svm"), ("classifier", "hoeffding"),
     ("cv_folds", 1), ("mts_folds", 1), ("split_fraction", 1.0),
+    ("split_fraction", 0.0), ("split_fraction", -0.1),
+    ("split_fraction", 1.5),
     ("pool_interval", 0), ("vocab_size", 0),
     ("warmup", 0), ("warmup", "yesterday"), ("warmup", "infd"),
     ("warmup", "1e400d"), ("mts_inner", "temporal"),
@@ -146,9 +148,19 @@ def test_config_rejects_unknown_keys():
 ])
 def test_config_validation_catches_bad_values(field, value):
     with pytest.raises(ConfigError) as caught:
-        ExperimentConfig.from_dict({**BASE, field: value}).validate()
+        ExperimentConfig.from_dict({**BASE, field: value})
     if field not in FIELD_NAMES:
         assert "unknown config keys" in str(caught.value)
+    else:  # replace is how run_multiple_time_spans builds its inner configs
+        with pytest.raises(ConfigError) as replaced:
+            replace(config(), **{field: value})
+        assert str(replaced.value) == str(caught.value)
+
+
+def test_config_is_frozen():
+    cfg = config()
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = -1
 
 
 @pytest.mark.parametrize("field,value", [
@@ -158,7 +170,7 @@ def test_config_validation_catches_bad_values(field, value):
     ("seed", np.int64(3)), ("warmup", np.int64(10)), ("seed", 2**64),
 ])
 def test_config_validation_accepts_right_types(field, value):
-    ExperimentConfig.from_dict({field: value}).validate()
+    ExperimentConfig.from_dict({field: value})
 
 
 # each detector's published defaults, which every run uses: the upper-case
@@ -568,10 +580,10 @@ def test_iwc_is_deterministic():
 
 def test_temporal_split_counts_cover_test_half():
     stream = synth(n=401)
-    out = run_temporal_split(stream, config(strategy="temporal",
-                                            split_fraction=0.5))
-    assert out["counts"].total == 401 - 200
-    assert set(out) == {"accuracy", "f1", "recall", "precision", "counts"}
+    summary, counts = run_temporal_split(
+        stream, config(strategy="temporal", split_fraction=0.5))
+    assert counts.total == 401 - 200
+    assert summary == {**metrics(counts), "drifts": 0}
 
 
 def test_temporal_split_needs_data():
@@ -595,21 +607,23 @@ def separable_stream(n_each=30):
 
 
 def test_cross_validation_perfect_on_separable_tokens():
-    out = run_cross_validation(separable_stream(),
-                               config(strategy="cross-val", cv_folds=5))
-    assert out["f1"] == 1.0
-    assert out["accuracy"] == 1.0
+    summary, _ = run_cross_validation(
+        separable_stream(), config(strategy="cross-val", cv_folds=5))
+    assert summary["f1"] == 1.0
+    assert summary["accuracy"] == 1.0
 
 
 def test_cross_validation_mean_matches_per_fold_recomputation():
     stream = synth(n=300)
-    out = run_cross_validation(stream, config(strategy="cross-val",
-                                              cv_folds=4))
-    assert len(out["per_fold"]) == 4
-    assert sum(c.total for c in out["per_fold"]) == 300
+    summary, per_fold = run_cross_validation(
+        stream, config(strategy="cross-val", cv_folds=4))
+    assert len(per_fold) == 4
+    assert sum(c.total for c in per_fold) == 300
+    assert set(summary) == {"accuracy", "f1", "recall", "precision", "drifts"}
+    assert summary["drifts"] == 0
     for name in ("accuracy", "f1", "recall", "precision"):
-        recomputed = np.mean([metrics(c)[name] for c in out["per_fold"]])
-        assert out[name] == pytest.approx(recomputed)
+        recomputed = np.mean([metrics(c)[name] for c in per_fold])
+        assert summary[name] == pytest.approx(recomputed)
 
 
 def test_cross_validation_detects_lost_class():
@@ -729,10 +743,13 @@ def test_pool_run_is_bit_identical_to_reference(case, warmup):
     stream, interval = case
     cfg = config(strategy="pool", warmup=warmup, pool_interval=interval)
     pipe = ModelPoolPipeline(cfg)
+    if warmup >= len(stream):
+        with pytest.raises(InsufficientData, match="warmup covers all"):
+            pipe.run(stream)
+        return
     timeline = pipe.run(stream)
-    count = min(warmup, len(stream))
     predictions, event_steps, members, weights = reference_pool_run(
-        stream.samples[:count], stream.samples[count:], interval, 0.3, 0.7)
+        stream.samples[:warmup], stream.samples[warmup:], interval, 0.3, 0.7)
     assert timeline.predictions == predictions
     assert [(e.step, e.detector, e.level) for e in timeline.events] == [
         (step, "pool", "drift") for step in event_steps]

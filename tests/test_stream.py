@@ -2,15 +2,16 @@
 
 import csv
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream import (DriftStreamError, EmptyStream, InvalidFraction,
-                         ParseError, RawSample, SchemaMismatch, StreamSchema,
-                         load_stream, save_stream, split_temporal,
-                         stream_from_samples)
+from driftstream import (DriftStreamError, EmptyStream, ExperimentConfig,
+                         InsufficientData, ParseError, RawSample,
+                         SchemaMismatch, StreamSchema, load_stream,
+                         run_temporal_split, save_stream, stream_from_samples)
 from driftstream.stream import MAX_TIMESTAMP
 from .oracles import reference_load_stream
 
@@ -509,53 +510,57 @@ def test_fallback_lines_match_reference(tmp_path, text):
 
 
 # ---------------------------------------------------------------------------
-# temporal split
+# temporal split: run_temporal_split trains on the oldest floor(f * n)
+# samples and evaluates the rest; its counts show the sizes, and positives
+# labeled by time show which side is the newest
 # ---------------------------------------------------------------------------
+
+def temporal_split(stream, fraction):
+    config = ExperimentConfig(strategy="temporal", classifier="sgd",
+                              split_fraction=fraction)
+    return run_temporal_split(stream, config)[1]
+
 
 def test_split_sizes_even():
     stream = stream_from_samples([make_sample(f"s{i}", i) for i in range(10)])
-    first, second = split_temporal(stream, 0.5)
-    assert (len(first), len(second)) == (5, 5)
+    assert temporal_split(stream, 0.5).total == 5
 
 
 def test_split_single_sample_floor():
     stream = stream_from_samples([make_sample("only", 1)])
-    first, second = split_temporal(stream, 0.5)
-    assert (len(first), len(second)) == (0, 1)
+    with pytest.raises(InsufficientData, match="leaves an empty side"):
+        temporal_split(stream, 0.5)
 
 
 def test_split_odd_large_count():
     n = 129013
     stream = stream_from_samples([make_sample(f"s{i:06d}", i) for i in range(n)])
-    first, second = split_temporal(stream, 0.5)
-    assert (len(first), len(second)) == (64506, 64507)
-
-
-def test_split_rejects_out_of_range_fraction():
-    stream = stream_from_samples([make_sample("a", 1), make_sample("b", 2)])
-    for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(InvalidFraction):
-            split_temporal(stream, bad)
+    assert temporal_split(stream, 0.5).total == 64507
 
 
 def test_split_boundary_timestamps():
-    """Every timestamp in the first part <= every timestamp in the second."""
-    samples = [make_sample(f"s{i}", ts) for i, ts in
+    """The evaluated side is the five newest samples (timestamps 3, 5, 7,
+    9, 9), four of them positive; in file order it would hold two."""
+    samples = [make_sample(f"s{i}", ts, label=int(ts >= 5)) for i, ts in
                enumerate([5, 3, 9, 3, 7, 1, 9, 2])]
-    stream = stream_from_samples(samples)
-    first, second = split_temporal(stream, 0.4)
-    assert max(s.timestamp for s in first) <= min(s.timestamp for s in second)
+    counts = temporal_split(stream_from_samples(samples), 0.4)
+    assert (counts.total, counts.tp + counts.fn) == (5, 4)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 99)),
+@given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 99),
+                          st.integers(0, 1)),
                 min_size=2, max_size=60),
        st.floats(0.01, 0.99))
-def test_split_is_a_partition(pairs, fraction):
-    samples = [make_sample(f"s{i}_{suffix}", ts)
-               for i, (ts, suffix) in enumerate(pairs)]
+def test_split_is_a_partition(triples, fraction):
+    samples = [make_sample(f"s{i}_{suffix}", ts, label=label)
+               for i, (ts, suffix, label) in enumerate(triples)]
     stream = stream_from_samples(samples)
-    first, second = split_temporal(stream, fraction)
-    assert len(first) + len(second) == len(stream)
-    assert list(first.samples) + list(second.samples) == list(stream.samples)
-    assert len(first) == int(fraction * len(stream) // 1)
+    cut = math.floor(fraction * len(stream))
+    if cut == 0:
+        with pytest.raises(InsufficientData):
+            temporal_split(stream, fraction)
+        return
+    counts = temporal_split(stream, fraction)
+    assert counts.total == len(stream) - cut
+    assert counts.tp + counts.fn == sum(s.label for s in stream.samples[cut:])
