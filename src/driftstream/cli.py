@@ -166,39 +166,39 @@ def _build_config(merged: dict) -> ExperimentConfig:
 
 def _execute_run(config: ExperimentConfig, merged: dict,
                  out_dir: Path) -> dict:
-    """Run ``config``, built from ``merged``; returns the summary."""
+    """Run ``config``, built from ``merged``; returns the summary.  The
+    reports directory is made once the strategy has returned, not before."""
     stream = load_stream(merged["input"], merged.get("format", "jsonl"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    reports, timeline, diffs, extractor = {}, None, [], None
     if config.strategy == "temporal":
         summary, _ = run_temporal_split(stream, config)
     elif config.strategy == "cross-val":
         summary, per_fold = run_cross_validation(stream, config)
-        write_json(out_dir / "folds.json",
-                   [{"fold": i, **asdict(counts)}
-                    for i, counts in enumerate(per_fold)])
+        reports["folds.json"] = [{"fold": i, **asdict(counts)}
+                                 for i, counts in enumerate(per_fold)]
     elif config.strategy == "mts":
-        summary, report = run_multiple_time_spans(stream, config)
-        write_json(out_dir / "mts.json", report)
-    else:  # prequential runs; export_reports writes their summary.json
-        diffs, extractor = [], None
-        if config.strategy == "pool":
-            timeline = ModelPoolPipeline(config).run(stream)
-        elif config.strategy == "iwc":
-            timeline = run_iwc(stream, config)
-            write_json(out_dir / "periods.json",
-                       [{"period": p.label, **asdict(p.counts)}
-                        for p in timeline.periods])
-        else:
-            pipe = FnFPipeline(config)
-            timeline = pipe.run(stream)
-            diffs, extractor = pipe.vocab_diff_events, pipe.extractor
-        export_reports(timeline, diffs, out_dir)
-        if extractor is not None:
-            extractor.save(out_dir / "extractor_final.json")
-        return timeline.summary()
-    write_json(out_dir / "summary.json", summary)
-    return summary
+        summary, reports["mts.json"] = run_multiple_time_spans(stream, config)
+    elif config.strategy == "pool":
+        timeline = ModelPoolPipeline(config).run(stream)
+    elif config.strategy == "iwc":
+        timeline = run_iwc(stream, config)
+        reports["periods.json"] = [{"period": p.label, **asdict(p.counts)}
+                                   for p in timeline.periods]
+    else:
+        pipe = FnFPipeline(config)
+        timeline = pipe.run(stream)
+        diffs, extractor = pipe.vocab_diff_events, pipe.extractor
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, payload in reports.items():
+        write_json(out_dir / name, payload)
+    if timeline is None:
+        write_json(out_dir / "summary.json", summary)
+        return summary
+    export_reports(timeline, diffs, out_dir)  # writes summary.json
+    if extractor is not None:
+        extractor.save(out_dir / "extractor_final.json")
+    return timeline.summary()
 
 
 def _resolve_out_dir(requested: str | None) -> Path:

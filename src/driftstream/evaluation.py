@@ -140,13 +140,8 @@ class MetricsTimeline:
         return sum(1 for e in self.events if e.level == "warning")
 
     def summary(self) -> dict:
-        if self.n_steps == 0:
-            vals = dict.fromkeys(METRIC_NAMES, 0.0)
-        else:
-            vals = metrics(self.confusion)
-        summary = {name: vals[name] for name in METRIC_NAMES}
-        summary["drifts"] = self.drift_count()
-        return summary
+        # EmptyCounts when no step is recorded
+        return {**metrics(self.confusion), "drifts": self.drift_count()}
 
     def window_snapshots(self) -> list[tuple[int, ConfusionCounts]]:
         """(end_step, counts) for each window; the last may be partial."""

@@ -1,11 +1,13 @@
 """Incremental binary classifiers used by the streaming pipelines.
 
-Everything here follows one contract: ``partial_fit(x, y)`` for a single
+Every classifier follows one contract: ``partial_fit(x, y)`` for a single
 sample and ``predict(x)`` returning 0/1 (an untrained model predicts 0 and
-never raises).  A fresh, untrained model comes only from the constructor
-or, for SGD and the forest, from ``clone_untrained()``; no model has a
-``reset()``.  The Hoeffding tree serves only as the forest's base learner;
-its ``partial_fit`` also takes the forest's Poisson draw as a weight.  The
+never raises).  The model pool's ``PoolMember`` instead scores and trains
+a batch of rows per call, as its weights change only between batches.  A
+fresh, untrained model comes only from the constructor or, for SGD and the
+forest, from ``clone_untrained()``; no model has a ``reset()``.  The
+Hoeffding tree serves only as the forest's base learner; its
+``partial_fit`` also takes the forest's Poisson draw as a weight.  The
 published defaults are module constants, not constructor options.
 Prediction never mutates model state, and all randomness is derived from
 the constructor seed: a model is a function of (seed, training sequence).
@@ -336,11 +338,13 @@ class PoolMember:
 
     The feature space is extended on the fly as new tokens appear; new
     dimensions start at weight zero, so they do not disturb earlier
-    decisions.  Inputs are binary-presence ids, sorted and distinct, as
-    the pool's block encoder yields them; they are used as given.  Update
-    rules: "sgd-hinge" (eta * hinge subgradient), "perceptron"
-    (mistake-driven) and "passive-aggressive" (PA-I with aggressiveness
-    capped at C).  Prediction is sign(w.x + b) with 0 on the boundary.
+    decisions.  A member works on a batch of rows in CSR form ``(ids,
+    ends)``: row ``i`` is the binary-presence ids ``ids[ends[i-1]:ends[i]]``
+    (from 0 for the first row), sorted and distinct, as the pool's chunk
+    encoder returns them; they are used as given.  Update rules:
+    "sgd-hinge" (eta * hinge subgradient), "perceptron" (mistake-driven)
+    and "passive-aggressive" (PA-I with aggressiveness capped at C).
+    Prediction is sign(w.x + b) with 0 on the boundary.
     """
 
     def __init__(self, kind: str):
@@ -350,41 +354,62 @@ class PoolMember:
         self.weights = np.zeros(0, dtype=float)
         self.bias = 0.0
 
-    def _ensure_capacity(self, max_index: int) -> None:
-        if max_index >= self.weights.size:
-            grown = np.zeros(max_index + 1, dtype=float)
+    def score_many(self, ids: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """``w.x + b`` of every row; ids beyond the weights weigh 0.
+
+        A row's kept ids are its first ones.  Rows are ordered by their
+        number ``n`` of kept ids, their weights gathered once, and the rows
+        keeping ``n`` summed as one C-contiguous ``(rows, n)`` matrix, whose
+        ``sum(axis=1)`` adds each row in the order of its own 1-D ``sum()``.
+        Neither ``np.add.reduceat`` nor zero padding does.
+        """
+        starts = np.concatenate(([0], ends[:-1]))
+        below = np.concatenate(([0], np.cumsum(ids < self.weights.size)))
+        kept = below[ends] - below[starts]
+        # rows in order of kept count, their kept weights gathered in turn
+        order = np.argsort(kept, kind="stable")
+        lengths = kept[order]
+        firsts = np.cumsum(lengths) - lengths
+        picks = (np.arange(lengths.sum())
+                 + np.repeat(starts[order] - firsts, lengths))
+        gathered = self.weights[ids[picks]]
+        sums = np.zeros(len(ends))
+        n_of, first_of = lengths.tolist(), firsts.tolist()
+        cuts = [i for i in range(1, len(n_of)) if n_of[i] != n_of[i - 1]]
+        for lo, hi in zip([0, *cuts], [*cuts, len(n_of)]):
+            n = n_of[lo]
+            if n:
+                rows = gathered[first_of[lo]:first_of[lo] + (hi - lo) * n]
+                sums[order[lo:hi]] = rows.reshape(hi - lo, n).sum(axis=1)
+        return sums + self.bias
+
+    def partial_fit_many(self, ids: np.ndarray, ends: np.ndarray,
+                         labels) -> None:
+        """One update per row, in order.  The weights grow once, to the
+        largest id; each row's weights are gathered once, for the margin
+        and for the step."""
+        top = int(ids.max()) if ids.size else -1
+        if top >= self.weights.size:
+            grown = np.zeros(top + 1)
             grown[:self.weights.size] = self.weights
             self.weights = grown
-
-    def score(self, indices) -> float:
-        idx = np.asarray(indices, dtype=np.intp)
-        if not idx.size:
-            return self.bias
-        if idx[-1] >= self.weights.size:  # ids beyond capacity weigh 0
-            idx = idx[:np.searchsorted(idx, self.weights.size)]
-        return float(self.weights[idx].sum()) + self.bias
-
-    def predict(self, indices) -> int:
-        return 1 if self.score(indices) > 0.0 else 0
-
-    def partial_fit(self, indices, y: int) -> None:
-        """One update; the weights at ``indices`` are gathered once, for
-        the margin and for the step."""
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.size:
-            self._ensure_capacity(int(indices[-1]))
-        y_signed = 1.0 if y == 1 else -1.0
-        gathered = self.weights[indices]
-        margin = y_signed * (float(gathered.sum()) + self.bias)
-        if self.kind == "perceptron":
-            step = POOL_LEARNING_RATE if margin <= 0.0 else 0.0
-        elif self.kind == "sgd-hinge":
-            step = POOL_LEARNING_RATE if margin < 1.0 else 0.0
-        else:  # passive-aggressive (PA-I)
-            loss = max(0.0, 1.0 - margin)
-            sq_norm = float(indices.size) + 1.0  # bias acts as constant input
-            step = min(POOL_AGGRESSIVENESS, loss / sq_norm)
-        if step > 0.0:
-            step *= y_signed
-            self.weights[indices] = gathered + step
-            self.bias += step
+        weights, bias, kind = self.weights, self.bias, self.kind
+        start = 0
+        for end, y in zip(ends.tolist(), labels):
+            row = ids[start:end]
+            y_signed = 1.0 if y == 1 else -1.0
+            gathered = weights[row]
+            margin = y_signed * (float(gathered.sum()) + bias)
+            if kind == "perceptron":
+                step = POOL_LEARNING_RATE if margin <= 0.0 else 0.0
+            elif kind == "sgd-hinge":
+                step = POOL_LEARNING_RATE if margin < 1.0 else 0.0
+            else:  # passive-aggressive (PA-I); bias acts as constant input
+                loss = max(0.0, 1.0 - margin)
+                step = min(POOL_AGGRESSIVENESS, loss / (end - start + 1.0))
+            if step > 0.0:
+                step *= y_signed
+                weights[row] = gathered + step
+                bias += step
+            start = end
+        self.bias = bias

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -422,43 +422,40 @@ def run_cross_validation(stream: SampleStream, config: ExperimentConfig
 # Pseudo-labeling model pool
 # ---------------------------------------------------------------------------
 
-def _iter_token_ids(samples: Sequence[RawSample],
-                    tables: dict[str, dict[str, int]]) -> Iterator[np.ndarray]:
-    """Yield each sample's distinct (attribute, token) ids as a sorted
-    ``np.intp`` array, the form ``PoolMember`` takes as given.
+def _encode_token_ids(samples: Sequence[RawSample],
+                      tables: dict[str, dict[str, int]]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's distinct (attribute, token) ids, sorted, in the CSR
+    form ``(ids, ends)`` that ``PoolMember`` takes as given: sample ``i``'s
+    ids are ``ids[ends[i-1]:ends[i]]`` (from 0 for the first sample).
 
     ``tables`` maps each attribute name to its growing token -> id table.
     Unseen tokens get the next ids in first-seen order: samples in order,
-    attributes in the sample's order, tokens in order.  Ids are computed
-    ``features.BLOCK_ROWS`` samples ahead by one
-    ``features.block_token_ids`` lookup per block; only a block holding an
-    unseen token is walked token by token first, and then looked up again.
-    One sort of the keys ``row * width + id`` orders each row's ids and
-    puts its repeats side by side.
+    attributes in the sample's order, tokens in order.  One
+    ``features.block_token_ids`` lookup finds every id; only if it holds
+    an unseen token are the samples walked token by token first, and then
+    looked up again.  One sort of the keys ``row * width + id`` orders each
+    row's ids and puts its repeats side by side.
     """
     n_ids = sum(map(len, tables.values()))
-    block_rows = features.BLOCK_ROWS
-    for lo in range(0, len(samples), block_rows):
-        block = samples[lo:lo + block_rows]
-        ids, token_rows = features.block_token_ids(block, tables)
-        if (ids < 0).any():
-            for sample in block:
-                for name, tokens in sample.attributes.items():
-                    table = tables[name]
-                    for token in tokens:
-                        if token not in table:
-                            table[token] = n_ids
-                            n_ids += 1
-            ids, token_rows = features.block_token_ids(block, tables)
-        width = max(n_ids, 1)
-        rows = np.arange(len(block))
-        keys = token_rows * width + ids
-        keys.sort()
-        distinct = np.ones(len(keys), dtype=bool)
-        distinct[1:] = keys[1:] != keys[:-1]
-        key_rows, row_ids = np.divmod(keys[distinct], width)
-        ends = np.searchsorted(key_rows, rows, side="right").tolist()
-        yield from map(row_ids.__getitem__, map(slice, [0, *ends], ends))
+    ids, token_rows = features.block_token_ids(samples, tables)
+    if (ids < 0).any():
+        for sample in samples:
+            for name, tokens in sample.attributes.items():
+                table = tables[name]
+                for token in tokens:
+                    if token not in table:
+                        table[token] = n_ids
+                        n_ids += 1
+        ids, token_rows = features.block_token_ids(samples, tables)
+    width = max(n_ids, 1)
+    keys = token_rows * width + ids
+    keys.sort()
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    key_rows, row_ids = np.divmod(keys[distinct], width)
+    return row_ids, np.searchsorted(key_rows, np.arange(len(samples)),
+                                    side="right")
 
 
 # the agreement band outside which a pool member is aged
@@ -475,10 +472,12 @@ class ModelPoolPipeline:
     with the vote is measured; members outside (``POOL_TAU_LOW``,
     ``POOL_TAU_HIGH``) are considered aged and replay the interval's samples
     with their pseudo-labels.  True labels are used for metrics only.
-    Members see each sample as its sorted, distinct token ids, encoded one
-    block ahead over the whole stream, warmup included.  Each ``run``
-    starts from untrained members and empty token tables; after it,
-    ``members``, ``weights``, ``token_ids`` (attribute -> token -> id) and
+    A member's weights change only at a check, so the run encodes, scores
+    and replays one interval (the warmup: chunks of ``pool_interval``
+    samples) at a time, with one ``PoolMember`` call per member; a last,
+    partial interval is scored but not checked.  Each ``run`` starts from
+    untrained members and empty token tables; after it, ``members``,
+    ``weights``, ``token_ids`` (attribute -> token -> id) and
     ``aging_events`` hold that run's final state.
     """
 
@@ -492,36 +491,40 @@ class ModelPoolPipeline:
         self.weights = [1.0] * len(self.members)
         self.token_ids = {name: {} for name in stream.schema.attribute_names}
         self.aging_events = 0
-        encoded = _iter_token_ids(stream.samples, self.token_ids)
-        for sample, indices in zip(warm, encoded):
+        interval = cfg.pool_interval
+        for lo in range(0, len(warm), interval):
+            chunk = warm[lo:lo + interval]
+            ids, ends = _encode_token_ids(chunk, self.token_ids)
+            labels = [sample.label for sample in chunk]
             for member in self.members:
-                member.partial_fit(indices, sample.label)
+                member.partial_fit_many(ids, ends, labels)
 
         timeline = MetricsTimeline(window=cfg.metrics_window)
-        buffer: list[tuple[np.ndarray, int]] = []
-        agreements = [0] * len(self.members)
-        for step, (sample, indices) in enumerate(zip(rest, encoded), start=1):
-            votes = [member.predict(indices) for member in self.members]
-            score = sum(w * (2 * v - 1) for w, v in zip(self.weights, votes))
-            pseudo = 1 if score > 0.0 else 0
-            timeline.record(pseudo, sample.label)
-            buffer.append((indices, pseudo))
-            for i, vote in enumerate(votes):
-                agreements[i] += int(vote == pseudo)
-            if len(buffer) == cfg.pool_interval:
-                ji = [hits / len(buffer) for hits in agreements]
-                aged = [value < POOL_TAU_LOW or value > POOL_TAU_HIGH
-                        for value in ji]
-                if any(aged):
-                    self.aging_events += 1
-                    timeline.record_event(step, "pool", "drift")
-                    for member, is_aged in zip(self.members, aged):
-                        if is_aged:
-                            for indices_b, pseudo_b in buffer:
-                                member.partial_fit(indices_b, pseudo_b)
-                self.weights = [max(value, 0.05) for value in ji]
-                buffer.clear()
-                agreements = [0] * len(self.members)
+        for lo in range(0, len(rest), interval):
+            chunk = rest[lo:lo + interval]
+            ids, ends = _encode_token_ids(chunk, self.token_ids)
+            votes = [member.score_many(ids, ends) > 0.0
+                     for member in self.members]
+            # ((0 + ±w0) + ±w1) + ±w2 per row, as the per-sample vote added
+            score = sum(np.where(vote, weight, -weight)
+                        for weight, vote in zip(self.weights, votes))
+            pseudo = score > 0.0
+            predictions = pseudo.tolist()
+            for prediction, sample in zip(predictions, chunk):
+                timeline.record(prediction, sample.label)
+            if len(chunk) < interval:
+                break
+            ji = [int(np.count_nonzero(vote == pseudo)) / interval
+                  for vote in votes]
+            aged = [value < POOL_TAU_LOW or value > POOL_TAU_HIGH
+                    for value in ji]
+            if any(aged):
+                self.aging_events += 1
+                timeline.record_event(lo + interval, "pool", "drift")
+                for member, is_aged in zip(self.members, aged):
+                    if is_aged:
+                        member.partial_fit_many(ids, ends, predictions)
+            self.weights = [max(value, 0.05) for value in ji]
         return timeline
 
 

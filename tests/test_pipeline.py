@@ -26,7 +26,7 @@ from driftstream import (CLASSIFIERS, DETECTORS, AdwinDetector, ArfEnsemble,
                          stream_from_samples)
 from driftstream import drift, features, learners
 from driftstream.cli import main as cli_main
-from driftstream.pipeline import (_chunk_sizes, _iter_token_ids,
+from driftstream.pipeline import (_chunk_sizes, _encode_token_ids,
                                   build_classifier, build_detector)
 
 from .oracles import ReferenceTokenIndexer, reference_pool_run
@@ -667,54 +667,56 @@ def test_pool_interval_boundary_events():
     assert all(e.step % 10 == 0 for e in timeline.events)
 
 
+def encode_rows(samples, tables):
+    """``_encode_token_ids`` of ``samples``, split into one list per row."""
+    ids, ends = _encode_token_ids(samples, tables)
+    assert ids.dtype == np.intp and ids.ndim == 1 and len(ends) == len(samples)
+    return [ids[lo:hi].tolist() for lo, hi in zip([0, *ends[:-1]], ends)]
+
+
 def test_encode_returns_sorted_distinct_first_seen_ids():
     tables = {"api": {}, "perm": {}}
     rows = [dict(api=["z", "y", "z"], perm=["y", "x"]),
             dict(api=["w", "z"], perm=["x", "x"]),
             dict(api=["y"], perm=[]), dict(api=[], perm=["y"]),
             dict(api=[], perm=[]), dict(api=["z", "y", "z"], perm=["y", "x"])]
-    first, *rest = _iter_token_ids(
+    first, *rest = encode_rows(
         [RawSample("s", 0, 0, attributes) for attributes in rows], tables)
-    assert first.dtype == np.intp and first.ndim == 1
-    assert first.tolist() == [0, 1, 2, 3]
+    assert first == [0, 1, 2, 3]
     # ids in first-seen order: api z, api y, perm y, perm x, then api w
-    assert rest[0].tolist() == [0, 3, 4]
-    assert rest[1].tolist() == [1]
-    assert rest[2].tolist() == [2]
-    assert rest[3].tolist() == []
-    assert rest[4].tolist() == [0, 1, 2, 3]
+    assert rest == [[0, 3, 4], [1], [2], [], [0, 1, 2, 3]]
     assert sum(map(len, tables.values())) == 5
 
 
 @st.composite
 def encoder_case(draw):
-    """Samples over 1-4 attributes drawing on one shared token pool, so
-    token lists repeat tokens, may be empty and hold tokens that other
-    attributes hold too.  Tokens no other sample holds are first seen in
-    the last sample of the first block and at drawn steps."""
+    """(samples, chunk) over 1-4 attributes drawing on one shared token
+    pool, so token lists repeat tokens, may be empty and hold tokens that
+    other attributes hold too.  Tokens no other sample holds are first seen
+    in the last sample of the first chunk and at drawn steps."""
     names = [f"a{j}" for j in range(draw(st.integers(1, 4)))]
     n = draw(st.sampled_from([1, 2, 63, 64, 65, 129]))
+    chunk = draw(st.integers(1, n))
     tokens = st.lists(st.sampled_from([f"t{i}" for i in range(8)]),
                       max_size=4)
     rows = [{name: draw(tokens) for name in names} for _ in range(n)]
-    last_of_block = min(n, features.BLOCK_ROWS) - 1
-    for step in [last_of_block, *draw(st.lists(st.integers(0, n - 1),
-                                                max_size=3))]:
+    for step in [chunk - 1, *draw(st.lists(st.integers(0, n - 1),
+                                           max_size=3))]:
         rows[step][draw(st.sampled_from(names))].append(f"new{step}")
     return [RawSample(f"s{i:03d}", i, 0, attributes)
-            for i, attributes in enumerate(rows)]
+            for i, attributes in enumerate(rows)], chunk
 
 
 @settings(max_examples=60, deadline=None)
 @given(encoder_case())
-def test_encoder_matches_reference_indexer(samples):
+def test_encoder_matches_reference_indexer(case):
+    """Chunks encoded in turn share the tables, as the pool's are."""
+    samples, chunk = case
     reference = ReferenceTokenIndexer()
     tables = {name: {} for name in samples[0].attributes}
-    encoded = list(_iter_token_ids(samples, tables))
-    assert len(encoded) == len(samples)
-    for ids, sample in zip(encoded, samples):
-        assert ids.dtype == np.intp
-        assert ids.tolist() == reference.encode(sample)
+    encoded = [row for lo in range(0, len(samples), chunk)
+               for row in encode_rows(samples[lo:lo + chunk], tables)]
+    assert encoded == [reference.encode(sample) for sample in samples]
     assert sum(map(len, tables.values())) == len(reference)
 
 
@@ -722,19 +724,24 @@ def test_encoder_matches_reference_indexer(samples):
 def pool_case(draw):
     """(stream, pool_interval) over 1-4 attributes sharing one token pool.
 
-    Token lists repeat tokens and may be empty; the first two samples carry
-    both labels, so any warmup of two or more holds both classes.
+    Token lists repeat tokens and may be empty.  They hold 0-6 tokens of
+    10, or 0-200 of 400, so that a sample may hold more than 128 distinct
+    ids.  The first two samples carry both labels, so any warmup of two or
+    more holds both classes; an interval of up to 20 often leaves a
+    partial last interval.
     """
     names = [f"a{j}" for j in range(draw(st.integers(1, 4)))]
-    tokens = st.lists(st.sampled_from([f"t{i}" for i in range(10)]),
-                      max_size=6)
+    pool, longest = draw(st.sampled_from([(10, 6), (400, 200)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(4, 60))
     labels = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2,
                                     max_size=n - 2))
     samples = [RawSample(f"s{i:03d}", i, label,
-                         {name: draw(tokens) for name in names})
+                         {name: [f"t{t}" for t in rng.integers(
+                             pool, size=rng.integers(longest + 1))]
+                          for name in names})
                for i, label in enumerate(labels)]
-    return stream_from_samples(samples), draw(st.integers(1, 6))
+    return stream_from_samples(samples), draw(st.integers(1, 20))
 
 
 @settings(max_examples=60, deadline=None)
