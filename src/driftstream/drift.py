@@ -1,12 +1,14 @@
 """Concept drift detectors over a stream of prediction-error values.
 
 All detectors share one contract: ``update(value) -> DriftLevel`` where the
-value is the per-sample error indicator (0.0 correct / 1.0 wrong, though
-ADWIN and KSWIN accept any real in [0, 1]).  DDM and EDDM expose the full
-Normal/Warning/Drift ladder; ADWIN and KSWIN have no warning level and jump
-straight from Normal to Drift.  After a Drift signal DDM and EDDM reset to
-a freshly constructed state, ADWIN keeps its surviving sub-window and KSWIN
-keeps the most recent ``stat_size`` values.  That restart is the only
+value is the per-sample error indicator (0.0 correct / 1.0 wrong).  DDM,
+EDDM, ADWIN and KSWIN take any real in [0, 1] and raise ``ValueOutOfRange``
+for anything else, NaN included; DDM and EDDM count a value of at least 0.5
+as an error.  DDM and EDDM expose the full Normal/Warning/Drift ladder;
+ADWIN and KSWIN have no warning level and jump straight from Normal to
+Drift.  After a Drift signal DDM and EDDM reset to a freshly constructed
+state, ADWIN keeps its surviving sub-window and KSWIN keeps the most recent
+``stat_size`` values.  That restart is the only
 ``reset()``: a run builds its detector fresh.
 """
 
@@ -111,6 +113,8 @@ class DdmDetector:
         self.s_min = math.inf
 
     def update(self, value: float) -> DriftLevel:
+        if not 0.0 <= value <= 1.0:
+            raise ValueOutOfRange(f"DDM input {value} outside [0, 1]")
         error = 1.0 if value >= 0.5 else 0.0
         self.n += 1
         self.p += (error - self.p) / self.n
@@ -166,6 +170,8 @@ class EddmDetector:
         self.level = DriftLevel.NORMAL
 
     def update(self, value: float) -> DriftLevel:
+        if not 0.0 <= value <= 1.0:
+            raise ValueOutOfRange(f"EDDM input {value} outside [0, 1]")
         error = value >= 0.5
         self.n += 1
         if not error:
@@ -203,12 +209,17 @@ class EddmDetector:
 
 # A boundary is skipped only while its worst-case gap stays below eps shrunk
 # by this factor, so the rounding of the running sums and of the horizon
-# formula can never hide a cut that the exact scan would have made.
+# and cap formulas can never hide a cut that the exact scan would have made.
 _HORIZON_SLACK = 1.0 - 1e-6
-# No horizon reaches past this window length, and no boundary of a longer
-# window is settled untested.  Up to it, K running-sum additions move a
-# right-side mean by at most 2^-53 * (n + K), under a fortieth of the slack
-# at the smallest eps such a window can have.
+# No horizon or cap reaches past this window length, and no boundary of a
+# longer window is settled untested.  Up to it the slack covers the rounding
+# a later test can see.  K running-sum additions move a right-side mean by
+# at most 2^-53 * (n + K), under a fortieth of the slack at the smallest eps
+# such a window can have (a cap bounds the total itself).  A merge re-adds a
+# left sum along at most B + 20 additions (B buckets), moving it by at most
+# (B + 20) * 2^-53 * n0, and a cap and T - s0 round by a few 2^-53 * n: in
+# sum units of the right side that is under 1e-6 for B up to 4,000
+# (max_buckets up to about 200), and the slack leaves 1e-6 * eps * n1 >= 1e-6.
 _HORIZON_MAX_WIDTH = 1 << 20
 
 
@@ -233,14 +244,15 @@ class AdwinDetector:
 
     The buckets are kept in one flat oldest-to-newest list; a row is a run
     of that list, so merges happen in place.  Prefix counts and sums equal
-    the running left-to-right sums of a full scan bit for bit, and each
-    boundary carries a tick up to which it provably cannot cut, so an
-    update tests only the boundaries whose horizon has run out.  A due
-    boundary whose eps is at least 1 (a short side, such as the newest few
-    values) cannot cut, since no gap between two means of values in [0, 1]
-    exceeds 1.  It is settled untested: its horizon is the closed-form
-    number of inserts that keep eps at least 1.  Any other due boundary is
-    tested, and its horizon comes from ``_no_cut_ticks``.
+    the running left-to-right sums of a full scan bit for bit.  Each
+    boundary carries a certificate that it cannot cut.  Until a drop its n0
+    and s0 stay fixed, eps stays above eps_inf = sqrt(ln(4n/delta) / (2 n0))
+    and (m0 + eps) * n1 only grows, so a boundary with m0 < eps_inf cannot
+    cut while the window total stays at or below its cap s0 + (m0 + eps) *
+    n1; values are >= 0, so the total only grows.  Any other boundary gets
+    a tick horizon: the closed-form count of inserts that keep eps >= 1, or
+    ``_no_cut_ticks``.  An update within the earliest horizon and the lowest
+    cap skips the boundary loop.
     """
 
     def __init__(self, delta: float = 0.002, max_buckets: int | None = 5):
@@ -259,9 +271,13 @@ class AdwinDetector:
         # buckets, summed oldest first
         self._prefix_counts = [0]
         self._prefix_sums = [0.0]
-        # _horizon[j]: last tick at which the boundary after bucket j cannot
-        # cut; -1 when it has not been tested since it appeared
+        # the boundary after bucket j cannot cut up to tick _horizon[j] while
+        # the window total stays at or below _caps[j]; the loop is due once
+        # the tick or the total passes the earliest or the lowest of them
         self._horizon: list[int] = []
+        self._caps: list[float] = []
+        self._due_tick = math.inf
+        self._due_total = math.inf
         self._count = 0
         self._sum = 0.0
         self._ticks = 0
@@ -291,9 +307,7 @@ class AdwinDetector:
         sums[start:] = accumulate(self._sums[start:], initial=sums[start])
 
     def _insert(self, value: float) -> None:
-        sizes, sums, horizon = self._sizes, self._sums, self._horizon
-        if sizes:
-            horizon.append(-1)
+        sizes, sums = self._sizes, self._sums
         sizes.append(1)
         sums.append(value)
         self._count += 1
@@ -312,7 +326,8 @@ class AdwinDetector:
             first = end - rows[row]
             sums[first] += sums[first + 1]
             sizes[first] *= 2
-            del sums[first + 1], sizes[first + 1], horizon[first]
+            del sums[first + 1], sizes[first + 1]
+            del self._horizon[first], self._caps[first]
             rows[row] -= 2
             row += 1
             if row == len(rows):
@@ -333,6 +348,7 @@ class AdwinDetector:
         # the total, like every prefix, is now summed from the new oldest
         self._sum = self._prefix_sums[-1]
         self._horizon = [-1] * (len(self._sizes) - 1)
+        self._caps = [math.inf] * (len(self._sizes) - 1)
 
     def _no_cut_ticks(self, n0: int, s0: float, n1: int, s1: float,
                       ln_term: float) -> int:
@@ -340,18 +356,18 @@ class AdwinDetector:
 
         K inserts of values in [0, 1] and no drop keep n0 and s0, keep the
         right-side mean in [s1/(n1+K), (s1+K)/(n1+K)] and keep eps at least
-        sqrt((1/n0 + 1/(n1+K)) * ln_term / 2).  For caps C = 4, 16, 64, ...
+        sqrt((1/n0 + 1/(n1+K)) * ln_term / 2).  For spans C = 4, 16, 64, ...
         this takes eps at K = C and solves the two linear bounds for K.
         """
         m0 = s0 / n0
         limit = _HORIZON_MAX_WIDTH - n0 - n1
         best = 0
-        cap = 4
+        span = 4
         while best < limit:
-            cap = min(cap, limit)
-            eps = math.sqrt((1.0 / n0 + 1.0 / (n1 + cap)) * ln_term / 2.0)
+            span = min(span, limit)
+            eps = math.sqrt((1.0 / n0 + 1.0 / (n1 + span)) * ln_term / 2.0)
             eps *= _HORIZON_SLACK
-            k = cap
+            k = span
             low = m0 - eps
             if low > 0.0:  # the right mean may fall to s1/(n1+K)
                 k_low = s1 / low - n1
@@ -365,10 +381,28 @@ class AdwinDetector:
             if k <= best:
                 break
             best = k
-            if k < cap:
+            if k < span:
                 break
-            cap *= 4
+            span *= 4
         return best
+
+    def _settle(self, n0: int, s0: float, n1: int, eps: float,
+                ln_term: float) -> tuple[int, float]:
+        """The tick and the window total up to which a boundary that did not
+        cut at this tick cannot cut."""
+        limit = _HORIZON_MAX_WIDTH - n0 - n1
+        m0 = s0 / n0
+        if m0 < _HORIZON_SLACK * math.sqrt(ln_term / (2.0 * n0)):
+            return self._ticks + limit, s0 + (m0 + _HORIZON_SLACK * eps) * n1
+        # eps >= 1 (after the slack) while 1/(n1 + K) >= rest, as K inserts
+        # keep n0 and ln_term from falling
+        rest = 2.0 / (ln_term * _HORIZON_SLACK) - 1.0 / n0
+        if 1.0 / n1 < rest:
+            ticks = self._no_cut_ticks(n0, s0, n1, self._sum - s0, ln_term)
+        else:
+            ticks = limit if rest <= 0.0 else min(
+                limit, math.floor(1.0 / rest - n1))
+        return self._ticks + ticks, math.inf
 
     def _shrink(self) -> bool:
         changed = False
@@ -376,45 +410,47 @@ class AdwinDetector:
         while self._count >= 2:
             n = self._count
             ln_term = math.log(4.0 * n / self.delta)
-            limit = _HORIZON_MAX_WIDTH - n
-            # eps >= 1 (after the slack), which no gap between two means in
-            # [0, 1] reaches, while 1/n0 + 1/n1 stays at or above this
-            wide = 2.0 / (ln_term * _HORIZON_SLACK) if limit > 0 else math.inf
             total = self._sum
             counts, sums = self._prefix_counts, self._prefix_sums
-            horizon = self._horizon
-            for j, until in enumerate(horizon):
-                if until >= tick:
+            horizon, caps = self._horizon, self._caps
+            for j, (until, cap) in enumerate(zip(horizon, caps)):
+                if until >= tick and cap >= total:
                     continue
                 n0 = counts[j + 1]
                 n1 = n - n0
-                inv_m = 1.0 / n0 + 1.0 / n1
-                if inv_m >= wide:
-                    # K inserts keep n0 and ln_term from falling, so eps
-                    # stays >= 1 while 1/(n1 + K) >= wide - 1/n0
-                    rest = wide - 1.0 / n0
-                    horizon[j] = tick + (limit if rest <= 0.0 else min(
-                        limit, math.floor(1.0 / rest - n1)))
-                    continue
                 s0 = sums[j + 1]
-                s1 = total - s0
-                eps = math.sqrt(inv_m * ln_term / 2.0)
-                if abs(s0 / n0 - s1 / n1) > eps:
+                eps = math.sqrt((1.0 / n0 + 1.0 / n1) * ln_term / 2.0)
+                if abs(s0 / n0 - (total - s0) / n1) > eps:
                     break
-                horizon[j] = tick + self._no_cut_ticks(n0, s0, n1, s1,
-                                                       ln_term)
+                horizon[j], caps[j] = self._settle(n0, s0, n1, eps, ln_term)
             else:
                 break
             changed = True
             self._drop_oldest_bucket()
+        self._due_tick = min(self._horizon, default=math.inf)
+        self._due_total = min(self._caps, default=math.inf)
         return changed
 
     def update(self, value: float) -> DriftLevel:
         if not 0.0 <= value <= 1.0:
             raise ValueOutOfRange(f"ADWIN input {value} outside [0, 1]")
-        self._insert(float(value))
         self._ticks += 1
-        return _DRIFT if self._shrink() else _NORMAL
+        self._insert(float(value))
+        n0 = self._count - 1
+        if n0:  # settle the newest boundary: n1 = 1 makes eps >= 1
+            ln_term = math.log(4.0 * (n0 + 1) / self.delta)
+            until, cap = self._settle(
+                n0, self._prefix_sums[-2], 1,
+                math.sqrt((1.0 / n0 + 1.0) * ln_term / 2.0), ln_term)
+            self._horizon.append(until)
+            self._caps.append(cap)
+            if until < self._due_tick:
+                self._due_tick = until
+            if cap < self._due_total:
+                self._due_total = cap
+        if self._ticks > self._due_tick or self._sum > self._due_total:
+            return _DRIFT if self._shrink() else _NORMAL
+        return _NORMAL
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +485,8 @@ class KswinDetector:
         return tuple(self._window)
 
     def update(self, value: float) -> DriftLevel:
+        if not 0.0 <= value <= 1.0:
+            raise ValueOutOfRange(f"KSWIN input {value} outside [0, 1]")
         self._window.append(float(value))
         if len(self._window) > self.window_size:
             self._window.pop(0)

@@ -243,6 +243,17 @@ def _adwin_state(det, buckets):
 # tick at which the newest boundaries' eps falls below 1
 @example(delta=0.002, max_buckets=None, real=False,
          segments=[(0.0, 20), (1.0, 20)], reset_at=0, seed=0)
+# a quiet window gives its boundaries caps on the window total, and a burst
+# of errors then uses them up one after another
+@example(delta=0.002, max_buckets=5, real=False,
+         segments=[(0.0, 3000), (1.0, 60)], reset_at=4000, seed=0)
+# the same with real values: caps on a total that is not an integer
+@example(delta=0.002, max_buckets=5, real=True,
+         segments=[(0.02, 3000), (0.6, 300)], reset_at=4000, seed=0)
+# left means near eps_inf: some boundaries earn a cap, others a horizon
+@example(delta=0.002, max_buckets=5, real=False,
+         segments=[(0.08, 400), (0.0, 2500), (0.5, 200)], reset_at=4000,
+         seed=0)
 def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets, real,
                                                segments, reset_at, seed):
     """The incremental detector against the former bucket-scan detector:
@@ -267,6 +278,26 @@ def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets, real,
         assert det.update(value) is ref.update(value), step
         got = _adwin_state(det, zip(det._sizes, det._sums))
         assert got == _adwin_state(ref, ref._buckets_old_to_new()), step
+
+
+def test_adwin_skips_its_boundary_loop_on_a_quiet_stream(monkeypatch):
+    """A low, steady error rate, like the retrain runs' error sequences: the
+    caps and horizons settle almost every boundary, so the boundary loop
+    runs on few updates and rarely needs a horizon from ``_no_cut_ticks``."""
+    calls = {"_shrink": 0, "_no_cut_ticks": 0}
+    for name in calls:
+        method = getattr(AdwinDetector, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(AdwinDetector, name, counted)
+    values = (np.random.default_rng(0).random(19000) < 0.007).astype(float)
+    det = AdwinDetector()
+    for value in values:
+        det.update(value)
+    assert calls["_shrink"] < 0.1 * len(values)
+    assert calls["_no_cut_ticks"] < 0.2 * len(values)
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +402,19 @@ def test_kswin_stationary_stream_rarely_fires():
     # alpha = 0.005 over ~1900 tests, but tests are heavily overlapping;
     # a handful of firings would indicate a broken p-value, not bad luck
     assert sum(lv is DriftLevel.DRIFT for lv in levels) <= 2
+
+
+# ---------------------------------------------------------------------------
+# The shared input contract
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [DdmDetector, EddmDetector, AdwinDetector,
+                                  KswinDetector])
+def test_detectors_reject_values_outside_unit_interval(make):
+    det = make()
+    for bad in (7.0, -3.0, float("nan"), -1e-12, 1.0 + 1e-12):
+        with pytest.raises(ValueOutOfRange):
+            det.update(bad)
+    # a rejected value leaves no trace: the run matches a fresh detector's
+    values = [0.0, 1.0, 0.25, 0.5] * 30
+    assert run_levels(det, values) == run_levels(make(), values)
