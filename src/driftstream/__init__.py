@@ -12,7 +12,7 @@ from .evaluation import (ConfusionCounts, DriftEvent, MetricsTimeline,
                          prequential_error)
 from .features import (AttributeVocabulary, FeatureExtractorModel,
                        VocabularyDiff, fit_extractor, vocabulary_diff)
-from .learners import ArfEnsemble, PoolMember, SgdClassifier
+from .learners import ArfEnsemble, PoolMembers, SgdClassifier
 from .pipeline import (CLASSIFIERS, DETECTORS, STRATEGIES, ExperimentConfig,
                        FnFPipeline, ModelPoolPipeline, parse_duration,
                        resolve_warmup_count, run_cross_validation, run_iwc,

@@ -2,7 +2,7 @@
 
 Every classifier follows one contract: ``partial_fit(x, y)`` for a single
 sample and ``predict(x)`` returning 0/1 (an untrained model predicts 0 and
-never raises).  The model pool's ``PoolMember`` instead scores and trains
+never raises).  The model pool's ``PoolMembers`` instead scores and trains
 a batch of rows per call, as its weights change only between batches.  A
 fresh, untrained model comes only from the constructor or, for SGD and the
 forest, from ``clone_untrained()``; no model has a ``reset()``.  The
@@ -333,83 +333,114 @@ POOL_LEARNING_RATE = 0.01  # eta: the "sgd-hinge" and "perceptron" step
 POOL_AGGRESSIVENESS = 1.0  # C: the cap on a "passive-aggressive" step
 
 
-class PoolMember:
-    """Linear model over a growing binary token-feature space.
+class PoolMembers:
+    """The pool's linear members over a growing binary token-feature space.
 
-    The feature space is extended on the fly as new tokens appear; new
-    dimensions start at weight zero, so they do not disturb earlier
-    decisions.  A member works on a batch of rows in CSR form ``(ids,
-    ends)``: row ``i`` is the binary-presence ids ``ids[ends[i-1]:ends[i]]``
-    (from 0 for the first row), sorted and distinct, as the pool's chunk
-    encoder returns them; they are used as given.  Update rules:
-    "sgd-hinge" (eta * hinge subgradient), "perceptron" (mistake-driven)
-    and "passive-aggressive" (PA-I with aggressiveness capped at C).
-    Prediction is sign(w.x + b) with 0 on the boundary.
+    Member ``m`` has kind ``kinds[m]``, weights ``weights[m, :sizes[m]]``
+    and bias ``biases[m]``.  ``weights`` is one C-contiguous ``(members,
+    capacity)`` matrix; ids at or past a member's logical size weigh
+    nothing, and its columns there hold 0.0.  A member's space grows on
+    the fly as new tokens appear; new dimensions start at weight zero, so
+    they do not disturb earlier decisions.  The members work on a batch of
+    rows in CSR form ``(ids, ends)``: row ``i`` is the binary-presence ids
+    ``ids[ends[i-1]:ends[i]]`` (from 0 for the first row), sorted and
+    distinct, as the pool's chunk encoder returns them; they are used as
+    given.  Update rules: "sgd-hinge" (eta * hinge subgradient),
+    "perceptron" (mistake-driven) and "passive-aggressive" (PA-I with
+    aggressiveness capped at C).  Prediction is sign(w.x + b) with 0 on
+    the boundary.  Rows are gathered with ``take(axis=1)``, whose
+    C-contiguous result sums each member's row in the order of its own 1-D
+    ``sum()``; the result of ``weights[:, row]`` is not C-contiguous.
     """
 
-    def __init__(self, kind: str):
-        if kind not in POOL_MEMBER_KINDS:
-            raise ValueError(f"unknown pool member kind {kind!r}")
-        self.kind = kind
-        self.weights = np.zeros(0, dtype=float)
-        self.bias = 0.0
+    def __init__(self, kinds):
+        for kind in kinds:
+            if kind not in POOL_MEMBER_KINDS:
+                raise ValueError(f"unknown pool member kind {kind!r}")
+        self.kinds = tuple(kinds)
+        self.weights = np.zeros((len(self.kinds), 0))
+        self.biases = [0.0] * len(self.kinds)
+        self.sizes = [0] * len(self.kinds)
 
     def score_many(self, ids: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """``w.x + b`` of every row; ids beyond the weights weigh 0.
+        """``w.x + b`` of every member (axis 0) and row (axis 1).
 
-        A row's kept ids are its first ones.  Rows are ordered by their
-        number ``n`` of kept ids, their weights gathered once, and the rows
-        keeping ``n`` summed as one C-contiguous ``(rows, n)`` matrix, whose
-        ``sum(axis=1)`` adds each row in the order of its own 1-D ``sum()``.
-        Neither ``np.add.reduceat`` nor zero padding does.
+        Members of equal size are scored together.  A row's kept ids are
+        its first ones.  Rows are ordered by their number ``n`` of kept
+        ids, their weights gathered once, and the rows keeping ``n`` summed
+        as ``(members, rows, n)`` blocks whose rows of ``n`` are contiguous,
+        so that ``sum(axis=2)`` adds each row in the order of its own 1-D
+        ``sum()``.  Neither ``np.add.reduceat`` nor zero padding does.
         """
         starts = np.concatenate(([0], ends[:-1]))
-        below = np.concatenate(([0], np.cumsum(ids < self.weights.size)))
-        kept = below[ends] - below[starts]
-        # rows in order of kept count, their kept weights gathered in turn
-        order = np.argsort(kept, kind="stable")
-        lengths = kept[order]
-        firsts = np.cumsum(lengths) - lengths
-        picks = (np.arange(lengths.sum())
-                 + np.repeat(starts[order] - firsts, lengths))
-        gathered = self.weights[ids[picks]]
-        sums = np.zeros(len(ends))
-        n_of, first_of = lengths.tolist(), firsts.tolist()
-        cuts = [i for i in range(1, len(n_of)) if n_of[i] != n_of[i - 1]]
-        for lo, hi in zip([0, *cuts], [*cuts, len(n_of)]):
-            n = n_of[lo]
-            if n:
-                rows = gathered[first_of[lo]:first_of[lo] + (hi - lo) * n]
-                sums[order[lo:hi]] = rows.reshape(hi - lo, n).sum(axis=1)
-        return sums + self.bias
+        scores = np.empty((len(self.kinds), len(ends)))
+        for size in set(self.sizes):
+            group = [m for m, s in enumerate(self.sizes) if s == size]
+            below = np.concatenate(([0], np.cumsum(ids < size)))
+            kept = below[ends] - below[starts]
+            # rows in order of kept count, their kept weights gathered in turn
+            order = np.argsort(kept, kind="stable")
+            lengths = kept[order]
+            firsts = np.cumsum(lengths) - lengths
+            picks = (np.arange(lengths.sum())
+                     + np.repeat(starts[order] - firsts, lengths))
+            matrix = (self.weights if len(group) == len(self.kinds)
+                      else self.weights[group])
+            gathered = matrix.take(ids[picks], axis=1)
+            sums = np.zeros((len(group), len(ends)))
+            n_of, first_of = lengths.tolist(), firsts.tolist()
+            cuts = [i for i in range(1, len(n_of)) if n_of[i] != n_of[i - 1]]
+            for lo, hi in zip([0, *cuts], [*cuts, len(n_of)]):
+                n = n_of[lo]
+                if n:
+                    first = first_of[lo]
+                    rows = gathered[:, first:first + (hi - lo) * n]
+                    sums[:, order[lo:hi]] = rows.reshape(
+                        len(group), hi - lo, n).sum(axis=2)
+            biases = np.array([self.biases[m] for m in group])
+            scores[group] = sums + biases[:, None]
+        return scores
 
-    def partial_fit_many(self, ids: np.ndarray, ends: np.ndarray,
-                         labels) -> None:
-        """One update per row, in order.  The weights grow once, to the
-        largest id; each row's weights are gathered once, for the margin
-        and for the step."""
+    def partial_fit_many(self, ids: np.ndarray, ends: np.ndarray, labels,
+                         members) -> None:
+        """One update per row, in order, of each member in ``members``.
+
+        The chosen members grow once, to the largest id.  Each row's
+        weights are gathered and summed once for all members, and written
+        back by one scatter that adds each member's step.  Members that do
+        not step add 0.0, which leaves every weight as it was: weights
+        start at +0.0 and change only by nonzero steps, whose exact zero
+        sums round to +0.0, so no weight is ever -0.0.
+        """
         top = int(ids.max()) if ids.size else -1
-        if top >= self.weights.size:
-            grown = np.zeros(top + 1)
-            grown[:self.weights.size] = self.weights
+        if top >= self.weights.shape[1]:
+            grown = np.zeros((len(self.kinds), top + 1))
+            grown[:, :self.weights.shape[1]] = self.weights
             self.weights = grown
-        weights, bias, kind = self.weights, self.bias, self.kind
+        for m in members:
+            self.sizes[m] = max(self.sizes[m], top + 1)
+        weights, biases = self.weights, self.biases
+        rules = [(m, self.kinds[m]) for m in members]
+        steps = [0.0] * len(self.kinds)
         start = 0
         for end, y in zip(ends.tolist(), labels):
             row = ids[start:end]
             y_signed = 1.0 if y == 1 else -1.0
-            gathered = weights[row]
-            margin = y_signed * (float(gathered.sum()) + bias)
-            if kind == "perceptron":
-                step = POOL_LEARNING_RATE if margin <= 0.0 else 0.0
-            elif kind == "sgd-hinge":
-                step = POOL_LEARNING_RATE if margin < 1.0 else 0.0
-            else:  # passive-aggressive (PA-I); bias acts as constant input
-                loss = max(0.0, 1.0 - margin)
-                step = min(POOL_AGGRESSIVENESS, loss / (end - start + 1.0))
-            if step > 0.0:
-                step *= y_signed
-                weights[row] = gathered + step
-                bias += step
+            gathered = weights.take(row, axis=1)
+            sums = gathered.sum(axis=1).tolist()
+            for m, kind in rules:
+                margin = y_signed * (sums[m] + biases[m])
+                if kind == "perceptron":
+                    step = POOL_LEARNING_RATE if margin <= 0.0 else 0.0
+                elif kind == "sgd-hinge":
+                    step = POOL_LEARNING_RATE if margin < 1.0 else 0.0
+                else:  # passive-aggressive (PA-I); bias acts as constant input
+                    loss = max(0.0, 1.0 - margin)
+                    step = min(POOL_AGGRESSIVENESS, loss / (end - start + 1.0))
+                if step > 0.0:
+                    step *= y_signed
+                    biases[m] += step
+                steps[m] = step
+            if any(steps):
+                weights[:, row] = gathered + np.array(steps)[:, None]
             start = end
-        self.bias = bias

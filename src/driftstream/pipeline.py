@@ -29,7 +29,7 @@ import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import Sequence
 
@@ -43,7 +43,7 @@ from .evaluation import (METRIC_NAMES, ConfusionCounts, MetricsTimeline,
                          PeriodMetrics, metrics)
 from . import features
 from .features import FeatureExtractorModel, fit_extractor, vocabulary_diff
-from .learners import ArfEnsemble, PoolMember, SgdClassifier, POOL_MEMBER_KINDS
+from .learners import ArfEnsemble, PoolMembers, SgdClassifier, POOL_MEMBER_KINDS
 from .stream import RawSample, SampleStream
 
 log = logging.getLogger(__name__)
@@ -422,33 +422,57 @@ def run_cross_validation(stream: SampleStream, config: ExperimentConfig
 # Pseudo-labeling model pool
 # ---------------------------------------------------------------------------
 
+def _add_unseen_tokens(samples: Sequence[RawSample],
+                       tables: dict[str, dict[str, int]],
+                       ids: np.ndarray, token_rows: np.ndarray) -> None:
+    """Give the tokens that ``features.block_token_ids`` found in no table
+    (id -1) the next ids, in first-seen order, in ``tables`` and in place
+    in ``ids``.  The lookup lists tokens attribute by attribute, so a
+    stable sort of their positions by row walks them in first-seen order.
+    """
+    n_ids = sum(map(len, tables.values()))
+    tokens, attribute_ends = [], []
+    for name in tables:
+        tokens += chain.from_iterable(sample.attributes[name]
+                                      for sample in samples)
+        attribute_ends.append(len(tokens))
+    unseen = np.flatnonzero(ids < 0)
+    unseen = unseen[np.argsort(token_rows[unseen], kind="stable")]
+    attributes = np.searchsorted(attribute_ends, unseen, side="right")
+    table_of = list(tables.values())
+    filled = []
+    # memoryviews yield the ints one by one, without a list of them
+    for position, attribute in zip(memoryview(unseen),
+                                   memoryview(attributes)):
+        table, token = table_of[attribute], tokens[position]
+        token_id = table.get(token)
+        if token_id is None:
+            token_id = table[token] = n_ids
+            n_ids += 1
+        filled.append(token_id)
+    ids[unseen] = filled
+
+
 def _encode_token_ids(samples: Sequence[RawSample],
                       tables: dict[str, dict[str, int]]
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's distinct (attribute, token) ids, sorted, in the CSR
-    form ``(ids, ends)`` that ``PoolMember`` takes as given: sample ``i``'s
-    ids are ``ids[ends[i-1]:ends[i]]`` (from 0 for the first sample).
+    form ``(ids, ends)`` that ``PoolMembers`` takes as given: sample
+    ``i``'s ids are ``ids[ends[i-1]:ends[i]]`` (from 0 for the first
+    sample).
 
     ``tables`` maps each attribute name to its growing token -> id table.
     Unseen tokens get the next ids in first-seen order: samples in order,
     attributes in the sample's order, tokens in order.  One
-    ``features.block_token_ids`` lookup finds every id; only if it holds
-    an unseen token are the samples walked token by token first, and then
-    looked up again.  One sort of the keys ``row * width + id`` orders each
-    row's ids and puts its repeats side by side.
+    ``features.block_token_ids`` lookup finds every seen id, and only the
+    unseen positions are walked and filled in.  One sort of the keys
+    ``row * width + id`` orders each row's ids and puts its repeats side
+    by side.
     """
-    n_ids = sum(map(len, tables.values()))
     ids, token_rows = features.block_token_ids(samples, tables)
     if (ids < 0).any():
-        for sample in samples:
-            for name, tokens in sample.attributes.items():
-                table = tables[name]
-                for token in tokens:
-                    if token not in table:
-                        table[token] = n_ids
-                        n_ids += 1
-        ids, token_rows = features.block_token_ids(samples, tables)
-    width = max(n_ids, 1)
+        _add_unseen_tokens(samples, tables, ids, token_rows)
+    width = max(sum(map(len, tables.values())), 1)
     keys = token_rows * width + ids
     keys.sort()
     distinct = np.ones(len(keys), dtype=bool)
@@ -474,9 +498,9 @@ class ModelPoolPipeline:
     with their pseudo-labels.  True labels are used for metrics only.
     A member's weights change only at a check, so the run encodes, scores
     and replays one interval (the warmup: chunks of ``pool_interval``
-    samples) at a time, with one ``PoolMember`` call per member; a last,
-    partial interval is scored but not checked.  Each ``run`` starts from
-    untrained members and empty token tables; after it, ``members``,
+    samples) at a time, with one ``PoolMembers`` call for all members; a
+    last, partial interval is scored but not checked.  Each ``run`` starts
+    from untrained members and empty token tables; after it, ``members``,
     ``weights``, ``token_ids`` (attribute -> token -> id) and
     ``aging_events`` hold that run's final state.
     """
@@ -487,24 +511,23 @@ class ModelPoolPipeline:
     def run(self, stream: SampleStream) -> MetricsTimeline:
         cfg = self.config
         warm, rest = _split_warmup(stream, cfg.warmup)
-        self.members = [PoolMember(kind) for kind in POOL_MEMBER_KINDS]
-        self.weights = [1.0] * len(self.members)
+        self.members = PoolMembers(POOL_MEMBER_KINDS)
+        everyone = range(len(POOL_MEMBER_KINDS))
+        self.weights = [1.0] * len(everyone)
         self.token_ids = {name: {} for name in stream.schema.attribute_names}
         self.aging_events = 0
         interval = cfg.pool_interval
         for lo in range(0, len(warm), interval):
             chunk = warm[lo:lo + interval]
             ids, ends = _encode_token_ids(chunk, self.token_ids)
-            labels = [sample.label for sample in chunk]
-            for member in self.members:
-                member.partial_fit_many(ids, ends, labels)
+            self.members.partial_fit_many(
+                ids, ends, [sample.label for sample in chunk], everyone)
 
         timeline = MetricsTimeline(window=cfg.metrics_window)
         for lo in range(0, len(rest), interval):
             chunk = rest[lo:lo + interval]
             ids, ends = _encode_token_ids(chunk, self.token_ids)
-            votes = [member.score_many(ids, ends) > 0.0
-                     for member in self.members]
+            votes = self.members.score_many(ids, ends) > 0.0
             # ((0 + ±w0) + ±w1) + ±w2 per row, as the per-sample vote added
             score = sum(np.where(vote, weight, -weight)
                         for weight, vote in zip(self.weights, votes))
@@ -514,16 +537,14 @@ class ModelPoolPipeline:
                 timeline.record(prediction, sample.label)
             if len(chunk) < interval:
                 break
-            ji = [int(np.count_nonzero(vote == pseudo)) / interval
-                  for vote in votes]
-            aged = [value < POOL_TAU_LOW or value > POOL_TAU_HIGH
-                    for value in ji]
-            if any(aged):
+            hits = np.count_nonzero(votes == pseudo, axis=1).tolist()
+            ji = [count / interval for count in hits]
+            aged = [m for m, value in enumerate(ji)
+                    if value < POOL_TAU_LOW or value > POOL_TAU_HIGH]
+            if aged:
                 self.aging_events += 1
                 timeline.record_event(lo + interval, "pool", "drift")
-                for member, is_aged in zip(self.members, aged):
-                    if is_aged:
-                        member.partial_fit_many(ids, ends, predictions)
+                self.members.partial_fit_many(ids, ends, predictions, aged)
             self.weights = [max(value, 0.05) for value in ji]
         return timeline
 

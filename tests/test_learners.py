@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftstream import (ArfEnsemble, DimensionMismatch, PoolMember,
+from driftstream import (ArfEnsemble, DimensionMismatch, PoolMembers,
                          SgdClassifier)
 from driftstream.learners import (ARF_POISSON_LAMBDA, POOL_MEMBER_KINDS,
                                   HoeffdingTreeClassifier, _LeafNode,
@@ -278,32 +278,36 @@ def test_arf_beats_single_tree_under_label_noise():
 
 def test_pool_member_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        PoolMember("decision-stump")
+        PoolMembers(["perceptron", "decision-stump"])
 
 
 def one_row(ids):
-    """``ids`` as a batch of one row, in ``PoolMember``'s CSR form."""
+    """``ids`` as a batch of one row, in ``PoolMembers``' CSR form."""
     return np.array(ids, dtype=np.intp), np.array([len(ids)])
 
 
-def fit(member, ids, label):
-    member.partial_fit_many(*one_row(ids), [label])
+def fit(pool, ids, label):
+    """Replay one row into the one member of ``pool``."""
+    pool.partial_fit_many(*one_row(ids), [label], [0])
 
 
-def score(member, ids):
-    return member.score_many(*one_row(ids))[0]
+def score(pool, ids):
+    return pool.score_many(*one_row(ids))[0, 0]
+
+
+def weights_of(pool, m=0):
+    return pool.weights[m, :pool.sizes[m]]
 
 
 def test_pool_untrained_predicts_zero():
-    for kind in ("sgd-hinge", "perceptron", "passive-aggressive"):
-        m = PoolMember(kind)
-        # rows [0, 5, 17] and []: score 0 lies on the boundary, so vote 0
-        ids, ends = np.array([0, 5, 17]), np.array([3, 3])
-        assert m.score_many(ids, ends).tolist() == [0.0, 0.0]
+    pool = PoolMembers(POOL_MEMBER_KINDS)
+    # rows [0, 5, 17] and []: score 0 lies on the boundary, so vote 0
+    ids, ends = np.array([0, 5, 17]), np.array([3, 3])
+    assert pool.score_many(ids, ends).tolist() == [[0.0, 0.0]] * 3
 
 
 def test_perceptron_update_rule():
-    m = PoolMember("perceptron")         # step size 0.01
+    m = PoolMembers(["perceptron"])      # step size 0.01
     fit(m, [0], 1)                       # mistake: score 0 -> update
     assert score(m, [0]) == pytest.approx(0.02)  # w=0.01 plus b=0.01
     fit(m, [0], 1)                       # margin 0.02 > 0 -> no update
@@ -311,44 +315,59 @@ def test_perceptron_update_rule():
 
 
 def test_sgd_hinge_updates_inside_margin_where_perceptron_stops():
-    hinge = PoolMember("sgd-hinge")
-    mistake = PoolMember("perceptron")
+    hinge = PoolMembers(["sgd-hinge"])
+    mistake = PoolMembers(["perceptron"])
     for m in (hinge, mistake):
         fit(m, [0], 1)                   # both update from zero
         assert score(m, [0]) == pytest.approx(0.02)
     fit(hinge, [0], 1)                   # margin 0.02 < 1 -> another step
+    fit(mistake, [0], 1)                 # margin 0.02 > 0 -> no step
     fit(mistake, [0], 1)                 # margin 0.02 > 0 -> no step
     assert score(hinge, [0]) == pytest.approx(0.04)
     assert score(mistake, [0]) == pytest.approx(0.02)
 
 
 def test_passive_aggressive_step_size():
-    m = PoolMember("passive-aggressive")
+    m = PoolMembers(["passive-aggressive"])
     fit(m, [0, 1], 1)
     # loss 1 over squared norm 3 (two features + bias) -> tau = 1/3
     assert score(m, [0, 1]) == pytest.approx(1.0)
-    np.testing.assert_allclose(m.weights, [1 / 3, 1 / 3])
+    np.testing.assert_allclose(weights_of(m), [1 / 3, 1 / 3])
     fit(m, [0, 1], 1)                    # margin exactly 1 -> loss 0
     assert score(m, [0, 1]) == pytest.approx(1.0)
 
 
 def test_passive_aggressive_cap():
-    m = PoolMember("passive-aggressive")  # C = 1
+    m = PoolMembers(["passive-aggressive"])  # C = 1
     fit(m, [], 1)                        # loss 1 over squared norm 1 -> tau 1
-    assert m.bias == pytest.approx(1.0)
+    assert m.biases[0] == pytest.approx(1.0)
     fit(m, [], 0)                        # loss 2 -> tau 2, capped at 1
-    assert m.bias == pytest.approx(0.0)
+    assert m.biases[0] == pytest.approx(0.0)
 
 
 def test_pool_member_grows_feature_space():
-    m = PoolMember("perceptron")
+    m = PoolMembers(["perceptron"])
     fit(m, [2], 1)
-    assert m.weights.size == 3
+    assert m.sizes == [3]
     fit(m, [10], 1)
-    assert m.weights.size == 11
-    assert m.weights[2] == 0.01          # old weight untouched by growth
+    assert m.sizes == [11]
+    assert weights_of(m)[2] == 0.01      # old weight untouched by growth
     # indices beyond current capacity contribute nothing to the score
     assert score(m, [2, 99]) == pytest.approx(score(m, [2]))
+
+
+def test_pool_members_grow_only_the_members_that_replay():
+    pool = PoolMembers(POOL_MEMBER_KINDS)
+    pool.partial_fit_many(*one_row([4]), [1], [0, 2])
+    assert pool.sizes == [5, 0, 5]
+    pool.partial_fit_many(*one_row([1, 7]), [0], [1])
+    assert pool.sizes == [5, 8, 5]
+    # the matrix is as wide as the widest member, zero past each size
+    assert pool.weights.shape == (3, 8) and pool.weights.flags.c_contiguous
+    assert not pool.weights[0, 5:].any() and not pool.weights[2, 5:].any()
+    # id 7 weighs -0.01 for member 1 and nothing for members 0 and 2
+    assert pool.score_many(*one_row([7])).tolist() == [
+        [0.01], [-0.02], [0.5]]
 
 
 # updates whose ids are sorted and distinct; a sample's largest id may lie
@@ -362,30 +381,32 @@ pool_updates = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(POOL_MEMBER_KINDS), pool_updates)
 def test_pool_member_updates_are_bit_identical_to_reference(kind, updates):
-    member, reference = PoolMember(kind), ReferencePoolMember(kind)
+    member, reference = PoolMembers([kind]), ReferencePoolMember(kind)
     for ids, label in updates:
         fit(member, ids, label)
         reference.partial_fit(ids, label)
-        assert ([w.hex() for w in member.weights.tolist()]
+        assert ([w.hex() for w in weights_of(member).tolist()]
                 == [w.hex() for w in reference.weights.tolist()])
-        assert member.bias.hex() == reference.bias.hex()
+        assert member.biases[0].hex() == reference.bias.hex()
 
 
 def batch(rows):
-    """Rows of ids as one batch in ``PoolMember``'s CSR form."""
+    """Rows of ids as one batch in ``PoolMembers``' CSR form."""
     return (np.array([i for row in rows for i in row], dtype=np.intp),
             np.cumsum([len(row) for row in rows], dtype=np.intp))
 
 
 @st.composite
 def pool_batches(draw):
-    """1-4 batches of (ids, label) rows, ids sorted and distinct.
+    """1-4 batches of (ids, label) rows, ids sorted and distinct, each with
+    the set of members that replays it.
 
     Row sizes cover empty rows, 1-8 ids, 9-128 ids (numpy's 8-way unrolled
     sum) and 129-300 ids (its pairwise recursion); a batch's rows share 1-3
     sizes, so rows of one size are summed together.  Each batch draws its
-    ids below its own bound of 100-400, so a member trained on one batch
-    meets ids past its capacity in the next, in part of a row or all of it.
+    ids below its own bound of 100-400, and only some members may replay
+    it, so members' sizes diverge: a member meets ids past its size in
+    part of a row or all of it, while others of the pool do not.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = st.one_of(st.just(0), st.integers(1, 8), st.integers(9, 128),
@@ -394,27 +415,51 @@ def pool_batches(draw):
     for _ in range(draw(st.integers(1, 4))):
         bound = 100 * draw(st.integers(1, 4))
         sizes = draw(st.lists(size, min_size=1, max_size=3))
-        batches.append([
+        rows = [
             (np.sort(rng.choice(bound, min(n, bound), replace=False)).tolist(),
              draw(st.integers(0, 1)))
             for n in draw(st.lists(st.sampled_from(sizes), min_size=1,
-                                   max_size=8))])
+                                   max_size=8))]
+        batches.append((rows, sorted(draw(st.sets(st.integers(0, 2))))))
     return batches
 
 
+def diverging_batches():
+    """Member 2 replays 60-id rows below 100, members 0 and 1 150-id rows
+    below 400; the third batch is scored with sizes 100 and 400, where
+    summing member 2's rows at 400 ids, padded with zeros, changes bits."""
+    rng = np.random.default_rng(0)
+
+    def rows(bound, n, count):
+        return [(np.sort(rng.choice(bound, n, replace=False)).tolist(),
+                 int(rng.integers(2))) for _ in range(count)]
+
+    return [(rows(100, 60, 6), [2]), (rows(400, 150, 4), [0, 1]),
+            (rows(400, 150, 4), [0, 1, 2])]
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(POOL_MEMBER_KINDS), pool_batches())
-def test_pool_member_batches_are_bit_identical_to_reference(kind, batches):
-    """Each batch is scored, then replayed, by one call each; the reference
-    scores and updates one row at a time."""
-    member, reference = PoolMember(kind), ReferencePoolMember(kind)
-    for rows in batches:
+@given(pool_batches())
+@example(diverging_batches())
+def test_pool_member_batches_are_bit_identical_to_reference(batches):
+    """Each batch is scored, then replayed into some members, by one call
+    each; one reference member per kind scores and updates one row at a
+    time."""
+    pool = PoolMembers(POOL_MEMBER_KINDS)
+    references = [ReferencePoolMember(kind) for kind in POOL_MEMBER_KINDS]
+    for rows, members in batches:
         ids, ends = batch([row for row, _ in rows])
-        assert ([s.hex() for s in member.score_many(ids, ends).tolist()]
-                == [reference.score(row).hex() for row, _ in rows])
-        member.partial_fit_many(ids, ends, [label for _, label in rows])
-        for row, label in rows:
-            reference.partial_fit(row, label)
-        assert ([w.hex() for w in member.weights.tolist()]
-                == [w.hex() for w in reference.weights.tolist()])
-        assert member.bias.hex() == reference.bias.hex()
+        assert ([[s.hex() for s in scores]
+                 for scores in pool.score_many(ids, ends).tolist()]
+                == [[reference.score(row).hex() for row, _ in rows]
+                    for reference in references])
+        pool.partial_fit_many(ids, ends, [label for _, label in rows],
+                              members)
+        for m in members:
+            for row, label in rows:
+                references[m].partial_fit(row, label)
+        for m, reference in enumerate(references):
+            assert ([w.hex() for w in weights_of(pool, m).tolist()]
+                    == [w.hex() for w in reference.weights.tolist()])
+            assert not pool.weights[m, pool.sizes[m]:].any()
+            assert pool.biases[m].hex() == reference.bias.hex()

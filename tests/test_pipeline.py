@@ -761,10 +761,13 @@ def test_pool_run_is_bit_identical_to_reference(case, warmup):
     assert [(e.step, e.detector, e.level) for e in timeline.events] == [
         (step, "pool", "drift") for step in event_steps]
     assert pipe.weights == weights
-    for member, reference in zip(pipe.members, members):
-        assert member.kind == reference.kind
-        assert member.weights.tobytes() == reference.weights.tobytes()
-        assert member.bias == reference.bias
+    pool = pipe.members
+    assert pool.kinds == tuple(reference.kind for reference in members)
+    for m, reference in enumerate(members):
+        size = pool.sizes[m]
+        assert pool.weights[m, :size].tobytes() == reference.weights.tobytes()
+        assert not pool.weights[m, size:].any()
+        assert pool.biases[m] == reference.bias
 
 
 # ---------------------------------------------------------------------------
