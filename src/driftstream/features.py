@@ -33,20 +33,6 @@ from .stream import RawSample, StreamSchema
 BLOCK_ROWS = 64
 
 
-def block_token_ids(block: Sequence[RawSample],
-                    tables: dict[str, dict[str, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, rows) of every token of ``block`` in attribute (``tables``
-    order), sample, token order: its id in the attribute's table (-1 if
-    absent) and its row in the block, by one ``map`` per attribute."""
-    ids, lengths = [], []
-    for name, table in tables.items():
-        cells = [sample.attributes[name] for sample in block]
-        ids += map(table.get, chain.from_iterable(cells), repeat(-1))
-        lengths += map(len, cells)
-    rows = np.repeat(np.tile(np.arange(len(block)), len(tables)), lengths)
-    return np.array(ids, dtype=np.intp), rows
-
-
 @dataclass
 class AttributeVocabulary:
     """Top-K token vocabulary of one attribute with document frequencies.
@@ -140,11 +126,17 @@ class FeatureExtractorModel:
     def _raw_matrix(self, samples: Sequence[RawSample]) -> np.ndarray:
         """TF-IDF rows with per-attribute L2 normalization, before scaling.
 
-        One ``block_token_ids`` lookup and one ``bincount`` count every
-        in-vocabulary token at its flat index ``row * dim + attribute * k + column``.
+        One ``bincount`` counts every in-vocabulary token (column -1 is
+        absent) at its flat index ``row * dim + attribute * k + column``.
         """
         n, dim = len(samples), self.dim
-        columns, rows = block_token_ids(samples, self._columns)
+        columns, lengths = [], []
+        for name, table in self._columns.items():
+            cells = [sample.attributes[name] for sample in samples]
+            columns += map(table.get, chain.from_iterable(cells), repeat(-1))
+            lengths += map(len, cells)
+        columns = np.array(columns, dtype=np.intp)
+        rows = np.repeat(np.tile(np.arange(n), len(self._columns)), lengths)
         known = columns >= 0
         counts = np.bincount(rows[known] * dim + columns[known],
                              minlength=n * dim)

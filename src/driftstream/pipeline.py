@@ -27,9 +27,10 @@ import logging
 import math
 import numbers
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
-from itertools import chain, groupby
+from itertools import chain, count, cycle, groupby
 from operator import attrgetter
 from typing import Sequence
 
@@ -41,7 +42,6 @@ from .errors import (ClassMissingInFold, ConfigError, InsufficientData,
                      InsufficientTimeSpan, UnlabeledSample, WarmupTooSmall)
 from .evaluation import (METRIC_NAMES, ConfusionCounts, MetricsTimeline,
                          PeriodMetrics, metrics)
-from . import features
 from .features import FeatureExtractorModel, fit_extractor, vocabulary_diff
 from .learners import ArfEnsemble, PoolMembers, SgdClassifier, POOL_MEMBER_KINDS
 from .stream import RawSample, SampleStream
@@ -422,37 +422,6 @@ def run_cross_validation(stream: SampleStream, config: ExperimentConfig
 # Pseudo-labeling model pool
 # ---------------------------------------------------------------------------
 
-def _add_unseen_tokens(samples: Sequence[RawSample],
-                       tables: dict[str, dict[str, int]],
-                       ids: np.ndarray, token_rows: np.ndarray) -> None:
-    """Give the tokens that ``features.block_token_ids`` found in no table
-    (id -1) the next ids, in first-seen order, in ``tables`` and in place
-    in ``ids``.  The lookup lists tokens attribute by attribute, so a
-    stable sort of their positions by row walks them in first-seen order.
-    """
-    n_ids = sum(map(len, tables.values()))
-    tokens, attribute_ends = [], []
-    for name in tables:
-        tokens += chain.from_iterable(sample.attributes[name]
-                                      for sample in samples)
-        attribute_ends.append(len(tokens))
-    unseen = np.flatnonzero(ids < 0)
-    unseen = unseen[np.argsort(token_rows[unseen], kind="stable")]
-    attributes = np.searchsorted(attribute_ends, unseen, side="right")
-    table_of = list(tables.values())
-    filled = []
-    # memoryviews yield the ints one by one, without a list of them
-    for position, attribute in zip(memoryview(unseen),
-                                   memoryview(attributes)):
-        table, token = table_of[attribute], tokens[position]
-        token_id = table.get(token)
-        if token_id is None:
-            token_id = table[token] = n_ids
-            n_ids += 1
-        filled.append(token_id)
-    ids[unseen] = filled
-
-
 def _encode_token_ids(samples: Sequence[RawSample],
                       tables: dict[str, dict[str, int]]
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -461,19 +430,23 @@ def _encode_token_ids(samples: Sequence[RawSample],
     ``i``'s ids are ``ids[ends[i-1]:ends[i]]`` (from 0 for the first
     sample).
 
-    ``tables`` maps each attribute name to its growing token -> id table.
-    Unseen tokens get the next ids in first-seen order: samples in order,
-    attributes in the sample's order, tokens in order.  One
-    ``features.block_token_ids`` lookup finds every seen id, and only the
-    unseen positions are walked and filled in.  One sort of the keys
-    ``row * width + id`` orders each row's ids and puts its repeats side
-    by side.
+    ``tables`` maps each attribute name to its token -> id
+    ``defaultdict``.  The tables share one factory, such as
+    ``itertools.count().__next__``, so the one lookup pass, in (sample,
+    attribute, token) order, hands unseen tokens the next ids in
+    first-seen order.  Precondition: every sample holds exactly the
+    tables' attributes, in schema order (``stream_from_samples`` ensures
+    it).  One sort of the keys ``row * width + id`` orders each row's ids
+    and puts its repeats side by side.
     """
-    ids, token_rows = features.block_token_ids(samples, tables)
-    if (ids < 0).any():
-        _add_unseen_tokens(samples, tables, ids, token_rows)
+    cells = list(chain.from_iterable(
+        map(dict.values, map(attrgetter("attributes"), samples))))
+    lookups = cycle([table.__getitem__ for table in tables.values()])
+    ids = np.fromiter(chain.from_iterable(map(map, lookups, cells)), np.intp)
+    rows = np.arange(len(samples)).repeat(len(tables)).repeat(
+        list(map(len, cells)))
     width = max(sum(map(len, tables.values())), 1)
-    keys = token_rows * width + ids
+    keys = rows * width + ids
     keys.sort()
     distinct = np.ones(len(keys), dtype=bool)
     distinct[1:] = keys[1:] != keys[:-1]
@@ -501,7 +474,8 @@ class ModelPoolPipeline:
     samples) at a time, with one ``PoolMembers`` call for all members; a
     last, partial interval is scored but not checked.  Each ``run`` starts
     from untrained members and empty token tables; after it, ``members``,
-    ``weights``, ``token_ids`` (attribute -> token -> id) and
+    ``weights``, ``token_ids`` (attribute -> token -> id; a token the run
+    never saw is a ``KeyError``) and
     ``aging_events`` hold that run's final state.
     """
 
@@ -514,7 +488,9 @@ class ModelPoolPipeline:
         self.members = PoolMembers(POOL_MEMBER_KINDS)
         everyone = range(len(POOL_MEMBER_KINDS))
         self.weights = [1.0] * len(everyone)
-        self.token_ids = {name: {} for name in stream.schema.attribute_names}
+        next_id = count().__next__
+        self.token_ids = {name: defaultdict(next_id)
+                          for name in stream.schema.attribute_names}
         self.aging_events = 0
         interval = cfg.pool_interval
         for lo in range(0, len(warm), interval):
@@ -546,6 +522,8 @@ class ModelPoolPipeline:
                 timeline.record_event(lo + interval, "pool", "drift")
                 self.members.partial_fit_many(ids, ends, predictions, aged)
             self.weights = [max(value, 0.05) for value in ji]
+        for table in self.token_ids.values():
+            table.default_factory = None
         return timeline
 
 

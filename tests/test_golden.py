@@ -9,6 +9,7 @@ says which runs changed, and why, in CHANGES.md.
 
 import hashlib
 
+import numpy
 import pytest
 
 from driftstream.cli import main
@@ -169,4 +170,6 @@ def test_report_digests_are_unchanged(run_name, stream_file, tmp_path,
                                       monkeypatch):
     monkeypatch.delenv("DRIFTSTREAM_OUT", raising=False)
     assert run_digests(stream_file, tmp_path / "out", run_name) \
-        == GOLDEN[run_name]
+        == GOLDEN[run_name], (f"reports written with numpy "
+                              f"{numpy.__version__}; the digests were made "
+                              f"with numpy 2.4.6")

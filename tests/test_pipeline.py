@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import time
+from collections import defaultdict
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -319,16 +320,19 @@ def test_single_class_warmup_rejected():
 # drift reactions
 # ---------------------------------------------------------------------------
 
-def test_drift_event_accounting_invariant():
+@pytest.mark.parametrize("strategy", ["fnf-update", "fnf-retrain"])
+@pytest.mark.parametrize("detector", ["ddm", "eddm", "adwin", "kswin"])
+def test_drift_event_accounting_invariant(detector, strategy):
+    # every detector fires on this stream; eddm under fnf-update also
+    # drifts with an empty warning buffer, which rebuilds nothing
     stream = synth(n=1500, drift=(700,), kind="vocabulary-shift", seed=3)
-    cfg = config(strategy="fnf-update", detector="adwin")
-    pipe = FnFPipeline(cfg)
+    pipe = FnFPipeline(config(strategy=strategy, detector=detector))
     timeline = pipe.run(stream)
     assert timeline.drift_count() >= 1
     assert timeline.drift_count() == pipe.rebuild_count + pipe.degenerate_drifts
     steps = [e.step for e in timeline.events]
     assert steps == sorted(set(steps))
-    assert all(e.detector == "adwin" for e in timeline.events)
+    assert all(e.detector == detector for e in timeline.events)
 
 
 def _run_record(pipe, stream):
@@ -363,6 +367,11 @@ def test_pool_rerun_on_one_pipeline_starts_afresh():
     assert first_state[0] == 1
     assert _run_record(pipe, stream) == first
     assert (pipe.aging_events, list(pipe.weights), n_ids()) == first_state
+    # reading the tables after a run hands out no id
+    for table in pipe.token_ids.values():
+        with pytest.raises(KeyError):
+            table["never-seen"]
+    assert n_ids() == first_state[2]
 
 
 def test_update_keeps_extractor_retrain_replaces_it():
@@ -674,8 +683,14 @@ def encode_rows(samples, tables):
     return [ids[lo:hi].tolist() for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
+def token_tables(names):
+    """Empty token tables sharing one id counter, as the pool's are."""
+    next_id = itertools.count().__next__
+    return {name: defaultdict(next_id) for name in names}
+
+
 def test_encode_returns_sorted_distinct_first_seen_ids():
-    tables = {"api": {}, "perm": {}}
+    tables = token_tables(["api", "perm"])
     rows = [dict(api=["z", "y", "z"], perm=["y", "x"]),
             dict(api=["w", "z"], perm=["x", "x"]),
             dict(api=["y"], perm=[]), dict(api=[], perm=["y"]),
@@ -713,7 +728,7 @@ def test_encoder_matches_reference_indexer(case):
     """Chunks encoded in turn share the tables, as the pool's are."""
     samples, chunk = case
     reference = ReferenceTokenIndexer()
-    tables = {name: {} for name in samples[0].attributes}
+    tables = token_tables(samples[0].attributes)
     encoded = [row for lo in range(0, len(samples), chunk)
                for row in encode_rows(samples[lo:lo + chunk], tables)]
     assert encoded == [reference.encode(sample) for sample in samples]
@@ -768,6 +783,29 @@ def test_pool_run_is_bit_identical_to_reference(case, warmup):
         assert pool.weights[m, :size].tobytes() == reference.weights.tobytes()
         assert not pool.weights[m, size:].any()
         assert pool.biases[m] == reference.bias
+
+
+def test_pool_run_ignores_the_key_order_of_sample_attributes():
+    """The encoder looks each sample's token lists up in schema order;
+    ``stream_from_samples`` puts every sample's attributes in that order."""
+    samples = synth(n=600, drift=(300,), kind="vocabulary-shift",
+                    n_attributes=3, seed=1).samples
+    # every key order in turn; the first sample, which the schema is taken
+    # from, keeps schema order
+    orders = list(itertools.permutations(samples[0].attributes))
+    shuffled = [RawSample(s.id, s.timestamp, s.label,
+                          {name: s.attributes[name]
+                           for name in orders[i % len(orders)]})
+                for i, s in enumerate(samples)]
+
+    def outcome(stream):
+        pipe = ModelPoolPipeline(config(strategy="pool", pool_interval=25))
+        timeline = pipe.run(stream)
+        return (timeline.predictions, timeline.events, pipe.weights,
+                pipe.members.weights.tobytes(), list(pipe.members.biases))
+
+    assert outcome(stream_from_samples(shuffled)) == outcome(
+        stream_from_samples(samples))
 
 
 # ---------------------------------------------------------------------------
