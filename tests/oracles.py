@@ -17,7 +17,9 @@ running confusion counts and error bits next to the prediction and label
 lists (reference of the timeline that derives them from the lists), and
 ``reference_load_stream``, the loader that normalizes every token
 occurrence on its own and builds each sample twice (reference of the
-interning loader).
+interning loader), and ``reference_fnf_run``, the drift-reaction loop
+stepped one sample at a time on the reference extractor and classifier
+(reference of ``FnFPipeline``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from driftstream import DriftLevel, ValueOutOfRange
+from driftstream import DriftLevel, KswinDetector, ValueOutOfRange
 from driftstream.evaluation import (METRIC_NAMES, ConfusionCounts,
                                     DriftEvent, metrics, prequential_error)
 from driftstream.errors import EmptyStream, ParseError, SchemaMismatch
@@ -765,3 +767,165 @@ def reference_load_stream(path, fmt: str = "jsonl") -> SampleStream:
     if not samples:
         raise EmptyStream(f"{path} holds no samples")
     return reference_stream_from_samples(samples)
+
+
+# ---------------------------------------------------------------------------
+# The drift-reaction loop, one sample at a time (reference of FnFPipeline)
+# ---------------------------------------------------------------------------
+
+class ReferenceVocabulary:
+    """One attribute's top-k tokens, as ``per_sample_raw_vector`` reads them."""
+
+    def __init__(self, attribute_name, tokens, document_frequency,
+                 n_train_docs):
+        self.attribute_name = attribute_name
+        self.tokens = tokens
+        self.document_frequency = document_frequency
+        self.n_train_docs = n_train_docs
+
+
+class ReferenceExtractor:
+    """TF-IDF + min-max extractor fitted on plain token lists.
+
+    Per attribute (in the first sample's order), the ``k`` tokens of
+    highest total term frequency, ties broken by the token string; the
+    min-max ranges are the column minima and maxima of the training
+    samples' ``per_sample_raw_vector``.
+    """
+
+    def __init__(self, samples, k: int):
+        names = list(samples[0].attributes)
+        self.k = k
+        self.dim = len(names) * k
+        self.vocabularies = []
+        for name in names:
+            tf, df = Counter(), Counter()
+            for sample in samples:
+                tf.update(sample.attributes[name])
+                df.update(set(sample.attributes[name]))
+            tokens = sorted(tf, key=lambda tok: (-tf[tok], tok))[:k]
+            self.vocabularies.append(ReferenceVocabulary(
+                name, tokens, [df[tok] for tok in tokens], len(samples)))
+        raws = np.array([per_sample_raw_vector(self, s) for s in samples])
+        self.minmax_min = raws.min(axis=0)
+        self.minmax_max = raws.max(axis=0)
+
+    def to_dict(self) -> dict:
+        """The ``FeatureExtractorModel.to_dict()`` of the same fit."""
+        return {
+            "kind": "tfidf-minmax-extractor",
+            "k": self.k,
+            "schema": [vocab.attribute_name for vocab in self.vocabularies],
+            "attributes": [{"name": vocab.attribute_name,
+                            "tokens": list(vocab.tokens),
+                            "document_frequency": list(vocab.document_frequency),
+                            "n_train_docs": vocab.n_train_docs}
+                           for vocab in self.vocabularies],
+            "minmax_min": self.minmax_min.tolist(),
+            "minmax_max": self.minmax_max.tolist(),
+        }
+
+
+def reference_vocabulary_diff(old: ReferenceExtractor,
+                              new: ReferenceExtractor) -> list[dict]:
+    """``VocabularyDiff.to_dict()`` of each attribute, old against new."""
+    out = []
+    for old_vocab, new_vocab in zip(old.vocabularies, new.vocabularies):
+        before, after = set(old_vocab.tokens), set(new_vocab.tokens)
+        out.append({"attribute": old_vocab.attribute_name,
+                    "added": sorted(after - before),
+                    "removed": sorted(before - after),
+                    "retained": sorted(before & after)})
+    return out
+
+
+class _ReplayLevels:
+    """A scalar-replay detector oracle stepped one bit at a time: each
+    update replays every bit so far and returns the last level."""
+
+    def __init__(self, replay):
+        self.replay = replay
+        self.bits: list[float] = []
+
+    def update(self, bit: float) -> str:
+        self.bits.append(bit)
+        return self.replay(self.bits)[-1]
+
+
+class _LevelNames:
+    """A detector whose ``DriftLevel`` results read as level strings."""
+
+    def __init__(self, detector):
+        self.detector = detector
+
+    def update(self, bit: float) -> str:
+        return self.detector.update(bit).name.lower()
+
+
+def reference_fnf_run(warm, rest, strategy: str, detector: str, k: int):
+    """The prequential drift-reaction loop on ``per_sample_transform``,
+    ``ReferenceExtractor`` and ``ReferenceSgdClassifier``.
+
+    Each step predicts the sample, then (unless ``strategy`` is "static")
+    feeds the error bit to the detector: DDM and EDDM by replaying their
+    scalar oracles, ADWIN as ``ReferenceAdwinDetector``, KSWIN as the
+    library detector.  A non-drift step trains on the sample.  A drift
+    rebuilds on a buffer worked out from the samples seen so far: the open
+    warning episode (DDM, EDDM), the newest ``width`` samples of ADWIN's
+    surviving window, the newest ``stat_size`` samples (KSWIN).  An empty
+    buffer keeps the models.  "fnf-retrain" refits the extractor on the
+    buffer first; both strategies train a fresh classifier on it.
+
+    Returns (predictions, events as (step, level), vocabulary diffs as
+    (step, [diff dicts]), the final extractor's ``to_dict()``).
+    """
+    extractor = ReferenceExtractor(warm, k)
+    classifier = ReferenceSgdClassifier(extractor.dim)
+    for sample in warm:
+        classifier.partial_fit(per_sample_transform(extractor, sample),
+                               sample.label)
+    stat_size = KswinDetector().stat_size
+    levels = {"ddm": lambda: _ReplayLevels(ddm_oracle_run),
+              "eddm": lambda: _ReplayLevels(eddm_oracle_run),
+              "adwin": lambda: _LevelNames(ReferenceAdwinDetector()),
+              "kswin": lambda: _LevelNames(KswinDetector())}[detector]()
+    predictions, events, diffs = [], [], []
+    seen, episode = [], []
+    for step, sample in enumerate(rest, start=1):
+        vec = per_sample_transform(extractor, sample)
+        prediction = classifier.predict(vec)
+        predictions.append(prediction)
+        seen.append(sample)
+        if strategy == "static":
+            continue
+        level = levels.update(float(prediction != sample.label))
+        if level != "drift":
+            classifier.partial_fit(vec, sample.label)
+            if level == "warning":
+                if not episode:
+                    events.append((step, "warning"))
+                episode.append(sample)
+            else:
+                episode = []
+            continue
+        events.append((step, "drift"))
+        if detector in ("ddm", "eddm"):
+            buffer = episode
+        elif detector == "adwin":
+            width = levels.detector.width
+            buffer = seen[len(seen) - width:] if width else []
+        else:
+            buffer = seen[-stat_size:]
+        episode = []
+        if not buffer:
+            continue
+        if strategy == "fnf-retrain":
+            refitted = ReferenceExtractor(buffer, k)
+            diffs.append((step, reference_vocabulary_diff(extractor,
+                                                          refitted)))
+            extractor = refitted
+        classifier = ReferenceSgdClassifier(extractor.dim)
+        for buffered in buffer:
+            classifier.partial_fit(per_sample_transform(extractor, buffered),
+                                   buffered.label)
+    return predictions, events, diffs, extractor.to_dict()

@@ -1,5 +1,6 @@
 """Experiment strategies: prequential loop, baselines, pool, warmup sweep."""
 
+import bisect
 import calendar
 import hashlib
 import itertools
@@ -10,7 +11,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from driftstream import (CLASSIFIERS, DETECTORS, AdwinDetector, ArfEnsemble,
@@ -30,7 +31,8 @@ from driftstream.cli import main as cli_main
 from driftstream.pipeline import (_chunk_sizes, _encode_token_ids,
                                   build_classifier, build_detector)
 
-from .oracles import ReferenceTokenIndexer, reference_pool_run
+from .oracles import (ReferenceTokenIndexer, reference_fnf_run,
+                      reference_pool_run)
 
 
 def synth(n=600, drift=(), seed=0, **kw):
@@ -806,6 +808,55 @@ def test_pool_run_ignores_the_key_order_of_sample_attributes():
 
     assert outcome(stream_from_samples(shuffled)) == outcome(
         stream_from_samples(samples))
+
+
+# ---------------------------------------------------------------------------
+# the drift-reaction loop against its one-sample-at-a-time reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def fnf_case(draw):
+    """(stream, warmup count, vocab size): 120-400 samples over 1-3
+    attributes with up to three vocabulary shifts, and one to three label
+    flips at drawn steps at least 60 samples past the warmup.  A flip
+    inverts every later label until the next one, so a classifier that
+    has learned the stream errs at once and the detectors fire on short
+    streams."""
+    warmup = draw(st.integers(20, 100))
+    n = draw(st.integers(warmup + 100, 400))
+    shifts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3)))
+    flips = sorted(draw(st.sets(st.integers(warmup + 60, n - 1),
+                                min_size=1, max_size=3)))
+    stream = synth(n=n, drift=shifts, kind="vocabulary-shift",
+                   seed=draw(st.integers(0, 2**16)),
+                   n_attributes=draw(st.integers(1, 3)),
+                   tokens_mean=draw(st.sampled_from([2.0, 4.0, 8.0])))
+    samples = [RawSample(s.id, s.timestamp,
+                         s.label ^ (bisect.bisect(flips, i) % 2),
+                         s.attributes)
+               for i, s in enumerate(stream)]
+    return (stream_from_samples(samples), warmup,
+            draw(st.sampled_from([5, 20, 60])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fnf_case(), st.sampled_from(["static", "fnf-update", "fnf-retrain"]),
+       st.sampled_from(["ddm", "eddm", "adwin", "kswin"]))
+def test_fnf_run_matches_reference_loop(case, strategy, detector):
+    stream, warmup, k = case
+    samples = list(stream)
+    assume({s.label for s in samples[:warmup]} == {0, 1})
+    pipe = FnFPipeline(config(strategy=strategy, detector=detector,
+                              warmup=warmup, vocab_size=k))
+    timeline = pipe.run(stream)
+    predictions, events, diffs, final = reference_fnf_run(
+        samples[:warmup], samples[warmup:], strategy, detector, k)
+    assert timeline.predictions == predictions
+    assert [(e.step, e.detector, e.level) for e in timeline.events] == [
+        (step, detector, level) for step, level in events]
+    assert [(step, [d.to_dict() for d in diff])
+            for step, diff in pipe.vocab_diff_events] == diffs
+    assert pipe.extractor.to_dict() == final
 
 
 # ---------------------------------------------------------------------------
