@@ -14,9 +14,7 @@ import hashlib
 import json
 import reprlib
 import textwrap
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DriftStreamError, EmptyTrainingSet,
                      ParseError, SchemaMismatch)
-from .stream import RawSample, StreamSchema
+from .stream import SampleStream, StreamSchema
 
 # Samples transformed per numpy pass.  Larger blocks hold larger
 # ``BLOCK_ROWS x dim`` temporaries: on the retrain-sgd-adwin benchmark,
@@ -118,25 +116,44 @@ class FeatureExtractorModel:
                 np.log((1.0 + vocab.n_train_docs) / (1.0 + df)) + 1.0)
         span = self.minmax_max - self.minmax_min
         self._scale = np.where(span > 0.0, span, 1.0)
+        # the token table the id -> flat column array (-1 outside the
+        # vocabulary) was last built for
+        self._table = self._column_of = None
 
     @property
     def dim(self) -> int:
         return self.schema.n_attributes * self.k
 
-    def _raw_matrix(self, samples: Sequence[RawSample]) -> np.ndarray:
+    def _column_ids(self, samples: SampleStream) -> np.ndarray:
+        """The flat column of each token id of ``samples``' table, -1 for
+        a token outside the vocabulary; built once per table."""
+        if samples.tokens is not self._table:
+            if set(samples.schema.attribute_names) != self._names:
+                raise SchemaMismatch(
+                    f"stream attributes {samples.schema.attribute_names} do "
+                    "not match extractor schema")
+            column_of = np.full(len(samples.tokens), -1, dtype=np.intp)
+            for name, columns in self._columns.items():
+                ids = samples.token_ids[name]
+                for tok, col in columns.items():
+                    if tok in ids:
+                        column_of[ids[tok]] = col
+            self._table, self._column_of = samples.tokens, column_of
+        return self._column_of
+
+    def _raw_matrix(self, samples: SampleStream) -> np.ndarray:
         """TF-IDF rows with per-attribute L2 normalization, before scaling.
 
-        One ``bincount`` counts every in-vocabulary token (column -1 is
-        absent) at its flat index ``row * dim + attribute * k + column``.
+        One gather maps every token id to its flat column (-1 outside the
+        vocabulary), and one ``bincount`` counts every in-vocabulary token
+        at its flat index ``row * dim + attribute * k + column``.
         """
         n, dim = len(samples), self.dim
-        columns, lengths = [], []
-        for name, table in self._columns.items():
-            cells = [sample.attributes[name] for sample in samples]
-            columns += map(table.get, chain.from_iterable(cells), repeat(-1))
-            lengths += map(len, cells)
-        columns = np.array(columns, dtype=np.intp)
-        rows = np.repeat(np.tile(np.arange(n), len(self._columns)), lengths)
+        cells = samples._cells()
+        columns = self._column_ids(samples)[
+            np.concatenate([ids for ids, _ in cells])]
+        rows = np.repeat(np.tile(np.arange(n), len(cells)),
+                         np.concatenate([counts for _, counts in cells]))
         known = columns >= 0
         counts = np.bincount(rows[known] * dim + columns[known],
                              minlength=n * dim)
@@ -146,19 +163,17 @@ class FeatureExtractorModel:
         np.divide(blocks, norms, out=blocks, where=norms > 0.0)
         return raw
 
-    def transform_many(self, samples: Sequence[RawSample]) -> np.ndarray:
+    def transform_many(self, samples: SampleStream) -> np.ndarray:
         """Map a block of samples to the rows of an (n, dim) matrix in [0, 1].
 
-        Out-of-vocabulary tokens are ignored; min-max scaling uses the
-        training ranges with clamping, so unseen samples cannot escape the
-        unit cube.  Callers pass at most ``BLOCK_ROWS`` samples at a time,
-        which bounds the temporaries to a few ``BLOCK_ROWS x dim`` arrays.
-        The matrix is read-only, and so is every row taken from it.
+        ``samples`` is a stream (a slice of one, typically) whose
+        attributes are the extractor's, in any order.  Out-of-vocabulary
+        tokens are ignored; min-max scaling uses the training ranges with
+        clamping, so unseen samples cannot escape the unit cube.  Callers
+        pass at most ``BLOCK_ROWS`` samples at a time, which bounds the
+        temporaries to a few ``BLOCK_ROWS x dim`` arrays.  The matrix is
+        read-only, and so is every row taken from it.
         """
-        for sample in samples:
-            if sample.attributes.keys() != self._names:
-                raise SchemaMismatch(
-                    f"sample {sample.id!r} does not match extractor schema")
         scaled = self._raw_matrix(samples)
         scaled -= self.minmax_min
         scaled /= self._scale
@@ -166,7 +181,7 @@ class FeatureExtractorModel:
         scaled.flags.writeable = False
         return scaled
 
-    def iter_transform(self, samples: Sequence[RawSample],
+    def iter_transform(self, samples: SampleStream,
                        start: int = 0) -> Iterator[np.ndarray]:
         """Yield the ``transform_many`` row of each of ``samples[start:]``.
 
@@ -242,59 +257,62 @@ class FeatureExtractorModel:
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
 
-def _top_k_tokens(samples: Sequence[RawSample], attribute: str,
-                  k: int) -> tuple[list[str], list[int]]:
-    """Pick the k highest total-term-frequency tokens, ties lexicographic."""
-    cells = [sample.attributes[attribute] for sample in samples]
-    term_freq = Counter(chain.from_iterable(cells))
-    doc_freq = Counter(chain.from_iterable(map(set, cells)))
-    ranked = sorted(term_freq.items(), key=lambda item: (-item[1], item[0]))
-    chosen = [tok for tok, _ in ranked[:k]]
-    return chosen, [doc_freq[tok] for tok in chosen]
-
-
-def fit_extractor(samples: Sequence[RawSample],
-                  k: int) -> FeatureExtractorModel:
-    """Fit a fresh extractor on a batch of samples, in the first one's schema.
+def fit_extractor(samples: SampleStream, k: int) -> FeatureExtractorModel:
+    """Fit a fresh extractor on a stream (a slice of one, typically).
 
     Vocabulary per attribute: top-k tokens by total term frequency across
-    the batch (lexicographic tie-break).  The min-max scaler is fitted on
-    the L2-normalized TF-IDF transforms of the same batch, so every
-    training sample lands exactly inside [0, 1]^dim.
+    the batch, ties broken by the token string.  The min-max scaler is
+    fitted on the L2-normalized TF-IDF transforms of the same batch, so
+    every training sample lands exactly inside [0, 1]^dim.
     """
-    samples = list(samples)
-    if not samples:
+    n = len(samples)
+    if not n:
         raise EmptyTrainingSet("fit_extractor needs at least one sample")
-    schema = StreamSchema(tuple(samples[0].attributes.keys()))
-    names = set(schema.attribute_names)
-    for sample in samples:
-        if sample.attributes.keys() != names:
-            raise SchemaMismatch(
-                f"sample {sample.id!r} does not match schema")
-
+    schema = samples.schema
+    column_of = np.full(len(samples.tokens), -1, dtype=np.intp)
     vocabularies = []
-    for name in schema.attribute_names:
-        tokens, dfs = _top_k_tokens(samples, name, k)
+    for a_idx, (name, (ids, counts)) in enumerate(
+            zip(schema.attribute_names, samples._cells())):
+        term_freq = np.bincount(ids)
+        present = np.flatnonzero(term_freq)
+        if 0 < k < len(present):  # keep the k-th largest count and ties
+            cut = np.partition(term_freq[present], len(present) - k)
+            present = present[term_freq[present] >= cut[len(present) - k]]
+        ranked = sorted(zip((-term_freq[present]).tolist(),
+                            [samples.tokens[t] for t in present.tolist()],
+                            present.tolist()))[:k]
+        chosen = [tid for _, _, tid in ranked]
+        column_of[chosen] = np.arange(len(chosen))
+        # distinct (sample, column) pairs give each column's document count
+        columns = column_of[ids]
+        known = columns >= 0
+        pairs = np.unique(np.repeat(np.arange(n), counts)[known] * k
+                          + columns[known])
+        column_of[chosen] += a_idx * k
         vocabularies.append(AttributeVocabulary(
             attribute_name=name,
-            tokens=tokens,
-            document_frequency=dfs,
-            n_train_docs=len(samples),
+            tokens=[tok for _, tok, _ in ranked],
+            document_frequency=np.bincount(
+                pairs % k, minlength=len(chosen)).tolist(),
+            n_train_docs=n,
         ))
 
     dim = schema.n_attributes * k
     probe = FeatureExtractorModel(
         schema=schema, k=k, vocabularies=vocabularies,
         minmax_min=np.zeros(dim), minmax_max=np.zeros(dim))
+    probe._table, probe._column_of = samples.tokens, column_of
     running_min = np.full(dim, np.inf)
     running_max = np.full(dim, -np.inf)
-    for lo in range(0, len(samples), BLOCK_ROWS):
+    for lo in range(0, n, BLOCK_ROWS):
         raw = probe._raw_matrix(samples[lo:lo + BLOCK_ROWS])
         np.minimum(running_min, raw.min(axis=0), out=running_min)
         np.maximum(running_max, raw.max(axis=0), out=running_max)
-    return FeatureExtractorModel(
+    model = FeatureExtractorModel(
         schema=schema, k=k, vocabularies=vocabularies,
         minmax_min=running_min, minmax_max=running_max)
+    model._table, model._column_of = samples.tokens, column_of
+    return model
 
 
 def vocabulary_diff(old: FeatureExtractorModel,

@@ -26,13 +26,9 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
-from itertools import chain, count, cycle, groupby
-from operator import attrgetter
-from typing import Sequence
+from itertools import groupby
 
 import numpy as np
 
@@ -44,7 +40,7 @@ from .evaluation import (METRIC_NAMES, ConfusionCounts, MetricsTimeline,
                          PeriodMetrics, metrics)
 from .features import FeatureExtractorModel, fit_extractor, vocabulary_diff
 from .learners import ArfEnsemble, PoolMembers, SgdClassifier, POOL_MEMBER_KINDS
-from .stream import RawSample, SampleStream
+from .stream import SampleStream
 
 log = logging.getLogger(__name__)
 
@@ -152,34 +148,34 @@ def resolve_warmup_count(stream: SampleStream, warmup: int | str) -> int:
     seconds = parse_duration(warmup)
     if len(stream) == 0:
         return 0
-    cutoff = stream[0].timestamp + seconds
-    return bisect_left(stream.samples, cutoff, key=attrgetter("timestamp"))
+    return int(np.searchsorted(stream.timestamps,
+                               stream.timestamps[0] + seconds))
 
 
-def _require_labels(samples) -> None:
-    for sample in samples:
-        if sample.label is None:
-            raise UnlabeledSample(
-                f"sample {sample.id!r} has no label; evaluation strategies "
-                f"need fully labeled streams")
+def _require_labels(stream: SampleStream) -> None:
+    unlabeled = np.flatnonzero(stream.labels < 0)
+    if len(unlabeled):
+        raise UnlabeledSample(
+            f"sample {stream.ids[unlabeled[0]]!r} has no label; evaluation "
+            f"strategies need fully labeled streams")
 
 
 def _split_warmup(stream: SampleStream,
-                  warmup: int | str) -> tuple[list, list]:
-    """(warmup, evaluated) samples of a labeled stream.
+                  warmup: int | str) -> tuple[SampleStream, SampleStream]:
+    """(warmup, evaluated) slices of a labeled stream.
 
     The warmup slice must hold both classes and leave a sample to evaluate.
     """
     _require_labels(stream)
     count = resolve_warmup_count(stream, warmup)
-    warm = list(stream.samples[:count])
-    if {s.label for s in warm} != {0, 1}:
+    warm = stream[:count]
+    if set(warm.labels.tolist()) != {0, 1}:
         raise WarmupTooSmall(
             "warmup slice must be non-empty and contain both classes")
     if count == len(stream):
         raise InsufficientData(f"warmup covers all {count} samples; none is "
                                f"left to evaluate")
-    return warm, list(stream.samples[count:])
+    return warm, stream[count:]
 
 
 def build_detector(config: ExperimentConfig):
@@ -192,10 +188,12 @@ def build_classifier(config: ExperimentConfig, dim: int, seed: int = 0):
     return ArfEnsemble(dim, config.arf_trees, seed=seed)
 
 
-def _train_on(classifier, extractor: FeatureExtractorModel, samples) -> None:
+def _train_on(classifier, extractor: FeatureExtractorModel,
+              samples: SampleStream) -> None:
     """Single prequential-order pass of partial_fit over a sample batch."""
-    for vec, sample in zip(extractor.iter_transform(samples), samples):
-        classifier.partial_fit(vec, sample.label)
+    for vec, label in zip(extractor.iter_transform(samples),
+                          samples.labels.tolist()):
+        classifier.partial_fit(vec, label)
 
 
 def _fit_and_predict(train, test, config: ExperimentConfig,
@@ -239,20 +237,20 @@ class FnFPipeline:
         self.classifier = None
         self.detector = None
 
-    def _drift_buffer(self, rest: list, warning_from: int | None,
-                      step: int) -> list:
+    def _drift_buffer(self, rest: SampleStream, warning_from: int | None,
+                      step: int) -> SampleStream:
         """The samples to rebuild on; ``rest[:step]`` are those seen so far.
         A Normal level closes a warning episode, so its steps are contiguous."""
         name = self.config.detector
         if name in ("ddm", "eddm"):
-            return rest[warning_from - 1:step - 1] if warning_from else []
+            return rest[(warning_from or step) - 1:step - 1]
         if name == "adwin":
             return rest[max(0, step - self.detector.width):step]
         if name == "kswin":
             return rest[max(0, step - self.detector.stat_size):step]
-        return []
+        return rest[:0]
 
-    def _rebuild(self, buffer: list, step: int) -> None:
+    def _rebuild(self, buffer: SampleStream, step: int) -> None:
         """A fresh classifier on ``buffer``; under fnf-retrain also a fresh
         extractor, while fnf-update keeps the extractor in force."""
         if self.config.strategy == "fnf-retrain":
@@ -282,19 +280,19 @@ class FnFPipeline:
         warning_from = None  # first step of the open warning episode
         normal, warning = DriftLevel.NORMAL, DriftLevel.WARNING  # read once
         vectors = self.extractor.iter_transform(rest)
-        for step, sample in enumerate(rest, start=1):
+        for step, label in enumerate(rest.labels.tolist(), start=1):
             vec = next(vectors)
             prediction = self.classifier.predict(vec)
-            timeline.record(prediction, sample.label)
+            timeline.record(prediction, label)
             if static:
                 continue
-            error = float(prediction != sample.label)
+            error = float(prediction != label)
             level = self.detector.update(error)
             if level is normal:
-                self.classifier.partial_fit(vec, sample.label)
+                self.classifier.partial_fit(vec, label)
                 warning_from = None  # a warning episode fizzles out
             elif level is warning:
-                self.classifier.partial_fit(vec, sample.label)
+                self.classifier.partial_fit(vec, label)
                 if warning_from is None:
                     timeline.record_event(step, cfg.detector, "warning")
                     warning_from = step
@@ -317,8 +315,8 @@ class FnFPipeline:
 # Month-by-month incremental retraining (offline windowed baseline)
 # ---------------------------------------------------------------------------
 
-def _month_key(sample: RawSample) -> tuple[int, int]:
-    stamp = datetime.fromtimestamp(sample.timestamp, tz=timezone.utc)
+def _month_key(timestamp: int) -> tuple[int, int]:
+    stamp = datetime.fromtimestamp(timestamp, tz=timezone.utc)
     return stamp.year, stamp.month
 
 
@@ -329,26 +327,27 @@ def run_iwc(stream: SampleStream, config: ExperimentConfig) -> MetricsTimeline:
     skipped.  Per-month confusion counts are kept in ``timeline.periods``.
     """
     _require_labels(stream)
-    groups = [(key, list(month))
-              for key, month in groupby(stream, key=_month_key)]
-    if len(groups) < 2:
+    months = [(key, len(list(run))) for key, run in groupby(
+        map(_month_key, stream.timestamps.tolist()))]
+    if len(months) < 2:
         raise InsufficientTimeSpan(
             "month-by-month evaluation needs a stream spanning at least two "
             "calendar months")
 
-    seeds = _spawn_seeds(config.seed, len(groups))
+    seeds = _spawn_seeds(config.seed, len(months))
     timeline = MetricsTimeline(window=config.metrics_window)
-    trained: list[RawSample] = list(groups[0][1])
-    for month_idx, (key, month_samples) in enumerate(groups[1:], start=1):
-        predictions = _fit_and_predict(trained, month_samples, config,
+    start = months[0][1]  # the first month only seeds the training set
+    for month_idx, (key, size) in enumerate(months[1:], start=1):
+        month = stream[start:start + size]
+        predictions = _fit_and_predict(stream[:start], month, config,
                                        seeds[month_idx])
-        labels = [sample.label for sample in month_samples]
+        labels = month.labels.tolist()
         for prediction, label in zip(predictions, labels):
             timeline.record(prediction, label)
         timeline.periods.append(
             PeriodMetrics(label=f"{key[0]:04d}-{key[1]:02d}",
                           counts=ConfusionCounts.of(predictions, labels)))
-        trained.extend(month_samples)
+        start += size
     return timeline
 
 
@@ -367,11 +366,10 @@ def run_temporal_split(stream: SampleStream, config: ExperimentConfig
         raise InsufficientData(
             f"split fraction {config.split_fraction} leaves an empty side "
             f"for n={len(stream)}")
-    train, test = stream.samples[:cut], stream.samples[cut:]
+    train, test = stream[:cut], stream[cut:]
     seed, = _spawn_seeds(config.seed, 1)
     counts = ConfusionCounts.of(
-        _fit_and_predict(train, test, config, seed),
-        [sample.label for sample in test])
+        _fit_and_predict(train, test, config, seed), test.labels.tolist())
     return {**metrics(counts), "drifts": 0}, counts
 
 
@@ -393,23 +391,21 @@ def run_cross_validation(stream: SampleStream, config: ExperimentConfig
     rng = np.random.default_rng(shuffle_seed)
     fold_of = np.empty(len(stream), dtype=int)
     for cls in (0, 1):
-        indices = np.flatnonzero(
-            np.fromiter((s.label == cls for s in stream), bool, len(stream)))
+        indices = np.flatnonzero(stream.labels == cls)
         rng.shuffle(indices)
         fold_of[indices] = np.arange(len(indices)) % k
 
     per_fold = []
     for fold in range(k):
-        train = [s for i, s in enumerate(stream) if fold_of[i] != fold]
-        test = [s for i, s in enumerate(stream) if fold_of[i] == fold]
-        train_labels = {s.label for s in train}
+        train, test = stream[fold_of != fold], stream[fold_of == fold]
+        train_labels = set(train.labels.tolist())
         if train_labels != {0, 1}:
             raise ClassMissingInFold(
                 f"fold {fold}: training split lost a class "
                 f"(has {sorted(train_labels)})")
         per_fold.append(ConfusionCounts.of(
             _fit_and_predict(train, test, config, fold_seeds[fold]),
-            [sample.label for sample in test]))
+            test.labels.tolist()))
 
     fold_metrics = [metrics(c) for c in per_fold]
     summary = {name: float(np.mean([m[name] for m in fold_metrics]))
@@ -422,31 +418,23 @@ def run_cross_validation(stream: SampleStream, config: ExperimentConfig
 # Pseudo-labeling model pool
 # ---------------------------------------------------------------------------
 
-def _encode_token_ids(samples: Sequence[RawSample],
-                      tables: dict[str, dict[str, int]]
+def _encode_token_ids(samples: SampleStream
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's distinct (attribute, token) ids, sorted, in the CSR
     form ``(ids, ends)`` that ``PoolMembers`` takes as given: sample
     ``i``'s ids are ``ids[ends[i-1]:ends[i]]`` (from 0 for the first
     sample).
 
-    ``tables`` maps each attribute name to its token -> id
-    ``defaultdict``.  The tables share one factory, such as
-    ``itertools.count().__next__``, so the one lookup pass, in (sample,
-    attribute, token) order, hands unseen tokens the next ids in
-    first-seen order.  Precondition: every sample holds exactly the
-    tables' attributes, in schema order (``stream_from_samples`` ensures
-    it).  One sort of the keys ``row * width + id`` orders each row's ids
-    and puts its repeats side by side.
+    The ids are the stream's own token ids, which are numbered first-seen
+    over the stream with one counter across attributes.  One sort of the
+    keys ``row * n_tokens + id`` orders each row's ids and puts its repeats
+    side by side.
     """
-    cells = list(chain.from_iterable(
-        map(dict.values, map(attrgetter("attributes"), samples))))
-    lookups = cycle([table.__getitem__ for table in tables.values()])
-    ids = np.fromiter(chain.from_iterable(map(map, lookups, cells)), np.intp)
-    rows = np.arange(len(samples)).repeat(len(tables)).repeat(
-        list(map(len, cells)))
-    width = max(sum(map(len, tables.values())), 1)
-    keys = rows * width + ids
+    cells = samples._cells()
+    rows = np.repeat(np.tile(np.arange(len(samples)), len(cells)),
+                     np.concatenate([counts for _, counts in cells]))
+    width = max(len(samples.tokens), 1)
+    keys = rows * width + np.concatenate([ids for ids, _ in cells])
     keys.sort()
     distinct = np.ones(len(keys), dtype=bool)
     distinct[1:] = keys[1:] != keys[:-1]
@@ -472,10 +460,9 @@ class ModelPoolPipeline:
     A member's weights change only at a check, so the run encodes, scores
     and replays one interval (the warmup: chunks of ``pool_interval``
     samples) at a time, with one ``PoolMembers`` call for all members; a
-    last, partial interval is scored but not checked.  Each ``run`` starts
-    from untrained members and empty token tables; after it, ``members``,
-    ``weights``, ``token_ids`` (attribute -> token -> id; a token the run
-    never saw is a ``KeyError``) and
+    last, partial interval is scored but not checked.  A feature is one of
+    the stream's token ids (``SampleStream.token_ids``).  Each ``run``
+    starts from untrained members; after it, ``members``, ``weights`` and
     ``aging_events`` hold that run's final state.
     """
 
@@ -488,29 +475,26 @@ class ModelPoolPipeline:
         self.members = PoolMembers(POOL_MEMBER_KINDS)
         everyone = range(len(POOL_MEMBER_KINDS))
         self.weights = [1.0] * len(everyone)
-        next_id = count().__next__
-        self.token_ids = {name: defaultdict(next_id)
-                          for name in stream.schema.attribute_names}
         self.aging_events = 0
         interval = cfg.pool_interval
         for lo in range(0, len(warm), interval):
             chunk = warm[lo:lo + interval]
-            ids, ends = _encode_token_ids(chunk, self.token_ids)
-            self.members.partial_fit_many(
-                ids, ends, [sample.label for sample in chunk], everyone)
+            ids, ends = _encode_token_ids(chunk)
+            self.members.partial_fit_many(ids, ends, chunk.labels.tolist(),
+                                          everyone)
 
         timeline = MetricsTimeline(window=cfg.metrics_window)
         for lo in range(0, len(rest), interval):
             chunk = rest[lo:lo + interval]
-            ids, ends = _encode_token_ids(chunk, self.token_ids)
+            ids, ends = _encode_token_ids(chunk)
             votes = self.members.score_many(ids, ends) > 0.0
             # ((0 + ±w0) + ±w1) + ±w2 per row, as the per-sample vote added
             score = sum(np.where(vote, weight, -weight)
                         for weight, vote in zip(self.weights, votes))
             pseudo = score > 0.0
             predictions = pseudo.tolist()
-            for prediction, sample in zip(predictions, chunk):
-                timeline.record(prediction, sample.label)
+            for prediction, label in zip(predictions, chunk.labels.tolist()):
+                timeline.record(prediction, label)
             if len(chunk) < interval:
                 break
             hits = np.count_nonzero(votes == pseudo, axis=1).tolist()
@@ -522,8 +506,6 @@ class ModelPoolPipeline:
                 timeline.record_event(lo + interval, "pool", "drift")
                 self.members.partial_fit_many(ids, ends, predictions, aged)
             self.weights = [max(value, 0.05) for value in ji]
-        for table in self.token_ids.values():
-            table.default_factory = None
         return timeline
 
 

@@ -8,14 +8,16 @@ the same temporal order regardless of file layout.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import reprlib
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import EmptyStream, ParseError, SchemaMismatch
 
@@ -26,44 +28,6 @@ MAX_TIMESTAMP = 253402300799
 def _normalize_token(tok) -> str:
     """The one normalization rule: text, stripped, lowercased."""
     return str(tok).strip().lower()
-
-
-def _token_interner():
-    """A token-list normalizer for one load: ``_normalize_token`` per token,
-    empty results dropped, duplicates kept, one ``str`` per distinct result.
-
-    Raw ``str`` tokens map to their normalized object through one table, so
-    a list whose tokens were all seen before is normalized by one C-level
-    ``map``.  Only exact ``str`` tokens enter the table: JSON ``1``,
-    ``true`` and ``1.0`` are equal dict keys but normalize to different
-    text.
-    """
-    table: dict[str, str] = {}   # raw token -> its shared normalized str
-    shared: dict[str, str] = {}  # normalized str -> object its spellings share
-    lookup = table.__getitem__
-
-    def intern_one(tok) -> str:
-        if type(tok) is not str:
-            norm = _normalize_token(tok)
-            return shared.setdefault(norm, norm)
-        norm = table.get(tok)
-        if norm is None:
-            norm = _normalize_token(tok)
-            if norm == tok:
-                norm = tok  # the key doubles as the value: one object, not two
-            norm = table[tok] = shared.setdefault(norm, norm)
-        return norm
-
-    def intern(tokens) -> list[str]:
-        try:
-            out = list(map(lookup, tokens))
-        except (KeyError, TypeError):  # an unseen or unhashable token
-            out = [intern_one(tok) for tok in tokens]
-        if "" in out:
-            out = [tok for tok in out if tok]
-        return out
-
-    return intern
 
 
 @dataclass(frozen=True)
@@ -101,50 +65,240 @@ class RawSample:
     attributes: dict[str, list[str]]
 
 
-@dataclass(frozen=True)
-class SampleStream:
-    """Immutable sequence of samples sorted by (timestamp, id)."""
+def _gather(ids: np.ndarray, starts: np.ndarray,
+            counts: np.ndarray) -> np.ndarray:
+    """``ids[starts[i]:starts[i] + counts[i]]`` for every ``i``, joined."""
+    ends = np.cumsum(counts)
+    return ids[np.arange(ends[-1] if len(ends) else 0)
+               + np.repeat(starts - (ends - counts), counts)]
 
-    schema: StreamSchema
-    samples: tuple[RawSample, ...]
+
+class SampleStream:
+    """Immutable samples sorted by (timestamp, id), held as columns.
+
+    ``ids`` (object), ``timestamps`` (int64) and ``labels`` (int8, -1 for
+    no label) hold one entry per sample.  Tokens are ids into one table
+    per load: ``tokens[i]`` is token id ``i``'s text and
+    ``token_ids[attribute][text]`` its id, one id per (attribute, token)
+    pair, numbered in first-seen order over the sorted stream (samples in
+    order, attributes in schema order, tokens in list order).  Each
+    attribute keeps the ids of every sample in one array, sample by
+    sample.  A slice or an index take (``stream[lo:hi]``,
+    ``stream[rows]``) is a stream that shares these arrays and the table;
+    ``stream[i]`` and iteration build ``RawSample`` records when asked.
+    """
+
+    def __init__(self, schema: StreamSchema, tokens: tuple[str, ...],
+                 token_ids: dict[str, dict[str, int]], ids: np.ndarray,
+                 timestamps: np.ndarray, labels: np.ndarray,
+                 cells: list[tuple[np.ndarray, np.ndarray]]):
+        """``cells`` holds one ``(ids, ends)`` per attribute: sample
+        ``i``'s token ids are ``ids[ends[i]:ends[i + 1]]``."""
+        self.schema = schema
+        self.tokens = tokens
+        self.token_ids = token_ids
+        self.ids = ids
+        self.timestamps = timestamps
+        self.labels = labels
+        self._cell_ids = [cell_ids for cell_ids, _ in cells]
+        self._starts = [ends[:-1] for _, ends in cells]
+        self._stops = [ends[1:] for _, ends in cells]
+        self._contiguous = True  # each sample's ids follow the previous one's
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return (f"SampleStream({len(self)} samples, "
+                f"{self.schema.attribute_names})")
 
     def __iter__(self) -> Iterator[RawSample]:
-        return iter(self.samples)
+        return map(self._sample, range(len(self)))
 
-    def __getitem__(self, idx):
-        return self.samples[idx]
+    def __getitem__(self, index):
+        """A ``RawSample`` for an integer; a stream sharing this one's
+        arrays for a slice or an array of row numbers or a row mask."""
+        if isinstance(index, (int, np.integer)):
+            return self._sample(index)
+        view = copy.copy(self)
+        if isinstance(index, slice):
+            view._contiguous = self._contiguous and index.step in (None, 1)
+        else:
+            index = np.asarray(index)
+            view._contiguous = False
+        view.ids = self.ids[index]
+        view.timestamps = self.timestamps[index]
+        view.labels = self.labels[index]
+        view._starts = [starts[index] for starts in self._starts]
+        view._stops = [stops[index] for stops in self._stops]
+        return view
+
+    def _sample(self, i) -> RawSample:
+        label = int(self.labels[i])
+        tokens = self.tokens
+        return RawSample(
+            self.ids[i], int(self.timestamps[i]), None if label < 0 else label,
+            {name: [tokens[t] for t in ids[starts[i]:stops[i]].tolist()]
+             for name, ids, starts, stops in zip(
+                 self.schema.attribute_names, self._cell_ids, self._starts,
+                 self._stops)})
+
+    def _cells(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per attribute in schema order, ``(ids, counts)``: the token ids
+        of every sample, sample by sample, and each sample's count."""
+        out = []
+        for ids, starts, stops in zip(self._cell_ids, self._starts,
+                                      self._stops):
+            counts = stops - starts
+            if not self._contiguous:
+                ids = _gather(ids, starts, counts)
+            elif len(counts):
+                ids = ids[starts[0]:stops[-1]]
+            else:
+                ids = ids[:0]
+            out.append((ids, counts))
+        return out
+
+
+def _first_seen(cells: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Every token id of ``cells`` (per attribute, ``(ids, ends)``) in the
+    order of its first occurrence by (sample, attribute, position)."""
+    first_ids, first_cells, first_at = [], [], []
+    for a, (ids, ends) in enumerate(cells):
+        seen, at = np.unique(ids, return_index=True)
+        rows = np.searchsorted(ends, at, side="right") - 1
+        first_ids.append(seen)
+        first_cells.append(rows * len(cells) + a)
+        first_at.append(at)
+    return np.concatenate(first_ids)[np.lexsort(
+        (np.concatenate(first_at), np.concatenate(first_cells)))]
+
+
+class _Columns:
+    """A stream's columns as its samples arrive, in any order.
+
+    Token ids come from one counter in arrival order; ``stream`` sorts the
+    samples and, when arrival order was not sorted order, renumbers the
+    ids in first-seen order over the sorted stream.  With ``normalize``,
+    tokens are normalized (``_normalize_token``) and those left empty are
+    dropped; a raw ``str`` token is looked up in one table per attribute,
+    so a cell whose tokens were all seen before takes one C-level ``map``.
+    Only exact ``str`` tokens enter that table: JSON ``1``, ``true`` and
+    ``1.0`` are equal dict keys but normalize to different text.
+    """
+
+    def __init__(self, names: tuple[str, ...], normalize: bool):
+        self.names = names
+        self.normalize = normalize
+        self.sample_ids: list[str] = []
+        self.timestamps: list[int] = []
+        self.labels: list[int] = []  # -1 for no label
+        self.tokens: list[str] = []  # id -> token
+        self.token_ids = {name: {} for name in names}  # token -> id
+        self.texts: dict[str, str] = {}  # one object per token text
+        self.columns = []  # per attribute: ids, ends, raw token -> id
+        for index in self.token_ids.values():
+            raw = {} if normalize else index
+            self.columns.append(([], [0], raw.__getitem__, raw, index))
+
+    def __len__(self) -> int:
+        return len(self.sample_ids)
+
+    def add(self, sid: str, ts: int, label: int | None, cells) -> None:
+        """Append one sample; ``cells`` holds its token lists in schema
+        order."""
+        self.sample_ids.append(sid)
+        self.timestamps.append(ts)
+        self.labels.append(-1 if label is None else label)
+        for tokens, (ids, ends, lookup, raw, index) in zip(cells,
+                                                            self.columns):
+            try:
+                ids.extend(map(lookup, tokens))
+            except (KeyError, TypeError):  # an unseen or unhashable token
+                del ids[ends[-1]:]
+                ids.extend(self._number(raw, index, tokens))
+            ends.append(len(ids))
+
+    def _number(self, raw: dict, index: dict, tokens) -> list[int]:
+        """The ids of ``tokens``, handing unseen ones the next ids."""
+        out = []
+        for tok in tokens:
+            tid = raw.get(tok) if type(tok) is str else None
+            if tid is None:
+                norm = _normalize_token(tok) if self.normalize else tok
+                if not norm and self.normalize:
+                    continue
+                tid = index.get(norm)
+                if tid is None:
+                    tid = index[norm] = len(self.tokens)
+                    self.tokens.append(self.texts.setdefault(
+                        norm, tok if norm == tok else norm))
+                if type(tok) is str:
+                    raw[tok] = tid
+            out.append(tid)
+        return out
+
+    def stream(self, schema: StreamSchema) -> SampleStream:
+        """The samples sorted by (timestamp, id), file order kept among
+        equal keys, with token ids first-seen over that order."""
+        n, n_tokens = len(self), len(self.tokens)
+        timestamps = np.array(self.timestamps, dtype=np.int64)
+        ids = np.empty(n, dtype=object)
+        ids[:] = self.sample_ids
+        labels = np.array(self.labels, dtype=np.int8)
+        cells = [(np.fromiter(tok_ids, np.int32, len(tok_ids)),
+                  np.array(ends, dtype=np.int64))
+                 for tok_ids, ends, *_ in self.columns]
+        steps = np.diff(timestamps)
+        if (steps < 0).any() or any(
+                ids[i] > ids[i + 1] for i in np.flatnonzero(steps == 0)):
+            keys = list(zip(self.timestamps, self.sample_ids))
+            order = np.array(sorted(range(n), key=keys.__getitem__))
+            timestamps, ids, labels = (timestamps[order], ids[order],
+                                       labels[order])
+            sorted_cells = []
+            for tok_ids, ends in cells:
+                counts = np.diff(ends)[order]
+                sorted_cells.append((_gather(tok_ids, ends[:-1][order], counts),
+                                     np.concatenate(([0], np.cumsum(counts)))))
+            old_of_new = _first_seen(sorted_cells)
+            new_of_old = np.empty(n_tokens, dtype=np.int32)
+            new_of_old[old_of_new] = np.arange(n_tokens)
+            cells = [(new_of_old[tok_ids], ends)
+                     for tok_ids, ends in sorted_cells]
+            self.tokens = [self.tokens[old] for old in old_of_new.tolist()]
+            renumbered = new_of_old.tolist()
+            self.token_ids = {
+                name: {tok: renumbered[tid] for tok, tid in table.items()}
+                for name, table in self.token_ids.items()}
+        return SampleStream(schema, tuple(self.tokens), self.token_ids, ids,
+                            timestamps, labels, cells)
 
 
 def stream_from_samples(samples: Iterable[RawSample]) -> SampleStream:
     """Sort samples into a stream, inferring the schema from the first one.
 
-    Every sample must carry exactly the schema's attribute-name set.  A
-    sample whose attributes are already in schema order is kept as is;
-    any other is rebuilt with its attributes in schema order.
+    Every sample must carry exactly the schema's attribute-name set, in
+    any order; tokens are kept as given.
     """
-    materialized = list(samples)
-    if not materialized:
-        raise EmptyStream("cannot build a stream from zero samples")
-    schema = StreamSchema(tuple(materialized[0].attributes.keys()))
-    names = schema.attribute_names
-    wanted = set(names)
-    for i, sample in enumerate(materialized):
-        keys = tuple(sample.attributes)
-        if keys == names:
-            continue
-        got = set(keys)
-        if got != wanted:
+    columns = None
+    for sample in samples:
+        attrs = sample.attributes
+        if columns is None:
+            schema = StreamSchema(tuple(attrs))
+            columns = _Columns(schema.attribute_names, normalize=False)
+        try:
+            cells = list(map(attrs.__getitem__, columns.names))
+        except KeyError:
+            cells = None
+        if cells is None or len(attrs) != len(cells):
             raise SchemaMismatch(
-                f"sample {sample.id!r}: attributes {sorted(got)} != schema "
-                f"{sorted(wanted)}")
-        ordered = {name: sample.attributes[name] for name in names}
-        materialized[i] = RawSample(sample.id, sample.timestamp, sample.label,
-                                    ordered)
-    materialized.sort(key=attrgetter("timestamp", "id"))
-    return SampleStream(schema=schema, samples=tuple(materialized))
+                f"sample {sample.id!r}: attributes {sorted(attrs)} != "
+                f"schema {sorted(columns.names)}")
+        columns.add(sample.id, sample.timestamp, sample.label, cells)
+    if columns is None:
+        raise EmptyStream("cannot build a stream from zero samples")
+    return columns.stream(schema)
 
 
 def _parse_int(value, what: str, line: int) -> int:
@@ -207,10 +361,10 @@ def _decode_line(line: str, line_no: int):
         raise ParseError("invalid JSON (nested too deeply)", line_no) from None
 
 
-def _load_jsonl(path: Path) -> list[RawSample]:
-    samples = []
-    intern = _token_interner()
-    names: dict[str, str] = {}  # one key object per attribute name
+def _load_jsonl(path: Path) -> tuple[_Columns | None, tuple | None]:
+    """The file's samples, and the id and attribute names of its first
+    sample whose attributes are not the first sample's (None if none)."""
+    columns = mismatch = None
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             # A record that fills the line up to its "\n" needs one scan;
@@ -237,31 +391,40 @@ def _load_jsonl(path: Path) -> list[RawSample]:
                                  line_no) from None
             if type(attrs) is not dict or not attrs:
                 raise ParseError("'attributes' must be a non-empty object", line_no)
-            parsed_attrs = {}
-            for name, tokens in attrs.items():
-                if type(tokens) is not list:
-                    raise ParseError(
-                        f"attribute {reprlib.repr(name)} must hold a token "
-                        "list", line_no)
-                parsed_attrs[names.setdefault(name, name)] = intern(tokens)
+            if columns is None:
+                columns = _Columns(tuple(attrs), normalize=True)
+                all_lists = [list] * len(attrs)
+            try:
+                cells = list(map(attrs.__getitem__, columns.names))
+            except KeyError:
+                cells = None
+            if (cells is None or len(attrs) != len(cells)
+                    or list(map(type, cells)) != all_lists):
+                for name, tokens in attrs.items():
+                    if type(tokens) is not list:
+                        raise ParseError(
+                            f"attribute {reprlib.repr(name)} must hold a "
+                            "token list", line_no)
+                if mismatch is None:
+                    mismatch = (str(sid), tuple(attrs))
+                cells = None
             if type(ts) is not int or not 0 <= ts <= MAX_TIMESTAMP:
                 ts = _parse_timestamp(ts, line_no)
             label = record.get("label")
             if label is not None and (type(label) is not int
                                       or not 0 <= label <= 1):
                 label = _parse_label(label, line_no)
-            samples.append(RawSample(str(sid), ts, label, parsed_attrs))
-    return samples
+            if cells is not None:
+                columns.add(str(sid), ts, label, cells)
+    return columns, mismatch
 
 
-def _load_csv(path: Path) -> list[RawSample]:
-    samples = []
-    intern = _token_interner()
+def _load_csv(path: Path) -> _Columns | None:
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            return []
+            return None
         if header[:3] != ["id", "timestamp", "label"]:
             raise ParseError(
                 "CSV header must start with id,timestamp,label", line=1)
@@ -272,6 +435,7 @@ def _load_csv(path: Path) -> list[RawSample]:
             if name in header[:i]:
                 raise ParseError(
                     f"CSV header repeats column {reprlib.repr(name)}", line=1)
+        columns = _Columns(tuple(attr_names), normalize=True)
         for row in reader:
             if not row:  # a blank line
                 continue
@@ -283,14 +447,10 @@ def _load_csv(path: Path) -> list[RawSample]:
             if len(row) > len(header):
                 raise ParseError(f"row has {len(row)} cells, the header "
                                  f"has {len(header)} columns", line_no)
-            samples.append(RawSample(
-                id=row[0],
-                timestamp=_parse_timestamp(row[1], line_no),
-                label=_parse_label(row[2], line_no),
-                attributes={name: intern(cell.split())
-                            for name, cell in zip(attr_names, row[3:])},
-            ))
-    return samples
+            columns.add(row[0], _parse_timestamp(row[1], line_no),
+                        _parse_label(row[2], line_no),
+                        list(map(str.split, row[3:])))
+    return columns
 
 
 def _not_utf8_error(path: Path) -> ParseError:
@@ -311,23 +471,29 @@ def load_stream(path: str | Path, fmt: str = "jsonl") -> SampleStream:
     id,timestamp,label,<attr>... with space-separated tokens per cell; a
     repeated column or a row with more or fewer cells than the header is
     a parse error).  Samples are sorted by (timestamp, id); duplicate ids
-    are kept as distinct samples.  Tokens are interned per call: equal
-    tokens of the stream share one ``str`` object.  A file that is not
-    UTF-8 is a ``ParseError`` naming its first line that does not decode.
+    are kept as distinct samples.  Tokens become ids into one table per
+    call (see ``SampleStream``).  A file that is not UTF-8 is a
+    ``ParseError`` naming its first line that does not decode.
     """
     path = Path(path)
+    mismatch = None
     try:
         if fmt == "jsonl":
-            samples = _load_jsonl(path)
+            columns, mismatch = _load_jsonl(path)
         elif fmt == "csv":
-            samples = _load_csv(path)
+            columns = _load_csv(path)
         else:
             raise ParseError(f"unknown stream format {fmt!r}")
     except UnicodeDecodeError:
         raise _not_utf8_error(path) from None
-    if not samples:
+    if not columns:
         raise EmptyStream(f"{path} holds no samples")
-    return stream_from_samples(samples)
+    schema = StreamSchema(columns.names)
+    if mismatch is not None:
+        sid, names = mismatch
+        raise SchemaMismatch(f"sample {sid!r}: attributes {sorted(names)} "
+                             f"!= schema {sorted(columns.names)}")
+    return columns.stream(schema)
 
 
 def save_stream(stream: SampleStream, path: str | Path) -> None:

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .stream import (MAX_TIMESTAMP, RawSample, SampleStream,
-                     stream_from_samples)
+from .stream import MAX_TIMESTAMP, SampleStream, StreamSchema, _Columns
 
 _ATTRIBUTE_NAMES = ("api_calls", "permissions", "intents", "urls",
                     "opcodes", "libraries", "providers", "receivers")
@@ -148,23 +147,19 @@ def generate_synth_stream(spec: SynthStreamSpec) -> SampleStream:
                 tables[(concept, label, attr_idx)] = _class_distribution(
                     attr_idx, concept, label, spec.kind)
 
-    samples = []
+    columns = _Columns(tuple(attr_names), normalize=False)
     concept = 0
     pad = max(6, len(str(spec.n_samples)))
     for i in range(spec.n_samples):
         while concept < len(boundaries) and i >= boundaries[concept]:
             concept += 1
         label = int(rng.random() < spec.malware_rate)
-        attributes = {}
-        for attr_idx, name in enumerate(attr_names):
+        cells = []
+        for attr_idx in range(spec.n_attributes):
             tokens, probs = tables[(concept, label, attr_idx)]
             count = max(1, int(rng.poisson(spec.tokens_mean)))
             drawn = rng.choice(len(tokens), size=count, replace=True, p=probs)
-            attributes[name] = [tokens[j] for j in drawn]
-        samples.append(RawSample(
-            id=f"s{i:0{pad}d}",
-            timestamp=spec.start_timestamp + i * spec.step_seconds,
-            label=label,
-            attributes=attributes,
-        ))
-    return stream_from_samples(samples)
+            cells.append([tokens[j] for j in drawn])
+        columns.add(f"s{i:0{pad}d}",
+                    spec.start_timestamp + i * spec.step_seconds, label, cells)
+    return columns.stream(StreamSchema(tuple(attr_names)))

@@ -37,8 +37,8 @@ from driftstream.evaluation import (METRIC_NAMES, ConfusionCounts,
                                     DriftEvent, metrics, prequential_error)
 from driftstream.errors import EmptyStream, ParseError, SchemaMismatch
 from driftstream.learners import POOL_MEMBER_KINDS
-from driftstream.stream import (RawSample, SampleStream, StreamSchema,
-                                _parse_label, _parse_timestamp)
+from driftstream.stream import (RawSample, StreamSchema, _parse_label,
+                                _parse_timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +668,18 @@ def reference_normalize_tokens(tokens):
     return out
 
 
-def reference_stream_from_samples(samples, schema=None) -> SampleStream:
+class ReferenceStream:
+    """A schema and its samples, in stream order."""
+
+    def __init__(self, schema: StreamSchema, samples: tuple[RawSample, ...]):
+        self.schema = schema
+        self.samples = samples
+
+    def __iter__(self):
+        return iter(self.samples)
+
+
+def reference_stream_from_samples(samples, schema=None) -> ReferenceStream:
     """Sort samples into a stream, rebuilding each in schema order."""
     materialized = list(samples)
     if not materialized:
@@ -686,7 +697,7 @@ def reference_stream_from_samples(samples, schema=None) -> SampleStream:
         ordered = {name: sample.attributes[name] for name in schema.attribute_names}
         fixed.append(RawSample(sample.id, sample.timestamp, sample.label, ordered))
     fixed.sort(key=lambda s: (s.timestamp, s.id))
-    return SampleStream(schema=schema, samples=tuple(fixed))
+    return ReferenceStream(schema, tuple(fixed))
 
 
 def reference_load_jsonl(path: Path) -> list[RawSample]:
@@ -756,7 +767,7 @@ def reference_load_csv(path: Path) -> list[RawSample]:
     return samples
 
 
-def reference_load_stream(path, fmt: str = "jsonl") -> SampleStream:
+def reference_load_stream(path, fmt: str = "jsonl") -> ReferenceStream:
     path = Path(path)
     if fmt == "jsonl":
         samples = reference_load_jsonl(path)

@@ -6,7 +6,7 @@ from dataclasses import fields
 import pytest
 
 from driftstream import (ExperimentConfig, FeatureExtractorModel, RawSample,
-                         fit_extractor, load_stream)
+                         fit_extractor, load_stream, stream_from_samples)
 from driftstream.cli import main
 from driftstream.stream import MAX_TIMESTAMP
 
@@ -753,8 +753,10 @@ def test_diff_vocab_prints_and_writes(tmp_path, capsys):
         return RawSample(id=sid, timestamp=1, label=0,
                          attributes={"api_calls": list(tokens)})
 
-    old = fit_extractor([doc("a", ["x", "y"]), doc("b", ["y"])], k=2)
-    new = fit_extractor([doc("a", ["z", "y"]), doc("b", ["z"])], k=2)
+    old = fit_extractor(stream_from_samples(
+        [doc("a", ["x", "y"]), doc("b", ["y"])]), k=2)
+    new = fit_extractor(stream_from_samples(
+        [doc("a", ["z", "y"]), doc("b", ["z"])]), k=2)
     old_path = tmp_path / "old.json"
     new_path = tmp_path / "new.json"
     old.save(old_path)
@@ -772,7 +774,8 @@ def test_diff_vocab_prints_and_writes(tmp_path, capsys):
 
 
 def _extractor_payload(**changes):
-    old = fit_extractor([RawSample("a", 1, 0, {"api": ["x", "y"]})], k=2)
+    old = fit_extractor(stream_from_samples(
+        [RawSample("a", 1, 0, {"api": ["x", "y"]})]), k=2)
     return json.dumps({**old.to_dict(), **changes})
 
 
@@ -816,7 +819,8 @@ MALFORMED_EXTRACTORS = {
 def test_diff_vocab_malformed_extractor_exits_1(tmp_path, capsys, text,
                                                 message):
     good = tmp_path / "good.json"
-    fit_extractor([RawSample("a", 1, 0, {"api": ["x"]})], k=2).save(good)
+    fit_extractor(stream_from_samples(
+        [RawSample("a", 1, 0, {"api": ["x"]})]), k=2).save(good)
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     assert run_cli(["diff-vocab", str(good), str(bad)]) == 1

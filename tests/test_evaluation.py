@@ -186,8 +186,10 @@ def sample_diffs():
         return RawSample(id=sid, timestamp=1, label=0,
                          attributes={"api_calls": list(tokens)})
 
-    old = fit_extractor([doc("a", ["x", "y"]), doc("b", ["y"])], k=2)
-    new = fit_extractor([doc("a", ["z", "y"]), doc("b", ["z"])], k=2)
+    old = fit_extractor(stream_from_samples(
+        [doc("a", ["x", "y"]), doc("b", ["y"])]), k=2)
+    new = fit_extractor(stream_from_samples(
+        [doc("a", ["z", "y"]), doc("b", ["z"])]), k=2)
     return vocabulary_diff(old, new)
 
 

@@ -19,6 +19,10 @@ def doc(sid, ts, tokens, label=0, attr="api_calls"):
                      attributes={attr: list(tokens)})
 
 
+def as_stream(*samples):
+    return stream_from_samples(samples)
+
+
 # ---------------------------------------------------------------------------
 # worked example: two documents, one attribute, K = 2
 #   d1 = {a, a, b},  d2 = {b, c}
@@ -54,7 +58,7 @@ def test_idf_values():
 def test_worked_example_raw_geometry():
     """Before min-max, d1 maps to the unit vector of (2*idf_a, 1)."""
     model = worked_extractor()
-    raw = model._raw_matrix([doc("d1", 1, ["a", "a", "b"])])[0]
+    raw = model._raw_matrix(as_stream(doc("d1", 1, ["a", "a", "b"])))[0]
     expect = np.array([2 * IDF_A, 1.0])
     expect /= np.linalg.norm(expect)
     np.testing.assert_allclose(raw, expect, atol=1e-12)
@@ -63,8 +67,8 @@ def test_worked_example_raw_geometry():
 def test_train_transforms_span_unit_interval():
     """The fitted min-max puts each seen dimension's extremes at 0 and 1."""
     model = worked_extractor()
-    v1 = model.transform_many([doc("d1", 1, ["a", "a", "b"])])[0]
-    v2 = model.transform_many([doc("d2", 2, ["b", "c"])])[0]
+    v1, v2 = model.transform_many(as_stream(doc("d1", 1, ["a", "a", "b"]),
+                                            doc("d2", 2, ["b", "c"])))
     # d2 has no "a" -> raw 0 is the min, d1's is the max
     assert v1[0] == pytest.approx(1.0)
     assert v2[0] == pytest.approx(0.0)
@@ -75,7 +79,7 @@ def test_train_transforms_span_unit_interval():
 
 def test_oov_only_document_maps_to_zero_vector():
     model = worked_extractor()
-    vec = model.transform_many([doc("q", 9, ["zzz", "qqq"])])[0]
+    vec = model.transform_many(as_stream(doc("q", 9, ["zzz", "qqq"])))[0]
     np.testing.assert_array_equal(vec, np.zeros(2))
 
 
@@ -109,8 +113,8 @@ def test_matches_naive_reference(seed, k):
     train_docs = [dict(s.attributes) for s in stream]
     query_docs = [dict(s.attributes) for s in queries]
     expected = naive_fit_transform(train_docs, query_docs, k)
-    for sample, want in zip(queries, expected):
-        got = model.transform_many([sample])[0]
+    for i, want in enumerate(expected):
+        got = model.transform_many(queries[i:i + 1])[0]
         np.testing.assert_allclose(got, np.asarray(want), atol=1e-9)
 
 
@@ -145,10 +149,10 @@ def block_case(draw):
                       draw(st.sampled_from([1, 63, 64, 65])), "q")
     queries[0] = RawSample(id="empty", timestamp=0, label=0,
                            attributes={name: [] for name in names})
-    queries[-1] = RawSample(id="oov", timestamp=0, label=0,
+    queries[-1] = RawSample(id="oov", timestamp=len(queries), label=0,
                             attributes={name: list(OOV_TOKENS)
                                         for name in names})
-    return k, train, queries
+    return k, stream_from_samples(train), stream_from_samples(queries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,9 +172,9 @@ def test_block_transform_is_bit_identical_to_per_sample(case):
 
 def test_transform_outputs_are_read_only():
     model = worked_extractor()
-    queries = [doc("q1", 3, ["a", "c"]), doc("q2", 4, ["b"])]
+    queries = as_stream(doc("q1", 3, ["a", "c"]), doc("q2", 4, ["b"]))
     for out in (model.transform_many(queries),
-                model.transform_many([queries[0]])[0],
+                model.transform_many(queries[:1])[0],
                 *model.iter_transform(queries)):
         assert not out.flags.writeable
         with pytest.raises(ValueError):
@@ -182,8 +186,7 @@ def test_values_bounded_in_unit_interval():
     stream = random_corpus(rng, n_docs=60, n_attrs=2, pool_size=15, max_len=10)
     model = fit_extractor(stream, k=5)
     queries = random_corpus(rng, n_docs=40, n_attrs=2, pool_size=40, max_len=10)
-    for sample in queries:
-        vec = model.transform_many([sample])[0]
+    for vec in model.iter_transform(queries):
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
 
@@ -195,7 +198,7 @@ def test_l2_normalization_is_per_attribute_block():
         RawSample(id="d2", timestamp=2, label=0,
                   attributes={"x": ["a", "c"], "y": ["b"]})])
     model = fit_extractor(train, k=1)
-    raw = model._raw_matrix([train[0]])[0]
+    raw = model._raw_matrix(train[:1])[0]
     # single live dimension per block -> each block normalizes to length 1
     np.testing.assert_allclose(raw, [1.0, 1.0], atol=1e-12)
 
@@ -210,7 +213,7 @@ def test_dim_is_attributes_times_k_even_when_vocab_short():
                   attributes={"x": ["only"], "y": ["t1", "t2"]})])
     model = fit_extractor(train, k=100)
     assert model.dim == 200
-    vec = model.transform_many([train[0]])[0]
+    vec = model.transform_many(train[:1])[0]
     assert vec.shape == (200,)
     # block for "x" has one live dimension, the rest of its 100 are zero
     assert np.count_nonzero(vec[:100]) <= 1
@@ -218,11 +221,11 @@ def test_dim_is_attributes_times_k_even_when_vocab_short():
 
 def test_empty_training_set_rejected():
     with pytest.raises(EmptyTrainingSet):
-        fit_extractor([], k=2)
+        fit_extractor(as_stream(doc("d1", 1, ["a"]))[:0], k=2)
 
 
 def test_vocabulary_size_below_one_rejected():
-    train = [doc("d1", 1, ["a"])]
+    train = as_stream(doc("d1", 1, ["a"]))
     with pytest.raises(ValueError, match="vocabulary size k must be >= 1"):
         fit_extractor(train, k=0)
 
@@ -232,7 +235,7 @@ def test_transform_schema_mismatch():
     other = RawSample(id="q", timestamp=1, label=0,
                       attributes={"permissions": ["a"]})
     with pytest.raises(SchemaMismatch):
-        model.transform_many([other])
+        model.transform_many(as_stream(other))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +276,9 @@ def test_json_roundtrip_preserves_transforms(tmp_path):
     model.save(path)
     loaded = FeatureExtractorModel.load(path)
     assert loaded.fingerprint() == model.fingerprint()
-    for sample in stream:
-        np.testing.assert_array_equal(loaded.transform_many([sample])[0],
-                                      model.transform_many([sample])[0])
+    # the loaded model maps this stream's token ids by their text
+    np.testing.assert_array_equal(loaded.transform_many(stream),
+                                  model.transform_many(stream))
 
 
 def test_serialization_is_byte_stable(tmp_path):

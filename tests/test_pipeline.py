@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import json
 import time
-from collections import defaultdict
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -362,25 +361,21 @@ def test_pool_rerun_on_one_pipeline_starts_afresh():
     pipe = ModelPoolPipeline(config(strategy="pool"))
     first = _run_record(pipe, stream)
 
-    def n_ids():
-        return sum(map(len, pipe.token_ids.values()))
+    def state():
+        return (pipe.aging_events, list(pipe.weights),
+                pipe.members.weights.tobytes())
 
-    first_state = (pipe.aging_events, list(pipe.weights), n_ids())
+    first_state = state()
     assert first_state[0] == 1
     assert _run_record(pipe, stream) == first
-    assert (pipe.aging_events, list(pipe.weights), n_ids()) == first_state
-    # reading the tables after a run hands out no id
-    for table in pipe.token_ids.values():
-        with pytest.raises(KeyError):
-            table["never-seen"]
-    assert n_ids() == first_state[2]
+    assert state() == first_state
 
 
 def test_update_keeps_extractor_retrain_replaces_it():
     stream = synth(n=1500, drift=(700,), kind="vocabulary-shift", seed=3)
     upd_pipe = FnFPipeline(config(strategy="fnf-update", detector="adwin"))
     upd_pipe.run(stream)
-    warm_fingerprint = fit_extractor(stream.samples[:100],
+    warm_fingerprint = fit_extractor(stream[:100],
                                      upd_pipe.config.vocab_size).fingerprint()
     assert upd_pipe.extractor.fingerprint() == warm_fingerprint
     assert upd_pipe.vocab_diff_events == []
@@ -466,7 +461,7 @@ def test_empty_drift_buffer_is_degenerate_not_fatal():
     assert pipe.rebuild_count == 0
     assert pipe.vocab_diff_events == []
     assert pipe.extractor.fingerprint() == fit_extractor(
-        stream.samples[:100], cfg.vocab_size).fingerprint()
+        stream[:100], cfg.vocab_size).fingerprint()
     assert timeline.drift_count() == 1
     assert timeline.n_steps == 30
 
@@ -678,31 +673,25 @@ def test_pool_interval_boundary_events():
     assert all(e.step % 10 == 0 for e in timeline.events)
 
 
-def encode_rows(samples, tables):
+def encode_rows(samples):
     """``_encode_token_ids`` of ``samples``, split into one list per row."""
-    ids, ends = _encode_token_ids(samples, tables)
+    ids, ends = _encode_token_ids(samples)
     assert ids.dtype == np.intp and ids.ndim == 1 and len(ends) == len(samples)
     return [ids[lo:hi].tolist() for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
-def token_tables(names):
-    """Empty token tables sharing one id counter, as the pool's are."""
-    next_id = itertools.count().__next__
-    return {name: defaultdict(next_id) for name in names}
-
-
 def test_encode_returns_sorted_distinct_first_seen_ids():
-    tables = token_tables(["api", "perm"])
     rows = [dict(api=["z", "y", "z"], perm=["y", "x"]),
             dict(api=["w", "z"], perm=["x", "x"]),
             dict(api=["y"], perm=[]), dict(api=[], perm=["y"]),
             dict(api=[], perm=[]), dict(api=["z", "y", "z"], perm=["y", "x"])]
-    first, *rest = encode_rows(
-        [RawSample("s", 0, 0, attributes) for attributes in rows], tables)
+    stream = stream_from_samples(RawSample(f"s{i}", i, 0, attributes)
+                                 for i, attributes in enumerate(rows))
+    first, *rest = encode_rows(stream)
     assert first == [0, 1, 2, 3]
     # ids in first-seen order: api z, api y, perm y, perm x, then api w
     assert rest == [[0, 3, 4], [1], [2], [], [0, 1, 2, 3]]
-    assert sum(map(len, tables.values())) == 5
+    assert len(stream.tokens) == 5
 
 
 @st.composite
@@ -727,14 +716,15 @@ def encoder_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(encoder_case())
 def test_encoder_matches_reference_indexer(case):
-    """Chunks encoded in turn share the tables, as the pool's are."""
+    """Chunks encoded in turn give the ids that one indexer gives the
+    whole stream, as the pool encodes it."""
     samples, chunk = case
+    stream = stream_from_samples(samples)
     reference = ReferenceTokenIndexer()
-    tables = token_tables(samples[0].attributes)
-    encoded = [row for lo in range(0, len(samples), chunk)
-               for row in encode_rows(samples[lo:lo + chunk], tables)]
+    encoded = [row for lo in range(0, len(stream), chunk)
+               for row in encode_rows(stream[lo:lo + chunk])]
     assert encoded == [reference.encode(sample) for sample in samples]
-    assert sum(map(len, tables.values())) == len(reference)
+    assert len(stream.tokens) == len(reference)
 
 
 @st.composite
@@ -773,7 +763,7 @@ def test_pool_run_is_bit_identical_to_reference(case, warmup):
         return
     timeline = pipe.run(stream)
     predictions, event_steps, members, weights = reference_pool_run(
-        stream.samples[:warmup], stream.samples[warmup:], interval, 0.3, 0.7)
+        list(stream)[:warmup], list(stream)[warmup:], interval, 0.3, 0.7)
     assert timeline.predictions == predictions
     assert [(e.step, e.detector, e.level) for e in timeline.events] == [
         (step, "pool", "drift") for step in event_steps]
@@ -790,8 +780,8 @@ def test_pool_run_is_bit_identical_to_reference(case, warmup):
 def test_pool_run_ignores_the_key_order_of_sample_attributes():
     """The encoder looks each sample's token lists up in schema order;
     ``stream_from_samples`` puts every sample's attributes in that order."""
-    samples = synth(n=600, drift=(300,), kind="vocabulary-shift",
-                    n_attributes=3, seed=1).samples
+    samples = list(synth(n=600, drift=(300,), kind="vocabulary-shift",
+                         n_attributes=3, seed=1))
     # every key order in turn; the first sample, which the schema is taken
     # from, keeps schema order
     orders = list(itertools.permutations(samples[0].attributes))

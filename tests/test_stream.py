@@ -1,6 +1,7 @@
 """Stream loading, ordering and temporal splitting."""
 
 import csv
+import gc
 import json
 import math
 
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from driftstream import (DriftStreamError, EmptyStream, ExperimentConfig,
                          InsufficientData, ParseError, RawSample,
-                         SchemaMismatch, StreamSchema, load_stream,
+                         SchemaMismatch, StreamSchema, SynthStreamSpec,
+                         generate_synth_stream, load_stream,
                          run_temporal_split, save_stream, stream_from_samples)
 from driftstream.stream import MAX_TIMESTAMP
-from .oracles import reference_load_stream
+from .oracles import (ReferenceTokenIndexer, reference_load_csv,
+                      reference_load_jsonl, reference_load_stream)
 
 
 def make_sample(sid, ts, label=0, tokens=("alpha",)):
@@ -108,7 +111,7 @@ def test_load_jsonl_roundtrip(tmp_path):
     out = tmp_path / "copy.jsonl"
     save_stream(stream, out)
     again = load_stream(out)
-    assert again.samples == stream.samples
+    assert list(again) == list(stream)
     # a second save of the reloaded stream is byte-identical
     out2 = tmp_path / "copy2.jsonl"
     save_stream(again, out2)
@@ -253,7 +256,7 @@ def test_csv_and_jsonl_agree(tmp_path):
     jsonl_path.write_text(
         '{"id": "x", "timestamp": 1, "label": 0, "attributes": {"a": ["t1", "t2"]}}\n'
         '{"id": "y", "timestamp": 2, "label": 1, "attributes": {"a": ["t3"]}}\n')
-    assert load_stream(csv_path, "csv").samples == load_stream(jsonl_path).samples
+    assert list(load_stream(csv_path, "csv")) == list(load_stream(jsonl_path))
 
 
 def test_unknown_format_is_a_parse_error(tmp_path):
@@ -332,12 +335,26 @@ def test_equal_tokens_share_one_object(tmp_path, fmt):
                    zip(sample.attributes, stream.schema.attribute_names))
 
 
+def test_loaded_stream_holds_no_object_per_sample(tmp_path):
+    """Token ids replace the per-sample token lists: loading 2,000
+    samples leaves a bounded number of objects for the collector, not a
+    few per sample."""
+    path = tmp_path / "s.jsonl"
+    save_stream(generate_synth_stream(SynthStreamSpec(
+        n_samples=2000, n_attributes=3, seed=0)), path)
+    gc.collect()
+    before = len(gc.get_objects())
+    stream = load_stream(path)
+    gc.collect()
+    assert len(stream) == 2000
+    assert len(gc.get_objects()) - before < 100
+
+
 def test_stream_from_samples_keeps_samples_in_schema_order():
     kept = RawSample("a", 2, 0, {"x": ["t"], "y": []})
     reordered = RawSample("b", 1, 0, {"y": ["u"], "x": []})
     stream = stream_from_samples([kept, reordered])
-    assert stream[1] is kept
-    assert stream[0] is not reordered
+    assert stream[1] == kept
     assert list(stream[0].attributes) == ["x", "y"]
     assert stream[0] == reordered
 
@@ -440,12 +457,42 @@ def _outcome(load, path, fmt):
         stream = load(path, fmt)
     except DriftStreamError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    return stream, _records(stream)  # _records: also the attribute order
+    return _records(stream)  # _records: also the attribute order
+
+
+def _columns(stream):
+    """Every column of a stream, token ids per attribute included."""
+    return (stream.schema, stream.ids.tolist(), stream.timestamps.tolist(),
+            stream.labels.tolist(), stream.tokens, stream.token_ids,
+            [(ids.tolist(), counts.tolist()) for ids, counts in
+             stream._cells()])
+
+
+def _check_columns(stream, read_samples):
+    """The stream's token ids are the reference indexer's, first seen over
+    the sorted stream, and ``stream_from_samples`` of the samples as read
+    (in file order) builds the same columns."""
+    indexer = ReferenceTokenIndexer()
+    for i, sample in enumerate(stream):
+        indexer.encode(sample)
+        cells = stream[i:i + 1]._cells()
+        for (name, tokens), (ids, _) in zip(sample.attributes.items(), cells):
+            assert ids.tolist() == [indexer._index[name, tok]
+                                    for tok in tokens]
+            assert [stream.tokens[t] for t in ids.tolist()] == tokens
+            assert [stream.token_ids[name][tok] for tok in tokens] == \
+                ids.tolist()
+    assert len(stream.tokens) == len(indexer)
+    assert _columns(stream_from_samples(read_samples)) == _columns(stream)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_interning_loader_matches_reference(tmp_path_factory, data):
+    """Lines in any order, attributes in any key order, tokens that are
+    not normalized, not strings or empty after stripping, CRLF endings
+    and blank lines: the loaded records are the reference loader's, and
+    so are the token ids."""
     path = tmp_path_factory.mktemp("load") / "s"
     fmt = data.draw(st.sampled_from(["jsonl", "csv"]))
     if fmt == "jsonl":
@@ -455,6 +502,12 @@ def test_interning_loader_matches_reference(tmp_path_factory, data):
             csv.writer(fh).writerows(data.draw(csv_rows()))
     assert (_outcome(load_stream, path, fmt)
             == _outcome(reference_load_stream, path, fmt))
+    try:
+        stream = load_stream(path, fmt)
+    except DriftStreamError:
+        return
+    read = {"jsonl": reference_load_jsonl, "csv": reference_load_csv}[fmt]
+    _check_columns(stream, read(path))
 
 
 def _jsonl_record(sid="a", **fields):
@@ -563,4 +616,4 @@ def test_split_is_a_partition(triples, fraction):
         return
     counts = temporal_split(stream, fraction)
     assert counts.total == len(stream) - cut
-    assert counts.tp + counts.fn == sum(s.label for s in stream.samples[cut:])
+    assert counts.tp + counts.fn == sum(s.label for s in stream[cut:])
