@@ -98,26 +98,21 @@ class FeatureExtractorModel:
             raise DimensionMismatch("min-max arrays must have length dim")
         if np.any(self.minmax_min > self.minmax_max):
             raise ValueError("per-dimension min must not exceed max")
-        # Derived lookups of the block transform: the token -> flat column
-        # map of each attribute, the smoothed idf
+        # Derived lookups of the block transform: the smoothed idf
         # ln((1 + n_docs) / (1 + df)) + 1 per column (0 past a short
         # vocabulary) and the min-max divisor.
-        self._names = frozenset(schema.attribute_names)
-        self._columns = {}
         self._idf = np.zeros(self.dim)
         for a_idx, vocab in enumerate(self.vocabularies):
-            lo = a_idx * k
-            columns = {tok: lo + col for col, tok in enumerate(vocab.tokens)}
-            if len(columns) != len(vocab):
+            if len(set(vocab.tokens)) != len(vocab):
                 raise ValueError("vocabulary tokens must be unique")
-            self._columns[vocab.attribute_name] = columns
+            lo = a_idx * k
             df = np.asarray(vocab.document_frequency, dtype=float)
             self._idf[lo:lo + len(vocab)] = (
                 np.log((1.0 + vocab.n_train_docs) / (1.0 + df)) + 1.0)
         span = self.minmax_max - self.minmax_min
         self._scale = np.where(span > 0.0, span, 1.0)
-        # the token table the id -> flat column array (-1 outside the
-        # vocabulary) was last built for
+        # the token table whose id -> flat column array (-1 outside the
+        # vocabulary) is kept, and that array
         self._table = self._column_of = None
 
     @property
@@ -128,14 +123,14 @@ class FeatureExtractorModel:
         """The flat column of each token id of ``samples``' table, -1 for
         a token outside the vocabulary; built once per table."""
         if samples.tokens is not self._table:
-            if set(samples.schema.attribute_names) != self._names:
-                raise SchemaMismatch(
-                    f"stream attributes {samples.schema.attribute_names} do "
-                    "not match extractor schema")
+            names = samples.schema.attribute_names
+            if set(names) != set(self.schema.attribute_names):
+                raise SchemaMismatch(f"stream attributes {names} do not "
+                                     "match extractor schema")
             column_of = np.full(len(samples.tokens), -1, dtype=np.intp)
-            for name, columns in self._columns.items():
-                ids = samples.token_ids[name]
-                for tok, col in columns.items():
+            for a_idx, vocab in enumerate(self.vocabularies):
+                ids = samples.token_ids[vocab.attribute_name]
+                for col, tok in enumerate(vocab.tokens, start=a_idx * self.k):
                     if tok in ids:
                         column_of[ids[tok]] = col
             self._table, self._column_of = samples.tokens, column_of
@@ -269,10 +264,8 @@ def fit_extractor(samples: SampleStream, k: int) -> FeatureExtractorModel:
     if not n:
         raise EmptyTrainingSet("fit_extractor needs at least one sample")
     schema = samples.schema
-    column_of = np.full(len(samples.tokens), -1, dtype=np.intp)
     vocabularies = []
-    for a_idx, (name, (ids, counts)) in enumerate(
-            zip(schema.attribute_names, samples._cells())):
+    for name, (ids, counts) in zip(schema.attribute_names, samples._cells()):
         term_freq = np.bincount(ids)
         present = np.flatnonzero(term_freq)
         if 0 < k < len(present):  # keep the k-th largest count and ties
@@ -281,19 +274,14 @@ def fit_extractor(samples: SampleStream, k: int) -> FeatureExtractorModel:
         ranked = sorted(zip((-term_freq[present]).tolist(),
                             [samples.tokens[t] for t in present.tolist()],
                             present.tolist()))[:k]
-        chosen = [tid for _, _, tid in ranked]
-        column_of[chosen] = np.arange(len(chosen))
-        # distinct (sample, column) pairs give each column's document count
-        columns = column_of[ids]
-        known = columns >= 0
-        pairs = np.unique(np.repeat(np.arange(n), counts)[known] * k
-                          + columns[known])
-        column_of[chosen] += a_idx * k
+        # distinct (sample, id) pairs give each id's document count
+        width = max(len(term_freq), 1)
+        doc_freq = np.bincount(np.unique(
+            np.repeat(np.arange(n), counts) * width + ids) % width)
         vocabularies.append(AttributeVocabulary(
             attribute_name=name,
             tokens=[tok for _, tok, _ in ranked],
-            document_frequency=np.bincount(
-                pairs % k, minlength=len(chosen)).tolist(),
+            document_frequency=doc_freq[[t for _, _, t in ranked]].tolist(),
             n_train_docs=n,
         ))
 
@@ -301,18 +289,15 @@ def fit_extractor(samples: SampleStream, k: int) -> FeatureExtractorModel:
     probe = FeatureExtractorModel(
         schema=schema, k=k, vocabularies=vocabularies,
         minmax_min=np.zeros(dim), minmax_max=np.zeros(dim))
-    probe._table, probe._column_of = samples.tokens, column_of
     running_min = np.full(dim, np.inf)
     running_max = np.full(dim, -np.inf)
     for lo in range(0, n, BLOCK_ROWS):
         raw = probe._raw_matrix(samples[lo:lo + BLOCK_ROWS])
         np.minimum(running_min, raw.min(axis=0), out=running_min)
         np.maximum(running_max, raw.max(axis=0), out=running_max)
-    model = FeatureExtractorModel(
+    return FeatureExtractorModel(
         schema=schema, k=k, vocabularies=vocabularies,
         minmax_min=running_min, minmax_max=running_max)
-    model._table, model._column_of = samples.tokens, column_of
-    return model
 
 
 def vocabulary_diff(old: FeatureExtractorModel,

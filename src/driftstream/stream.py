@@ -14,6 +14,7 @@ import json
 import reprlib
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -104,13 +105,11 @@ class SampleStream:
         self._starts = [ends[:-1] for _, ends in cells]
         self._stops = [ends[1:] for _, ends in cells]
         self._contiguous = True  # each sample's ids follow the previous one's
+        for column in (ids, timestamps, labels, *chain.from_iterable(cells)):
+            column.flags.writeable = False  # views of a stream share them
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __repr__(self) -> str:
-        return (f"SampleStream({len(self)} samples, "
-                f"{self.schema.attribute_names})")
 
     def __iter__(self) -> Iterator[RawSample]:
         return map(self._sample, range(len(self)))
@@ -238,7 +237,7 @@ class _Columns:
             out.append(tid)
         return out
 
-    def stream(self, schema: StreamSchema) -> SampleStream:
+    def stream(self) -> SampleStream:
         """The samples sorted by (timestamp, id), file order kept among
         equal keys, with token ids first-seen over that order."""
         n, n_tokens = len(self), len(self.tokens)
@@ -271,8 +270,8 @@ class _Columns:
             self.token_ids = {
                 name: {tok: renumbered[tid] for tok, tid in table.items()}
                 for name, table in self.token_ids.items()}
-        return SampleStream(schema, tuple(self.tokens), self.token_ids, ids,
-                            timestamps, labels, cells)
+        return SampleStream(StreamSchema(self.names), tuple(self.tokens),
+                            self.token_ids, ids, timestamps, labels, cells)
 
 
 def stream_from_samples(samples: Iterable[RawSample]) -> SampleStream:
@@ -285,8 +284,8 @@ def stream_from_samples(samples: Iterable[RawSample]) -> SampleStream:
     for sample in samples:
         attrs = sample.attributes
         if columns is None:
-            schema = StreamSchema(tuple(attrs))
-            columns = _Columns(schema.attribute_names, normalize=False)
+            columns = _Columns(StreamSchema(tuple(attrs)).attribute_names,
+                               normalize=False)
         try:
             cells = list(map(attrs.__getitem__, columns.names))
         except KeyError:
@@ -298,7 +297,7 @@ def stream_from_samples(samples: Iterable[RawSample]) -> SampleStream:
         columns.add(sample.id, sample.timestamp, sample.label, cells)
     if columns is None:
         raise EmptyStream("cannot build a stream from zero samples")
-    return columns.stream(schema)
+    return columns.stream()
 
 
 def _parse_int(value, what: str, line: int) -> int:
@@ -361,9 +360,7 @@ def _decode_line(line: str, line_no: int):
         raise ParseError("invalid JSON (nested too deeply)", line_no) from None
 
 
-def _load_jsonl(path: Path) -> tuple[_Columns | None, tuple | None]:
-    """The file's samples, and the id and attribute names of its first
-    sample whose attributes are not the first sample's (None if none)."""
+def _load_jsonl(path: Path) -> _Columns | None:
     columns = mismatch = None
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -416,7 +413,12 @@ def _load_jsonl(path: Path) -> tuple[_Columns | None, tuple | None]:
                 label = _parse_label(label, line_no)
             if cells is not None:
                 columns.add(str(sid), ts, label, cells)
-    return columns, mismatch
+    if mismatch is not None:  # reported once every line has parsed
+        StreamSchema(columns.names)  # a bad schema is reported first
+        raise SchemaMismatch(f"sample {mismatch[0]!r}: attributes "
+                             f"{sorted(mismatch[1])} != schema "
+                             f"{sorted(columns.names)}")
+    return columns
 
 
 def _load_csv(path: Path) -> _Columns | None:
@@ -476,10 +478,9 @@ def load_stream(path: str | Path, fmt: str = "jsonl") -> SampleStream:
     ``ParseError`` naming its first line that does not decode.
     """
     path = Path(path)
-    mismatch = None
     try:
         if fmt == "jsonl":
-            columns, mismatch = _load_jsonl(path)
+            columns = _load_jsonl(path)
         elif fmt == "csv":
             columns = _load_csv(path)
         else:
@@ -488,12 +489,7 @@ def load_stream(path: str | Path, fmt: str = "jsonl") -> SampleStream:
         raise _not_utf8_error(path) from None
     if not columns:
         raise EmptyStream(f"{path} holds no samples")
-    schema = StreamSchema(columns.names)
-    if mismatch is not None:
-        sid, names = mismatch
-        raise SchemaMismatch(f"sample {sid!r}: attributes {sorted(names)} "
-                             f"!= schema {sorted(columns.names)}")
-    return columns.stream(schema)
+    return columns.stream()
 
 
 def save_stream(stream: SampleStream, path: str | Path) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .stream import MAX_TIMESTAMP, SampleStream, StreamSchema, _Columns
+from .stream import MAX_TIMESTAMP, SampleStream, _Columns
 
 _ATTRIBUTE_NAMES = ("api_calls", "permissions", "intents", "urls",
                     "opcodes", "libraries", "providers", "receivers")
@@ -162,4 +162,4 @@ def generate_synth_stream(spec: SynthStreamSpec) -> SampleStream:
             cells.append([tokens[j] for j in drawn])
         columns.add(f"s{i:0{pad}d}",
                     spec.start_timestamp + i * spec.step_seconds, label, cells)
-    return columns.stream(StreamSchema(tuple(attr_names)))
+    return columns.stream()
