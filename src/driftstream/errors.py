@@ -32,7 +32,8 @@ class DimensionMismatch(DriftStreamError):
 
 
 class ValueOutOfRange(DriftStreamError):
-    """A detector input fell outside its admissible range."""
+    """An input fell outside its admissible range (a detector input, a
+    sample's label or timestamp)."""
 
 
 class EmptyInput(DriftStreamError):

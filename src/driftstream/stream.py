@@ -3,7 +3,9 @@
 A sample is a bag of string tokens grouped by named attribute (for Android
 apps these are things like API calls, permissions, URLs).  Streams keep a
 total order by (timestamp, id) so every downstream consumer sees samples in
-the same temporal order regardless of file layout.
+the same temporal order regardless of file layout.  A stream holds its
+samples as columns: tokens become ids into one table per stream, and each
+attribute keeps every sample's ids in one array.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import EmptyStream, ParseError, SchemaMismatch
+from .errors import EmptyStream, ParseError, SchemaMismatch, ValueOutOfRange
 
 # 9999-12-31T23:59:59Z, the last second datetime can represent
 MAX_TIMESTAMP = 253402300799
@@ -178,17 +180,16 @@ class _Columns:
 
     Token ids come from one counter in arrival order; ``stream`` sorts the
     samples and, when arrival order was not sorted order, renumbers the
-    ids in first-seen order over the sorted stream.  With ``normalize``,
-    tokens are normalized (``_normalize_token``) and those left empty are
-    dropped; a raw ``str`` token is looked up in one table per attribute,
-    so a cell whose tokens were all seen before takes one C-level ``map``.
+    ids in first-seen order over the sorted stream.  Tokens are normalized
+    (``_normalize_token``) and those left empty are dropped; a raw ``str``
+    token is looked up in one table per attribute, so a cell whose tokens
+    were all seen before takes one C-level ``map``.
     Only exact ``str`` tokens enter that table: JSON ``1``, ``true`` and
     ``1.0`` are equal dict keys but normalize to different text.
     """
 
-    def __init__(self, names: tuple[str, ...], normalize: bool):
+    def __init__(self, names: tuple[str, ...]):
         self.names = names
-        self.normalize = normalize
         self.sample_ids: list[str] = []
         self.timestamps: list[int] = []
         self.labels: list[int] = []  # -1 for no label
@@ -197,7 +198,7 @@ class _Columns:
         self.texts: dict[str, str] = {}  # one object per token text
         self.columns = []  # per attribute: ids, ends, raw token -> id
         for index in self.token_ids.values():
-            raw = {} if normalize else index
+            raw = {}
             self.columns.append(([], [0], raw.__getitem__, raw, index))
 
     def __len__(self) -> int:
@@ -224,8 +225,8 @@ class _Columns:
         for tok in tokens:
             tid = raw.get(tok) if type(tok) is str else None
             if tid is None:
-                norm = _normalize_token(tok) if self.normalize else tok
-                if not norm and self.normalize:
+                norm = _normalize_token(tok)
+                if not norm:
                     continue
                 tid = index.get(norm)
                 if tid is None:
@@ -278,14 +279,15 @@ def stream_from_samples(samples: Iterable[RawSample]) -> SampleStream:
     """Sort samples into a stream, inferring the schema from the first one.
 
     Every sample must carry exactly the schema's attribute-name set, in
-    any order; tokens are kept as given.
+    any order, an int timestamp and a label of 0, 1 or None (the columns
+    hold no other).  Tokens are normalized as ``load_stream`` normalizes
+    them.
     """
     columns = None
     for sample in samples:
         attrs = sample.attributes
         if columns is None:
-            columns = _Columns(StreamSchema(tuple(attrs)).attribute_names,
-                               normalize=False)
+            columns = _Columns(StreamSchema(tuple(attrs)).attribute_names)
         try:
             cells = list(map(attrs.__getitem__, columns.names))
         except KeyError:
@@ -294,6 +296,12 @@ def stream_from_samples(samples: Iterable[RawSample]) -> SampleStream:
             raise SchemaMismatch(
                 f"sample {sample.id!r}: attributes {sorted(attrs)} != "
                 f"schema {sorted(columns.names)}")
+        if sample.label not in (0, 1, None):
+            raise ValueOutOfRange(f"sample {sample.id!r}: label "
+                                  f"{sample.label!r} is not 0, 1 or None")
+        if not isinstance(sample.timestamp, int):
+            raise ValueOutOfRange(f"sample {sample.id!r}: timestamp "
+                                  f"{sample.timestamp!r} is not an int")
         columns.add(sample.id, sample.timestamp, sample.label, cells)
     if columns is None:
         raise EmptyStream("cannot build a stream from zero samples")
@@ -389,7 +397,7 @@ def _load_jsonl(path: Path) -> _Columns | None:
             if type(attrs) is not dict or not attrs:
                 raise ParseError("'attributes' must be a non-empty object", line_no)
             if columns is None:
-                columns = _Columns(tuple(attrs), normalize=True)
+                columns = _Columns(tuple(attrs))
                 all_lists = [list] * len(attrs)
             try:
                 cells = list(map(attrs.__getitem__, columns.names))
@@ -437,7 +445,7 @@ def _load_csv(path: Path) -> _Columns | None:
             if name in header[:i]:
                 raise ParseError(
                     f"CSV header repeats column {reprlib.repr(name)}", line=1)
-        columns = _Columns(tuple(attr_names), normalize=True)
+        columns = _Columns(tuple(attr_names))
         for row in reader:
             if not row:  # a blank line
                 continue

@@ -147,7 +147,7 @@ def generate_synth_stream(spec: SynthStreamSpec) -> SampleStream:
                 tables[(concept, label, attr_idx)] = _class_distribution(
                     attr_idx, concept, label, spec.kind)
 
-    columns = _Columns(tuple(attr_names), normalize=False)
+    columns = _Columns(tuple(attr_names))
     concept = 0
     pad = max(6, len(str(spec.n_samples)))
     for i in range(spec.n_samples):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from driftstream import (DriftStreamError, EmptyStream, ExperimentConfig,
                          InsufficientData, ParseError, RawSample,
                          SchemaMismatch, StreamSchema, SynthStreamSpec,
-                         generate_synth_stream, load_stream,
+                         ValueOutOfRange, generate_synth_stream, load_stream,
                          run_temporal_split, save_stream, stream_from_samples)
 from driftstream.stream import MAX_TIMESTAMP
 from .oracles import (ReferenceTokenIndexer, reference_load_csv,
@@ -77,6 +77,17 @@ def test_duplicate_ids_are_kept_as_distinct_samples():
     samples = [make_sample("dup", 1), make_sample("dup", 2)]
     stream = stream_from_samples(samples)
     assert len(stream) == 2
+
+
+@pytest.mark.parametrize("label, timestamp", [(-1, 1), (2, 1), (0.5, 1),
+                                              (0, 1.5), (None, "1")])
+def test_stream_from_samples_rejects_what_its_columns_cannot_hold(
+        label, timestamp):
+    """Labels are int8 with -1 for None and timestamps int64, so another
+    label would read back changed or as None, and a float timestamp cut."""
+    with pytest.raises(ValueOutOfRange, match="sample 'b'"):
+        stream_from_samples([make_sample("a", 1),
+                             make_sample("b", timestamp, label=label)])
 
 
 def test_mismatched_attribute_set_raises():
