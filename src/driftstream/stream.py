@@ -81,7 +81,7 @@ class SampleStream:
 
     ``ids`` (object), ``timestamps`` (int64) and ``labels`` (int8, -1 for
     no label) hold one entry per sample.  Tokens are ids into one table
-    per load: ``tokens[i]`` is token id ``i``'s text and
+    per stream: ``tokens[i]`` is token id ``i``'s text and
     ``token_ids[attribute][text]`` its id, one id per (attribute, token)
     pair, numbered in first-seen order over the sorted stream (samples in
     order, attributes in schema order, tokens in list order).  Each
