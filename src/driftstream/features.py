@@ -24,11 +24,12 @@ from .errors import (DimensionMismatch, DriftStreamError, EmptyTrainingSet,
                      ParseError, SchemaMismatch)
 from .stream import SampleStream, StreamSchema
 
-# Samples transformed per numpy pass.  Larger blocks hold larger
-# ``BLOCK_ROWS x dim`` temporaries: on the retrain-sgd-adwin benchmark,
-# 256 rows raised peak RSS by 1.5-1.7 % with no throughput gain, while 64
-# rows left it unchanged.
-BLOCK_ROWS = 64
+# Samples transformed per numpy pass.  Each pass pays about 40 us of fixed
+# numpy dispatch; larger blocks hold larger ``BLOCK_ROWS x dim`` temporaries.
+# 64 -> 256 rows, with SGD's allocation-free step, raised retrain-sgd-adwin
+# ``throughput_sps`` 17.5 % in 10 of 10 benchmark pairs; a retrain replay's
+# in-process peak RSS is 43.6 MB at 64 rows and 44.5 MB at 256.
+BLOCK_ROWS = 256
 
 
 @dataclass
@@ -274,10 +275,11 @@ def fit_extractor(samples: SampleStream, k: int) -> FeatureExtractorModel:
         ranked = sorted(zip((-term_freq[present]).tolist(),
                             [samples.tokens[t] for t in present.tolist()],
                             present.tolist()))[:k]
-        # distinct (sample, id) pairs give each id's document count
+        # distinct (sample, id) keys give each id's document count; sorted,
+        # a key is distinct where it differs from the key before it
         width = max(len(term_freq), 1)
-        doc_freq = np.bincount(np.unique(
-            np.repeat(np.arange(n), counts) * width + ids) % width)
+        keys = np.sort(np.repeat(np.arange(n), counts) * width + ids)
+        doc_freq = np.bincount(keys[np.diff(keys, prepend=-1) != 0] % width)
         vocabularies.append(AttributeVocabulary(
             attribute_name=name,
             tokens=[tok for _, tok, _ in ranked],

@@ -36,7 +36,8 @@ ARF_POISSON_LAMBDA = 6.0  # lambda of the online-bagging weights
 
 
 def _check_dim(x: np.ndarray, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    if type(x) is not np.ndarray or x.dtype != float:
+        x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise DimensionMismatch(f"expected vector of length {dim}, got {x.shape}")
     return x
@@ -61,6 +62,7 @@ class SgdClassifier:
         self.dim = dim
         self.weights = np.zeros(dim, dtype=float)
         self.bias = 0.0
+        self._step = np.empty(dim)  # eta*y*x of a hinge update
         # (x, w.x + b) of the last predict, for the partial_fit that follows
         # it on the same read-only x; any later call clears it
         self._scored = None
@@ -70,7 +72,7 @@ class SgdClassifier:
 
     def predict(self, x: np.ndarray) -> int:
         x = _check_dim(x, self.dim)
-        score = float(self.weights @ x) + self.bias
+        score = float(self.weights.dot(x)) + self.bias
         self._scored = (x, score)
         return 1 if score > 0.0 else 0
 
@@ -80,12 +82,13 @@ class SgdClassifier:
         if scored is not None and scored[0] is x and not x.flags.writeable:
             score = scored[1]
         else:
-            score = float(self.weights @ x) + self.bias
+            score = float(self.weights.dot(x)) + self.bias
         y_signed = 1.0 if y == 1 else -1.0
         margin = y_signed * score
         self.weights *= (1.0 - SGD_LEARNING_RATE * SGD_L2)
         if margin < 1.0:
-            self.weights += SGD_LEARNING_RATE * y_signed * x
+            self.weights += np.multiply(x, SGD_LEARNING_RATE * y_signed,
+                                        out=self._step)
             self.bias += SGD_LEARNING_RATE * y_signed
 
 

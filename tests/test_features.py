@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from driftstream import (EmptyTrainingSet, FeatureExtractorModel, RawSample,
                          SchemaMismatch, fit_extractor, stream_from_samples,
                          vocabulary_diff)
+from driftstream import features
 from .oracles import (naive_fit_transform, per_sample_raw_vector,
                       per_sample_transform)
 
@@ -130,23 +131,41 @@ OOV_TOKENS = ["oov0", "oov1", "oov2"]
 def block_case(draw):
     """(k, training samples, query block) over 1-3 attributes.
 
-    The training pool may hold fewer distinct tokens than ``k``; queries
-    mix in out-of-vocabulary tokens, and the block's first and last rows
-    are an all-empty and an all-OOV sample.
+    The training pool may hold fewer distinct tokens than ``k``, the last
+    attribute may hold no token in any training sample, and a training
+    set may span several blocks.  Sample ``i`` of ``n`` draws from the
+    first ``1 + i * len(pool) // n`` tokens of its pool, so later blocks
+    hold tokens, and column maxima, that earlier ones do not.  Queries mix
+    in out-of-vocabulary tokens, their count is one block give or take a
+    row, and the block's first and last rows are an all-empty and an
+    all-OOV sample.  Token lists come from a drawn numpy seed: drawn one
+    by one, several hundred samples exceed hypothesis's entropy limit.
     """
     names = [f"a{j}" for j in range(draw(st.integers(1, 3)))]
     pool = TOKENS[:draw(st.integers(1, len(TOKENS)))]
     k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def samples(tokens, n, prefix):
-        lists = st.lists(st.sampled_from(tokens), max_size=6)
+    def token_list(tokens):
+        return [tokens[j] for j in rng.integers(len(tokens),
+                                                size=rng.integers(0, 7))]
+
+    def samples(tokens, n, prefix, empty=()):
         return [RawSample(id=f"{prefix}{i}", timestamp=i, label=0,
-                          attributes={name: draw(lists) for name in names})
+                          attributes={name: [] if name in empty
+                                      else token_list(
+                                          tokens[:1 + i * len(tokens) // n])
+                                      for name in names})
                 for i in range(n)]
 
-    train = samples(pool, draw(st.integers(1, 70)), "train")
-    queries = samples(pool + OOV_TOKENS,
-                      draw(st.sampled_from([1, 63, 64, 65])), "q")
+    n_train = draw(st.integers(1, 70)
+                   | st.integers(features.BLOCK_ROWS + 1,
+                                 2 * features.BLOCK_ROWS + 1))
+    train = samples(pool, n_train, "train",
+                    names[-1:] if draw(st.booleans()) else ())
+    queries = samples(pool + OOV_TOKENS, draw(st.sampled_from(
+        [1, features.BLOCK_ROWS - 1, features.BLOCK_ROWS,
+         features.BLOCK_ROWS + 1])), "q")
     queries[0] = RawSample(id="empty", timestamp=0, label=0,
                            attributes={name: [] for name in names})
     queries[-1] = RawSample(id="oov", timestamp=len(queries), label=0,
@@ -160,6 +179,10 @@ def block_case(draw):
 def test_block_transform_is_bit_identical_to_per_sample(case):
     k, train, queries = case
     model = fit_extractor(train, k=k)
+    for vocab in model.vocabularies:
+        assert vocab.document_frequency == [
+            sum(tok in set(s.attributes[vocab.attribute_name]) for s in train)
+            for tok in vocab.tokens]
     raws = np.array([per_sample_raw_vector(model, s) for s in train])
     assert np.array_equal(model.minmax_min, raws.min(axis=0))
     assert np.array_equal(model.minmax_max, raws.max(axis=0))

@@ -169,7 +169,10 @@ def run_digests(stream_file, out_dir, run_name) -> dict[str, str]:
 def test_report_digests_are_unchanged(run_name, stream_file, tmp_path,
                                       monkeypatch):
     monkeypatch.delenv("DRIFTSTREAM_OUT", raising=False)
+    blas = numpy.show_config(mode="dicts").get(
+        "Build Dependencies", {}).get("blas", {})
     assert run_digests(stream_file, tmp_path / "out", run_name) \
         == GOLDEN[run_name], (f"reports written with numpy "
-                              f"{numpy.__version__}; the digests were made "
-                              f"with numpy 2.4.6")
+                              f"{numpy.__version__} on BLAS "
+                              f"{blas.get('name')} {blas.get('version')}; "
+                              f"the digests were made with numpy 2.4.6")

@@ -70,11 +70,14 @@ def test_sgd_weights_stay_finite_under_long_training():
 
 
 def test_sgd_dimension_checked():
+    """Wrong lengths, a (1, dim) row and 0-d inputs, in either method."""
     m = SgdClassifier(dim=3)
-    with pytest.raises(DimensionMismatch):
-        m.predict(np.zeros(4))
-    with pytest.raises(DimensionMismatch):
-        m.partial_fit(np.zeros(2), 1)
+    for x in (np.zeros(4), np.zeros(2), np.zeros((1, 3)), np.array(0.0),
+              np.float64(0.0), [0.0] * 4):
+        with pytest.raises(DimensionMismatch):
+            m.predict(x)
+        with pytest.raises(DimensionMismatch):
+            m.partial_fit(x, 1)
 
 
 def test_sgd_reset_and_clone():
@@ -123,6 +126,42 @@ def test_sgd_score_reuse_is_bit_identical_to_reference(data):
             reference.partial_fit(x, label)
             assert model.weights.tobytes() == reference.weights.tobytes()
             assert model.bias.hex() == reference.bias.hex()
+
+
+SGD_INPUT_FORMS = {
+    "list": lambda block, i: block[i].tolist(),
+    "float32": lambda block, i: block[i].astype(np.float32),
+    "int": lambda block, i: np.rint(block[i] * 3.0).astype(int),
+    "strided": lambda block, i: np.repeat(block[i], 2)[::2],
+    "block-row": lambda block, i: block[i],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 200, 300]) | st.integers(1, 300),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(sorted(SGD_INPUT_FORMS)),
+                          st.integers(0, 7), st.booleans(),
+                          st.integers(0, 1)), min_size=1, max_size=30))
+def test_sgd_input_forms_are_bit_identical_to_reference(dim, seed, steps):
+    """Lists, float32 and int arrays, non-contiguous views and rows of a
+    read-only block matrix, at dims up to 300: each step may predict (and
+    keep the reference's score to the bit), then fits once; the reference
+    sees the input as ``np.asarray(x, float)``."""
+    block = np.random.default_rng(seed).uniform(-10.0, 10.0, (8, dim))
+    block.flags.writeable = False
+    model, reference = SgdClassifier(dim), ReferenceSgdClassifier(dim)
+    for form, row, predict_first, label in steps:
+        x = SGD_INPUT_FORMS[form](block, row)
+        as_float = np.asarray(x, dtype=float)
+        if predict_first:
+            assert model.predict(x) == reference.predict(as_float)
+            score = float(reference.weights @ as_float) + reference.bias
+            assert model._scored[1].hex() == score.hex()
+        model.partial_fit(x, label)
+        reference.partial_fit(as_float, label)
+        assert model.weights.tobytes() == reference.weights.tobytes()
+        assert model.bias.hex() == reference.bias.hex()
 
 
 # ---------------------------------------------------------------------------
