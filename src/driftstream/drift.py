@@ -308,19 +308,20 @@ class AdwinDetector:
 
     def _insert(self, value: float) -> None:
         sizes, sums = self._sizes, self._sums
+        counts, prefixes = self._prefix_counts, self._prefix_sums
         sizes.append(1)
         sums.append(value)
         self._count += 1
         self._sum += value
+        counts.append(self._count)
+        prefixes.append(prefixes[-1] + value)
         rows = self._row_lengths
         rows[0] += 1
         limit = self.max_buckets
         if limit is None or rows[0] <= limit:
-            self._prefix_counts.append(self._count)
-            self._prefix_sums.append(self._prefix_sums[-1] + value)
             return
         end = len(sizes)
-        row = 0
+        row, stale = 0, None
         while rows[row] > limit:
             # merge the row's two oldest buckets into the next row's newest
             first = end - rows[row]
@@ -328,14 +329,21 @@ class AdwinDetector:
             sizes[first] *= 2
             del sums[first + 1], sizes[first + 1]
             del self._horizon[first], self._caps[first]
+            # if prefix first plus the merged sum rounds to prefix first + 2,
+            # every later prefix adds the same operands in the same order
+            if stale is None and prefixes[first] + sums[first] == \
+                    prefixes[first + 2]:
+                del counts[first + 1], prefixes[first + 1]
+            else:  # rescan from the lowest stale merge; later merges sit lower
+                stale = first
             rows[row] -= 2
             row += 1
             if row == len(rows):
                 rows.append(0)
             rows[row] += 1
             end = first + 1
-        # the merges changed the order of the additions past ``first``
-        self._refresh_prefixes(first)
+        if stale is not None:
+            self._refresh_prefixes(stale)
 
     def _drop_oldest_bucket(self) -> None:
         self._count -= self._sizes.pop(0)

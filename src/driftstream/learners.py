@@ -77,11 +77,11 @@ class SgdClassifier:
         return 1 if score > 0.0 else 0
 
     def partial_fit(self, x: np.ndarray, y: int) -> None:
-        x = _check_dim(x, self.dim)
         scored, self._scored = self._scored, None
         if scored is not None and scored[0] is x and not x.flags.writeable:
-            score = scored[1]
+            score = scored[1]  # predict checked this very object
         else:
+            x = _check_dim(x, self.dim)
             score = float(self.weights.dot(x)) + self.bias
         y_signed = 1.0 if y == 1 else -1.0
         margin = y_signed * score

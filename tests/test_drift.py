@@ -1,5 +1,7 @@
 """Drift detectors and the KS primitives behind the windowed detector."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -254,11 +256,16 @@ def _adwin_state(det, buckets):
 @example(delta=0.002, max_buckets=5, real=False,
          segments=[(0.08, 400), (0.0, 2500), (0.5, 200)], reset_at=4000,
          seed=0)
+# real values with two buckets a row: merges cascade, and a merged sum added
+# to its prefix often rounds otherwise than the two sums added one by one
+@example(delta=0.002, max_buckets=2, real=True,
+         segments=[(0.3, 300), (0.7, 300)], reset_at=4000, seed=0)
 def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets, real,
                                                segments, reset_at, seed):
     """The incremental detector against the former bucket-scan detector:
     equal level, width, mean and bucket sums after every update, with the
-    error rate stepping up and down between segments."""
+    error rate stepping up and down between segments.  The prefix counts
+    and sums equal a left-to-right scan of the buckets bit for bit."""
     rng = np.random.default_rng(seed)
     values = []
     for rate, length in segments:
@@ -278,13 +285,20 @@ def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets, real,
         assert det.update(value) is ref.update(value), step
         got = _adwin_state(det, zip(det._sizes, det._sums))
         assert got == _adwin_state(ref, ref._buckets_old_to_new()), step
+        assert det._prefix_counts == list(
+            accumulate(det._sizes, initial=0)), step
+        assert [s.hex() for s in det._prefix_sums] == [
+            s.hex() for s in accumulate(det._sums, initial=0.0)], step
 
 
 def test_adwin_skips_its_boundary_loop_on_a_quiet_stream(monkeypatch):
     """A low, steady error rate, like the retrain runs' error sequences: the
     caps and horizons settle almost every boundary, so the boundary loop
-    runs on few updates and rarely needs a horizon from ``_no_cut_ticks``."""
-    calls = {"_shrink": 0, "_no_cut_ticks": 0}
+    runs on few updates and rarely needs a horizon from ``_no_cut_ticks``.
+    Sums of 0s and 1s are exact, so no merge rescans the prefixes: a rescan
+    comes only from a drop."""
+    calls = {"_shrink": 0, "_no_cut_ticks": 0, "_refresh_prefixes": 0,
+             "_drop_oldest_bucket": 0}
     for name in calls:
         method = getattr(AdwinDetector, name)
 
@@ -298,6 +312,7 @@ def test_adwin_skips_its_boundary_loop_on_a_quiet_stream(monkeypatch):
         det.update(value)
     assert calls["_shrink"] < 0.1 * len(values)
     assert calls["_no_cut_ticks"] < 0.2 * len(values)
+    assert calls["_refresh_prefixes"] == calls["_drop_oldest_bucket"]
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,18 @@ def test_sgd_weights_stay_finite_under_long_training():
 
 
 def test_sgd_dimension_checked():
-    """Wrong lengths, a (1, dim) row and 0-d inputs, in either method."""
+    """Wrong lengths, a (1, dim) row and 0-d inputs, in either method, also
+    when a partial_fit follows a predict that checked another row."""
     m = SgdClassifier(dim=3)
     for x in (np.zeros(4), np.zeros(2), np.zeros((1, 3)), np.array(0.0),
               np.float64(0.0), [0.0] * 4):
         with pytest.raises(DimensionMismatch):
             m.predict(x)
+        with pytest.raises(DimensionMismatch):
+            m.partial_fit(x, 1)
+    scored = _read_only([0.0] * 3)
+    for x in (_read_only([0.0] * 4), _read_only([[0.0] * 3]), [0.0] * 4):
+        assert m.predict(scored) == 0
         with pytest.raises(DimensionMismatch):
             m.partial_fit(x, 1)
 
