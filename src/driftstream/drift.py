@@ -252,7 +252,8 @@ class AdwinDetector:
     n1; values are >= 0, so the total only grows.  Any other boundary gets
     a tick horizon: the closed-form count of inserts that keep eps >= 1, or
     ``_no_cut_ticks``.  An update within the earliest horizon and the lowest
-    cap skips the boundary loop.
+    cap skips the boundary loop.  The newest boundary (n1 = 1) is settled on
+    insert; a low m0 gives it a cap from eps's bound sqrt(ln(8/delta) / 2).
     """
 
     def __init__(self, delta: float = 0.002, max_buckets: int | None = 5):
@@ -262,6 +263,11 @@ class AdwinDetector:
             raise ValueOutOfRange("max_buckets must be >= 2 (or None)")
         self.delta = delta
         self.max_buckets = max_buckets
+        # ln(8/delta) <= ln(4n/delta) for any window with a boundary (n >= 2),
+        # so m0 < slack * sqrt(ln(8/delta) / (2 n0)) puts m0 below eps_inf
+        ln_least = math.log(8.0 / delta)
+        self._quiet_sq = _HORIZON_SLACK * _HORIZON_SLACK * ln_least / 2.0
+        self._quiet_eps = _HORIZON_SLACK * math.sqrt(ln_least / 2.0)
         # bucket sizes and sums, oldest first; the newest _row_lengths[r]
         # buckets before those of rows < r form row r
         self._sizes: list[int] = []
@@ -446,10 +452,14 @@ class AdwinDetector:
         self._insert(float(value))
         n0 = self._count - 1
         if n0:  # settle the newest boundary: n1 = 1 makes eps >= 1
-            ln_term = math.log(4.0 * (n0 + 1) / self.delta)
-            until, cap = self._settle(
-                n0, self._prefix_sums[-2], 1,
-                math.sqrt((1.0 / n0 + 1.0) * ln_term / 2.0), ln_term)
+            s0 = self._prefix_sums[-2]
+            if s0 * s0 < self._quiet_sq * n0:  # _settle's cap, least eps
+                until = self._ticks + _HORIZON_MAX_WIDTH - n0 - 1
+                cap = s0 + (s0 / n0 + self._quiet_eps)
+            else:
+                ln_term = math.log(4.0 * (n0 + 1) / self.delta)
+                until, cap = self._settle(n0, s0, 1, math.sqrt(
+                    (1.0 / n0 + 1.0) * ln_term / 2.0), ln_term)
             self._horizon.append(until)
             self._caps.append(cap)
             if until < self._due_tick:

@@ -97,6 +97,8 @@ class FeatureExtractorModel:
         self.minmax_max = np.asarray(minmax_max, dtype=float)
         if self.minmax_min.shape != (self.dim,) or self.minmax_max.shape != (self.dim,):
             raise DimensionMismatch("min-max arrays must have length dim")
+        if not np.isfinite([self.minmax_min, self.minmax_max]).all():
+            raise ValueError("min-max values must be finite")
         if np.any(self.minmax_min > self.minmax_max):
             raise ValueError("per-dimension min must not exceed max")
         # Derived lookups of the block transform: the smoothed idf
@@ -108,6 +110,10 @@ class FeatureExtractorModel:
                 raise ValueError("vocabulary tokens must be unique")
             lo = a_idx * k
             df = np.asarray(vocab.document_frequency, dtype=float)
+            if df.shape != (len(vocab),) or not np.array_equal(
+                    df, np.clip(np.round(df), 0, vocab.n_train_docs)):
+                raise ValueError("need one document frequency per token, "
+                                 "an integer from 0 to n_train_docs")
             self._idf[lo:lo + len(vocab)] = (
                 np.log((1.0 + vocab.n_train_docs) / (1.0 + df)) + 1.0)
         span = self.minmax_max - self.minmax_min
@@ -155,8 +161,9 @@ class FeatureExtractorModel:
                              minlength=n * dim)
         raw = counts.reshape(n, dim) * self._idf
         blocks = raw.reshape(n, self.schema.n_attributes, self.k)
-        norms = np.sqrt(np.vecdot(blocks, blocks))[..., None]
-        np.divide(blocks, norms, out=blocks, where=norms > 0.0)
+        norms = np.sqrt(np.vecdot(blocks, blocks))
+        norms[norms == 0.0] = 1.0  # an all-zero block stays +0.0
+        blocks /= norms[..., None]
         return raw
 
     def transform_many(self, samples: SampleStream) -> np.ndarray:

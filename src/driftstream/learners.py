@@ -29,6 +29,10 @@ _SPLIT_POINTS = 10  # candidate thresholds per feature in a split attempt
 
 SGD_LEARNING_RATE = 0.01  # eta
 SGD_L2 = 1e-4  # alpha
+# read-only 0-d float64 step factors: numpy converts no Python float per call
+_SGD_DECAY = np.broadcast_to(1.0 - SGD_LEARNING_RATE * SGD_L2, ())
+_SGD_RATE_UP = np.broadcast_to(SGD_LEARNING_RATE, ())
+_SGD_RATE_DOWN = np.broadcast_to(-SGD_LEARNING_RATE, ())
 HOEFFDING_GRACE_PERIOD = 200  # leaf weight between split attempts
 HOEFFDING_SPLIT_CONFIDENCE = 1e-7  # delta of the Hoeffding bound
 HOEFFDING_TIE_THRESHOLD = 0.05
@@ -83,13 +87,12 @@ class SgdClassifier:
         else:
             x = _check_dim(x, self.dim)
             score = float(self.weights.dot(x)) + self.bias
-        y_signed = 1.0 if y == 1 else -1.0
-        margin = y_signed * score
-        self.weights *= (1.0 - SGD_LEARNING_RATE * SGD_L2)
-        if margin < 1.0:
-            self.weights += np.multiply(x, SGD_LEARNING_RATE * y_signed,
-                                        out=self._step)
-            self.bias += SGD_LEARNING_RATE * y_signed
+        up = y == 1
+        self.weights *= _SGD_DECAY
+        if (score if up else -score) < 1.0:  # the margin y * score
+            self.weights += np.multiply(
+                x, _SGD_RATE_UP if up else _SGD_RATE_DOWN, out=self._step)
+            self.bias += SGD_LEARNING_RATE if up else -SGD_LEARNING_RATE
 
 
 # ---------------------------------------------------------------------------

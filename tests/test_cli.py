@@ -1,6 +1,7 @@
 """Command line interface: gen, run (all strategies), grids, diff-vocab."""
 
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -811,6 +812,23 @@ MALFORMED_EXTRACTORS = {
     "minmax-length": (
         _extractor_payload(minmax_min=[0.0], minmax_max=[1.0]),
         "not an extractor model (min-max arrays must have length dim)"),
+    # each of these loaded, and transformed to values outside [0, 1]
+    "minmax-nan": (
+        _extractor_payload(minmax_min=[float("nan"), 0.0]),
+        "not an extractor model (min-max values must be finite)"),
+    "minmax-minus-infinity": (
+        _extractor_payload(minmax_min=[-math.inf, 0.0]),
+        "not an extractor model (min-max values must be finite)"),
+    **{f"document-frequency-{name}": (
+        _extractor_payload(attributes=[{
+            "name": "api", "tokens": ["x", "y"],
+            "document_frequency": frequencies, "n_train_docs": 1}]),
+        "not an extractor model (need one document frequency per token, an "
+        "integer from 0 to n_train_docs)")
+       for name, frequencies in [
+           ("nan", [1, float("nan")]), ("minus-1", [1, -1]),
+           ("minus-5", [1, -5]), ("above-docs", [1, 10**6]),
+           ("fraction", [1, 0.5]), ("too-few", [1]), ("too-many", [1, 1, 1])]},
 }
 
 

@@ -1,5 +1,6 @@
 """Drift detectors and the KS primitives behind the windowed detector."""
 
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -260,6 +261,10 @@ def _adwin_state(det, buckets):
 # to its prefix often rounds otherwise than the two sums added one by one
 @example(delta=0.002, max_buckets=2, real=True,
          segments=[(0.3, 300), (0.7, 300)], reset_at=4000, seed=0)
+# a loose cap on the newest boundary shows at a large delta: with eps = 3 in
+# place of the settled eps, the cut of update 15 is skipped
+@example(delta=0.5, max_buckets=5, real=False,
+         segments=[(0.0, 12), (1.0, 5)], reset_at=4000, seed=0)
 def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets, real,
                                                segments, reset_at, seed):
     """The incremental detector against the former bucket-scan detector:
@@ -291,14 +296,45 @@ def test_adwin_is_bit_identical_to_bucket_scan(delta, max_buckets, real,
             s.hex() for s in accumulate(det._sums, initial=0.0)], step
 
 
+@settings(max_examples=60, deadline=None)
+@given(delta=st.sampled_from([0.9, 0.999])
+       | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       max_buckets=st.sampled_from([None, 2, 5]),
+       values=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                       min_size=2, max_size=300))
+@example(delta=0.5, max_buckets=5, values=[0.0] * 12 + [1.0] * 5)
+@example(delta=0.002, max_buckets=5, values=[0.0] * 200 + [1.0] * 10)
+def test_adwin_newest_boundary_cap_is_never_looser_than_settle(
+        delta, max_buckets, values):
+    """An update that does not drop leaves the newest boundary's horizon
+    and cap as the insert set them.  The horizon is ``_settle``'s, and so
+    is the cap off the constant-time path; on it (a left mean below the
+    slack times the least eps_inf) the cap may be lower, never higher."""
+    det = AdwinDetector(delta, max_buckets)
+    for value in values:
+        width = det.width
+        det.update(value)
+        if det.width != width + 1 or width == 0:
+            continue  # a drop settled the boundaries afresh
+        n0, s0 = width, det._prefix_sums[-2]
+        ln_term = math.log(4.0 * (n0 + 1) / delta)
+        until, cap = det._settle(
+            n0, s0, 1, math.sqrt((1.0 / n0 + 1.0) * ln_term / 2.0), ln_term)
+        assert det._horizon[-1] == until
+        assert det._caps[-1] <= cap
+        if s0 * s0 >= det._quiet_sq * n0:  # the log/sqrt path
+            assert det._caps[-1] == cap
+
+
 def test_adwin_skips_its_boundary_loop_on_a_quiet_stream(monkeypatch):
     """A low, steady error rate, like the retrain runs' error sequences: the
     caps and horizons settle almost every boundary, so the boundary loop
     runs on few updates and rarely needs a horizon from ``_no_cut_ticks``.
-    Sums of 0s and 1s are exact, so no merge rescans the prefixes: a rescan
-    comes only from a drop."""
+    The newest boundary mostly takes its cap from two constants of delta,
+    without a ``_settle`` call.  Sums of 0s and 1s are exact, so no merge
+    rescans the prefixes: a rescan comes only from a drop."""
     calls = {"_shrink": 0, "_no_cut_ticks": 0, "_refresh_prefixes": 0,
-             "_drop_oldest_bucket": 0}
+             "_drop_oldest_bucket": 0, "_settle": 0}
     for name in calls:
         method = getattr(AdwinDetector, name)
 
@@ -312,6 +348,7 @@ def test_adwin_skips_its_boundary_loop_on_a_quiet_stream(monkeypatch):
         det.update(value)
     assert calls["_shrink"] < 0.1 * len(values)
     assert calls["_no_cut_ticks"] < 0.2 * len(values)
+    assert calls["_settle"] < 0.05 * len(values)
     assert calls["_refresh_prefixes"] == calls["_drop_oldest_bucket"]
 
 

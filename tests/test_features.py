@@ -81,7 +81,7 @@ def test_train_transforms_span_unit_interval():
 def test_oov_only_document_maps_to_zero_vector():
     model = worked_extractor()
     vec = model.transform_many(as_stream(doc("q", 9, ["zzz", "qqq"])))[0]
-    np.testing.assert_array_equal(vec, np.zeros(2))
+    assert vec.tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +184,14 @@ def test_block_transform_is_bit_identical_to_per_sample(case):
             sum(tok in set(s.attributes[vocab.attribute_name]) for s in train)
             for tok in vocab.tokens]
     raws = np.array([per_sample_raw_vector(model, s) for s in train])
-    assert np.array_equal(model.minmax_min, raws.min(axis=0))
-    assert np.array_equal(model.minmax_max, raws.max(axis=0))
+    assert model.minmax_min.tobytes() == raws.min(axis=0).tobytes()
+    assert model.minmax_max.tobytes() == raws.max(axis=0).tobytes()
 
+    # bytes, not values: -0.0 == +0.0 would pass np.array_equal
     want = np.array([per_sample_transform(model, s) for s in queries])
-    assert np.array_equal(model.transform_many(queries), want)
-    assert np.array_equal(np.array(list(model.iter_transform(queries))), want)
+    assert model.transform_many(queries).tobytes() == want.tobytes()
+    assert np.array(list(model.iter_transform(queries))).tobytes() == \
+        want.tobytes()
     assert not want[-1].any()  # OOV tokens leave every column at the min
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from driftstream import (ArfEnsemble, DimensionMismatch, PoolMembers,
                          SgdClassifier)
+from driftstream import learners
 from driftstream.learners import (ARF_POISSON_LAMBDA, POOL_MEMBER_KINDS,
                                   HoeffdingTreeClassifier, _LeafNode,
                                   _SplitNode, hoeffding_bound)
@@ -84,6 +85,28 @@ def test_sgd_dimension_checked():
         assert m.predict(scored) == 0
         with pytest.raises(DimensionMismatch):
             m.partial_fit(x, 1)
+
+
+def test_sgd_labels_of_any_integer_type_train_alike():
+    """Python and numpy integers and booleans are the same labels."""
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(-1.0, 1.0, (60, 3))
+    labels = rng.integers(0, 2, 60)
+    trained = set()
+    for label_type in (int, bool, np.int64, np.int8, np.bool_):
+        m = SgdClassifier(dim=3)
+        for x, y in zip(rows, labels):
+            m.partial_fit(x, label_type(y))
+        trained.add((m.weights.tobytes(), m.bias.hex()))
+    assert len(trained) == 1
+
+
+def test_sgd_step_constants_are_read_only():
+    for constant in (learners._SGD_DECAY, learners._SGD_RATE_UP,
+                     learners._SGD_RATE_DOWN):
+        assert constant.shape == () and constant.dtype == np.float64
+        with pytest.raises(ValueError):
+            constant[()] = 0.0
 
 
 def test_sgd_reset_and_clone():
