@@ -32,6 +32,9 @@ RUNS = {
     "fnf-retrain+ddm": ("fnf-retrain", "ddm", "sgd"),
     "fnf-retrain+kswin": ("fnf-retrain", "kswin", "sgd"),
     "fnf-update+arf": ("fnf-update", "adwin", "arf"),
+    # ARF rebuilt on each ADWIN drift: the one run whose forests are
+    # replaced mid-run
+    "fnf-retrain+arf": ("fnf-retrain", "adwin", "arf"),
 }
 
 GOLDEN = {
@@ -52,6 +55,18 @@ GOLDEN = {
             "674cfff4d344407d5ee6d207e980999e39794a08557edde8bcd97f16c9029627",
         "vocab_diffs.json":
             "f55fc24ce271338be3cf35d803d51f5af30c52e8583260412f087f45e0f76a07",
+    },
+    "fnf-retrain+arf": {
+        "events.jsonl":
+            "c2b249f801b0b6fdd653f9cde2fb39b6fcc9098d7314525f0dba3820ba1c5694",
+        "extractor_final.json":
+            "e4173f7b273fd1b17da1410992f15b9b8460078ca0b970824183b5aa7179a567",
+        "metrics.csv":
+            "3acff8301ff006393f421b8cac19628ba46c2be563780d84a8065ba5d2d06932",
+        "summary.json":
+            "b3e1352fc532d5fc30d034fdebd7d907476f4c74847c860b7fc8b6d7967cf2d4",
+        "vocab_diffs.json":
+            "f3f1d4cb5db2f8b8d78d63991248f1ba4976eba50bed9024af597869e182e127",
     },
     "fnf-retrain+ddm": {
         "events.jsonl":
