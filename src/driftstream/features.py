@@ -228,22 +228,24 @@ class FeatureExtractorModel:
         path = Path(path)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-            schema = StreamSchema(tuple(payload["schema"]))
+            schema = StreamSchema(tuple(_json_list(payload["schema"], str)))
             vocabs = [
                 AttributeVocabulary(
                     attribute_name=entry["name"],
-                    tokens=list(entry["tokens"]),
+                    tokens=_json_list(entry["tokens"], str),
                     document_frequency=list(entry["document_frequency"]),
-                    n_train_docs=int(entry["n_train_docs"]),
+                    n_train_docs=_json_int(entry["n_train_docs"]),
                 )
                 for entry in payload["attributes"]
             ]
             return cls(
                 schema=schema,
-                k=int(payload["k"]),
+                k=_json_int(payload["k"]),
                 vocabularies=vocabs,
-                minmax_min=np.asarray(payload["minmax_min"], dtype=float),
-                minmax_max=np.asarray(payload["minmax_max"], dtype=float),
+                minmax_min=np.asarray(
+                    _json_list(payload["minmax_min"], int, float), dtype=float),
+                minmax_max=np.asarray(
+                    _json_list(payload["minmax_max"], int, float), dtype=float),
             )
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
@@ -258,6 +260,22 @@ class FeatureExtractorModel:
     def fingerprint(self) -> str:
         """Stable content hash; changes iff the fitted model changes."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+
+
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; a bool or a float is not."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {reprlib.repr(value)}")
+    return value
+
+
+def _json_list(value, *types) -> list:
+    """``value`` if it is a JSON array of items of exactly ``types``."""
+    if type(value) is not list or any(type(v) not in types for v in value):
+        raise TypeError(f"expected an array of "
+                        f"{' or '.join(t.__name__ for t in types)}, "
+                        f"got {reprlib.repr(value)}")
+    return value
 
 
 def fit_extractor(samples: SampleStream, k: int) -> FeatureExtractorModel:

@@ -7,7 +7,9 @@ a batch of rows per call, as its weights change only between batches.  A
 fresh, untrained model comes only from the constructor or, for SGD and the
 forest, from ``clone_untrained()``; no model has a ``reset()``.  The
 Hoeffding tree serves only as the forest's base learner; its
-``partial_fit`` also takes the forest's Poisson draw as a weight.  The
+``partial_fit`` also takes the forest's Poisson draw as a weight, and it
+scores all splits of a leaf in one array pass, bit for bit the scalar
+loops over features, thresholds and classes that it replaced.  The
 published defaults are module constants, not constructor options.
 Prediction never mutates model state, and all randomness is derived from
 the constructor seed: a model is a function of (seed, training sequence).
@@ -104,18 +106,6 @@ def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
     return math.sqrt(value_range * value_range * math.log(1.0 / delta) / (2.0 * n))
 
 
-def _entropy(class_weights: np.ndarray) -> float:
-    total = class_weights.sum()
-    if total <= 0.0:
-        return 0.0
-    h = 0.0
-    for w in class_weights:
-        if w > 0.0:
-            p = w / total
-            h -= p * math.log2(p)
-    return h
-
-
 class _LeafNode:
     """Leaf with per-class Gaussian statistics per feature.  Every feature
     is observed with the sample's weight: one weight per class serves all."""
@@ -161,6 +151,53 @@ class _SplitNode:
         self.right = right
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)
+_log2 = np.frompyfunc(math.log2, 1, 1)
+
+
+def _split_candidates(leaf: _LeafNode) -> list:
+    """Each feature's best binary split of ``leaf``, best first, as
+    ``(gain, feature, threshold, masses)``; ``masses`` holds the left and
+    then the right per-class weights.  See ``HoeffdingTreeClassifier``."""
+    lo, hi = leaf.feat_min, leaf.feat_max
+    features = np.flatnonzero(np.isfinite(lo) & (hi > lo))
+    lo, hi = lo[features, None], hi[features, None]
+    steps = np.arange(1, _SPLIT_POINTS + 1)
+    thresholds = lo + (hi - lo) * steps / (_SPLIT_POINTS + 1)
+    class_w = leaf.class_weights[:, None, None]
+    feat_w = leaf.feat_weight[:, None, None]
+    mean = leaf.feat_mean[:, features, None]
+    # axes: class, feature, threshold; a class without feature weight
+    # divides by zero here, and its mass is then set to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = leaf.feat_m2[:, features, None] / feat_w
+        z = (thresholds - mean) / np.sqrt(var)
+        gauss = class_w * 0.5 * (1.0 + _erf(z / _SQRT2).astype(float))
+        left = np.where(feat_w <= 0.0, 0.0, np.where(
+            var <= 1e-18, np.where(mean <= thresholds, class_w, 0.0), gauss))
+        # axes: class, side, feature, threshold
+        sides = np.stack((left, class_w - left), axis=1)
+        # the parent's class weights first: one pass gives every entropy
+        weights = np.concatenate(
+            (leaf.class_weights[:, None], sides.reshape(2, -1)), axis=1)
+        totals = weights[0] + weights[1]
+        p = weights / totals
+        plogp = p * _log2(np.where(weights > 0.0, p, 1.0)).astype(float)
+        entropy = (0.0 - plogp[0]) - plogp[1]
+    side_w, side_h = (a[1:].reshape(sides.shape[1:]) for a in (totals, entropy))
+    gain = entropy[0] - (side_w[0] * side_h[0]
+                         + side_w[1] * side_h[1]) / totals[0]
+    valid = (side_w[0] > 0.0) & (side_w[1] > 0.0)
+    gain[~valid] = -np.inf
+    rows = np.flatnonzero(valid.any(axis=1))
+    cols = gain[rows].argmax(axis=1)  # the first threshold of highest gain
+    order = np.argsort(-gain[rows, cols], kind="stable")  # lower feature first
+    rows, cols = rows[order], cols[order]
+    return list(zip(gain[rows, cols].tolist(), features[rows].tolist(),
+                    thresholds[rows, cols].tolist(),
+                    sides[:, :, rows, cols].transpose(2, 1, 0)))
+
+
 class HoeffdingTreeClassifier:
     """Incremental decision tree with Hoeffding-bound split decisions.
 
@@ -168,8 +205,15 @@ class HoeffdingTreeClassifier:
     grace period of weight a leaf ranks candidate binary splits by
     information gain and splits when the gain advantage of the best feature
     over the runner-up exceeds eps = sqrt(ln(1/delta) / (2n)) (R = 1 for
-    binary-class entropy), or when eps < the tie threshold.  Leaves predict
-    their majority class.
+    binary-class entropy), or when eps < the tie threshold.  The candidates,
+    ``_SPLIT_POINTS`` thresholds evenly inside each non-constant feature's
+    range, are scored in one array pass: a class's weight below a threshold
+    is its Gaussian mass there (a step at its mean when its variance is
+    ~0), and a split leaving a side empty is dropped.  ``math.erf`` and
+    ``math.log2`` run cell by cell: numpy has no erf, and ``np.log2`` can
+    differ in the last bit, which can flip a tie.  A feature's best split
+    is its first threshold of highest gain; equal gains rank the lower
+    feature first.  Leaves predict their majority class.
     """
 
     def __init__(self, dim: int):
@@ -210,68 +254,21 @@ class HoeffdingTreeClassifier:
                 else:
                     path_parent.right = replacement
 
-    def _class_mass_below(self, leaf: _LeafNode, feature: int,
-                          threshold: float) -> np.ndarray:
-        """Estimated per-class weight with feature value <= threshold."""
-        mass = np.zeros(2)
-        for cls in (0, 1):
-            w = leaf.feat_weight[cls]
-            if w <= 0.0:
-                continue
-            mean = leaf.feat_mean[cls][feature]
-            var = leaf.feat_m2[cls][feature] / w
-            if var <= 1e-18:
-                mass[cls] = leaf.class_weights[cls] if mean <= threshold else 0.0
-            else:
-                z = (threshold - mean) / math.sqrt(var)
-                mass[cls] = leaf.class_weights[cls] * 0.5 * (1.0 + math.erf(z / _SQRT2))
-        return mass
-
-    def _best_split_for_feature(self, leaf: _LeafNode,
-                                feature: int) -> tuple[float, float] | None:
-        lo = leaf.feat_min[feature]
-        hi = leaf.feat_max[feature]
-        if not np.isfinite(lo) or hi <= lo:
-            return None
-        total = leaf.class_weights
-        h_parent = _entropy(total)
-        total_w = total.sum()
-        best = None
-        for i in range(1, _SPLIT_POINTS + 1):
-            threshold = lo + (hi - lo) * i / (_SPLIT_POINTS + 1)
-            left = self._class_mass_below(leaf, feature, threshold)
-            right = total - left
-            wl = left.sum()
-            wr = right.sum()
-            if wl <= 0.0 or wr <= 0.0:
-                continue
-            gain = h_parent - (wl * _entropy(left) + wr * _entropy(right)) / total_w
-            if best is None or gain > best[0]:
-                best = (gain, threshold)
-        return best
-
     def _attempt_split(self, leaf: _LeafNode) -> _SplitNode | None:
         n = leaf.total_weight()
         if n <= 0.0 or leaf.class_weights.min() <= 0.0:
             return None  # pure leaf: no gain is possible
-        candidates = []
-        for feature in range(self.dim):
-            found = self._best_split_for_feature(leaf, feature)
-            if found is not None:
-                candidates.append((found[0], feature, found[1]))
+        candidates = _split_candidates(leaf)
         if not candidates:
             return None
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        best_gain, feature, threshold = candidates[0]
+        best_gain, feature, threshold, masses = candidates[0]
         second_gain = candidates[1][0] if len(candidates) > 1 else 0.0
         if best_gain <= 1e-12:
             return None
         eps = hoeffding_bound(1.0, HOEFFDING_SPLIT_CONFIDENCE, n)
         if best_gain - second_gain > eps or eps < HOEFFDING_TIE_THRESHOLD:
-            left_mass = self._class_mass_below(leaf, feature, threshold)
-            right_mass = leaf.class_weights - left_mass
-            left = _LeafNode(self.dim, class_weights=np.maximum(left_mass, 0.0))
-            right = _LeafNode(self.dim, class_weights=np.maximum(right_mass, 0.0))
+            left, right = (_LeafNode(self.dim, class_weights=np.maximum(m, 0.0))
+                           for m in masses)
             return _SplitNode(feature, threshold, left, right)
         return None
 

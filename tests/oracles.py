@@ -2,24 +2,27 @@
 
 Everything here is deliberately written from first principles on plain
 Python data structures (lists, dicts, math) so that it shares no code path
-with the library implementations it checks.  Two exceptions are former
+with the library implementations it checks. Two exceptions are former
 library code kept as bit-exact references of their faster replacements:
 ``per_sample_transform``, the extractor's one-sample-at-a-time numpy
 transform (reference of the block transform),
-``ReferenceAdwinDetector``, the ADWIN that rebuilds its bucket list and scans
-every boundary on each update (reference of the incremental detector), and
-``ReferenceTokenIndexer`` with ``ReferencePoolMember``, the pool path on
-plain index lists that each member re-sorts and deduplicates (reference of
-the sorted-id path), ``ReferenceSgdClassifier``, the SGD classifier that
-computes w.x + b afresh on every call (reference of the one that reuses
-its prediction's score), ``ReferenceTimeline``, the timeline that keeps
-running confusion counts and error bits next to the prediction and label
-lists (reference of the timeline that derives them from the lists), and
-``reference_load_stream``, the loader that normalizes every token
-occurrence on its own and builds each sample twice (reference of the
-interning loader), and ``reference_fnf_run``, the drift-reaction loop
-stepped one sample at a time on the reference extractor and classifier
-(reference of ``FnFPipeline``).
+``ReferenceAdwinDetector``, the ADWIN that rebuilds its bucket list and
+scans every boundary on each update (reference of the incremental
+detector), and ``ReferenceTokenIndexer`` with ``ReferencePoolMember``,
+the pool path on plain index lists that each member re-sorts and
+deduplicates (reference of the sorted-id path),
+``ReferenceSgdClassifier``, the SGD classifier that computes w.x + b
+afresh on every call (reference of the one that reuses its prediction's
+score), ``reference_split_candidates``, the Hoeffding split search as
+scalar loops over features, thresholds and classes (reference of the
+tree's one array pass per leaf), ``ReferenceTimeline``, the timeline
+that keeps running confusion counts and error bits next to the
+prediction and label lists (reference of the timeline that derives them
+from the lists), and ``reference_load_stream``, the loader that
+normalizes every token occurrence on its own and builds each sample
+twice (reference of the interning loader), and ``reference_fnf_run``,
+the drift-reaction loop stepped one sample at a time on the reference
+extractor and classifier (reference of ``FnFPipeline``).
 """
 
 from __future__ import annotations
@@ -520,6 +523,70 @@ class ReferenceSgdClassifier:
         if margin < 1.0:
             self.weights += self.learning_rate * y_signed * x
             self.bias += self.learning_rate * y_signed
+
+
+# ---------------------------------------------------------------------------
+# Hoeffding split search (scalar loops)
+# ---------------------------------------------------------------------------
+
+def reference_split_candidates(leaf, split_points: int = 10):
+    """Each feature's best split of a Hoeffding leaf, best first.
+
+    The loops over features, thresholds and classes written out on Python
+    floats, with ``math.erf`` and ``math.log2``: ``split_points``
+    thresholds evenly inside each finite, non-constant feature range; per
+    class, the Gaussian weight below a threshold (a step at the mean when
+    the variance is at most 1e-18, nothing without feature weight); splits
+    leaving a side empty skipped; per feature the first threshold of
+    strictly highest gain; features ranked by gain, then index.  Returns
+    ``(gain, feature, threshold, [left masses, right masses])`` tuples.
+    """
+    def entropy(weights):
+        total = weights[0] + weights[1]
+        h = 0.0
+        for w in weights:
+            if w > 0.0:
+                p = w / total
+                h -= p * math.log2(p)
+        return h
+
+    class_w = [float(w) for w in leaf.class_weights]
+    feat_w = [float(w) for w in leaf.feat_weight]
+    total_w = class_w[0] + class_w[1]
+    h_parent = entropy(class_w)
+    ranked = []
+    for f in range(len(leaf.feat_min)):
+        lo, hi = float(leaf.feat_min[f]), float(leaf.feat_max[f])
+        if not math.isfinite(lo) or hi <= lo:
+            continue
+        best = None
+        for i in range(1, split_points + 1):
+            threshold = lo + (hi - lo) * i / (split_points + 1)
+            left = []
+            for c in (0, 1):
+                mean = float(leaf.feat_mean[c][f])
+                if feat_w[c] <= 0.0:
+                    left.append(0.0)
+                    continue
+                var = float(leaf.feat_m2[c][f]) / feat_w[c]
+                if var <= 1e-18:
+                    left.append(class_w[c] if mean <= threshold else 0.0)
+                else:
+                    z = (threshold - mean) / math.sqrt(var)
+                    left.append(class_w[c] * 0.5
+                                * (1.0 + math.erf(z / math.sqrt(2.0))))
+            right = [class_w[0] - left[0], class_w[1] - left[1]]
+            w_left, w_right = left[0] + left[1], right[0] + right[1]
+            if w_left <= 0.0 or w_right <= 0.0:
+                continue
+            gain = h_parent - (w_left * entropy(left)
+                               + w_right * entropy(right)) / total_w
+            if best is None or gain > best[0]:
+                best = (gain, f, threshold, [left, right])
+        if best is not None:
+            ranked.append(best)
+    ranked.sort(key=lambda c: (-c[0], c[1]))
+    return ranked
 
 
 def reference_pool_run(warm, rest, pool_interval, tau_low, tau_high):

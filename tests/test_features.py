@@ -1,6 +1,8 @@
 """TF-IDF feature extraction, scaling and vocabulary diffs."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from driftstream import (EmptyTrainingSet, FeatureExtractorModel, RawSample,
                          SchemaMismatch, fit_extractor, stream_from_samples,
                          vocabulary_diff)
 from driftstream import features
+from driftstream.errors import ParseError
 from .oracles import (naive_fit_transform, per_sample_raw_vector,
                       per_sample_transform)
 
@@ -313,6 +316,40 @@ def test_serialization_is_byte_stable(tmp_path):
     model.save(a)
     FeatureExtractorModel.load(a).save(b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _with_attribute(**changes):
+    vocab = worked_extractor().to_dict()["attributes"][0]
+    return {"attributes": [{**vocab, **changes}]}
+
+
+# each of these but k-bool used to load: k and n_train_docs through
+# int(...), a string as its list of characters, a number as a token or a
+# name, min-max values through float(...)
+COERCED_FIELDS = {
+    "k-fraction": {"k": 2.7},
+    "k-integral-float": {"k": 2.0},
+    "k-string": {"k": "2"},
+    "k-bool": {"k": True},
+    "n-train-docs-fraction": _with_attribute(n_train_docs=2.9),
+    "n-train-docs-string": _with_attribute(n_train_docs="2"),
+    "token-number": _with_attribute(tokens=["a", 17]),
+    "schema-name-number": {"schema": [5], **_with_attribute(name=5)},
+    "schema-string": {"schema": "a", **_with_attribute(name="a")},
+    "tokens-string": _with_attribute(tokens="ab"),
+    "minmax-bool": {"minmax_max": [True, 1.0]},
+    "minmax-string": {"minmax_max": ["0.5", 1.0]},
+}
+
+
+@pytest.mark.parametrize("changes", COERCED_FIELDS.values(),
+                         ids=COERCED_FIELDS)
+def test_load_rejects_values_it_would_coerce(tmp_path, changes):
+    path = tmp_path / "extractor.json"
+    path.write_text(json.dumps({**worked_extractor().to_dict(), **changes}))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not an "
+                                         "extractor model \\(expected an "):
+        FeatureExtractorModel.load(path)
 
 
 def test_fingerprint_distinguishes_models():
