@@ -30,6 +30,8 @@ from .stream import SampleStream, StreamSchema
 # ``throughput_sps`` 17.5 % in 10 of 10 benchmark pairs; a retrain replay's
 # in-process peak RSS is 43.6 MB at 64 rows and 44.5 MB at 256.
 BLOCK_ROWS = 256
+_DF_RANGE = ("need one document frequency per token, an integer from 0 to "
+             "n_train_docs")
 
 
 @dataclass
@@ -112,8 +114,7 @@ class FeatureExtractorModel:
             df = np.asarray(vocab.document_frequency, dtype=float)
             if df.shape != (len(vocab),) or not np.array_equal(
                     df, np.clip(np.round(df), 0, vocab.n_train_docs)):
-                raise ValueError("need one document frequency per token, "
-                                 "an integer from 0 to n_train_docs")
+                raise ValueError(_DF_RANGE)
             self._idf[lo:lo + len(vocab)] = (
                 np.log((1.0 + vocab.n_train_docs) / (1.0 + df)) + 1.0)
         span = self.minmax_max - self.minmax_min
@@ -233,7 +234,8 @@ class FeatureExtractorModel:
                 AttributeVocabulary(
                     attribute_name=entry["name"],
                     tokens=_json_list(entry["tokens"], str),
-                    document_frequency=list(entry["document_frequency"]),
+                    document_frequency=_json_frequencies(
+                        entry["document_frequency"]),
                     n_train_docs=_json_int(entry["n_train_docs"]),
                 )
                 for entry in payload["attributes"]
@@ -267,6 +269,15 @@ def _json_int(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {reprlib.repr(value)}")
     return value
+
+
+def _json_frequencies(value) -> list:
+    """``_json_list(value, int)``, failing with the range check's message:
+    a string, a bool or a float is not a frequency, whatever its value."""
+    try:
+        return _json_list(value, int)
+    except TypeError:
+        raise ValueError(_DF_RANGE) from None
 
 
 def _json_list(value, *types) -> list:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ValueOutOfRange
 
 _SQRT2 = math.sqrt(2.0)
 _SPLIT_POINTS = 10  # candidate thresholds per feature in a split attempt
@@ -46,6 +46,17 @@ def _check_dim(x: np.ndarray, dim: int) -> np.ndarray:
         x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise DimensionMismatch(f"expected vector of length {dim}, got {x.shape}")
+    return x
+
+
+def _check_finite(x: np.ndarray, dim: int) -> np.ndarray:
+    """``_check_dim``, and no infinite or NaN entry: one would leave a
+    Hoeffding leaf's running mean NaN for good."""
+    x = _check_dim(x, dim)
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueOutOfRange(f"input entry {i} is {x[i]}, not finite")
     return x
 
 
@@ -213,7 +224,8 @@ class HoeffdingTreeClassifier:
     ``math.log2`` run cell by cell: numpy has no erf, and ``np.log2`` can
     differ in the last bit, which can flip a tie.  A feature's best split
     is its first threshold of highest gain; equal gains rank the lower
-    feature first.  Leaves predict their majority class.
+    feature first.  Leaves predict their majority class.  An infinite or
+    NaN entry raises ``ValueOutOfRange``.
     """
 
     def __init__(self, dim: int):
@@ -234,13 +246,13 @@ class HoeffdingTreeClassifier:
         return parent, went_left, node
 
     def predict(self, x: np.ndarray) -> int:
-        x = _check_dim(x, self.dim)
+        x = _check_finite(x, self.dim)
         return self._find_leaf(x)[2].majority()
 
     # -- training ----------------------------------------------------------
 
     def partial_fit(self, x: np.ndarray, y: int, weight: float = 1.0) -> None:
-        x = _check_dim(x, self.dim)
+        x = _check_finite(x, self.dim)
         path_parent, went_left, node = self._find_leaf(x)
         node.observe(x, int(y), float(weight))
         if node.total_weight() - node.weight_at_last_attempt >= HOEFFDING_GRACE_PERIOD:
@@ -285,7 +297,8 @@ class ArfEnsemble:
     tree with weight k ~ Poisson(lambda), skipping trees that draw k = 0.
     Prediction is an unweighted majority vote with ties resolved to 0.
     The ensemble carries no internal drift detectors; reacting to drift is
-    the enclosing pipeline's job.
+    the enclosing pipeline's job.  An infinite or NaN entry raises
+    ``ValueOutOfRange`` before any Poisson weight is drawn.
     """
 
     def __init__(self, dim: int, n_trees: int = 10,
@@ -314,14 +327,14 @@ class ArfEnsemble:
         return ArfEnsemble(self.dim, self.n_trees, self._seed_seq.spawn(1)[0])
 
     def partial_fit(self, x: np.ndarray, y: int) -> None:
-        x = _check_dim(x, self.dim)
+        x = _check_finite(x, self.dim)
         draws = self._poisson_rng.poisson(ARF_POISSON_LAMBDA, size=self.n_trees)
         for tree, subspace, k in zip(self.trees, self.subspaces, draws):
             if k > 0:
                 tree.partial_fit(x[subspace], y, weight=float(k))
 
     def predict(self, x: np.ndarray) -> int:
-        x = _check_dim(x, self.dim)
+        x = _check_finite(x, self.dim)
         ones = sum(tree.predict(x[subspace])
                    for tree, subspace in zip(self.trees, self.subspaces))
         return 1 if 2 * ones > self.n_trees else 0
@@ -422,15 +435,16 @@ class PoolMembers:
             self.weights = grown
         for m in members:
             self.sizes[m] = max(self.sizes[m], top + 1)
-        weights, biases = self.weights, self.biases
+        take, reduce, biases = self.weights.take, np.add.reduce, self.biases
         rules = [(m, self.kinds[m]) for m in members]
-        steps = [0.0] * len(self.kinds)
+        column = np.zeros((len(self.kinds), 1))  # the row's step per member
         start = 0
         for end, y in zip(ends.tolist(), labels):
             row = ids[start:end]
             y_signed = 1.0 if y == 1 else -1.0
-            gathered = weights.take(row, axis=1)
-            sums = gathered.sum(axis=1).tolist()
+            gathered = take(row, axis=1)
+            sums = reduce(gathered, axis=1).tolist()
+            stepped = False
             for m, kind in rules:
                 margin = y_signed * (sums[m] + biases[m])
                 if kind == "perceptron":
@@ -443,7 +457,9 @@ class PoolMembers:
                 if step > 0.0:
                     step *= y_signed
                     biases[m] += step
-                steps[m] = step
-            if any(steps):
-                weights[:, row] = gathered + np.array(steps)[:, None]
+                    column[m, 0] = step
+                    stepped = True
+            if stepped:
+                self.weights[:, row] = np.add(gathered, column, out=gathered)
+                column.fill(0.0)
             start = end

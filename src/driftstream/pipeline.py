@@ -427,20 +427,22 @@ def _encode_token_ids(samples: SampleStream
 
     The ids are the stream's own token ids, which are numbered first-seen
     over the stream with one counter across attributes.  One sort of the
-    keys ``row * n_tokens + id`` orders each row's ids and puts its repeats
-    side by side.
+    keys ``row << shift | id``, int32 while ``n << shift < 2**31`` (n
+    rows), orders each row's ids and puts its repeats side by side.
     """
     cells = samples._cells()
-    rows = np.repeat(np.tile(np.arange(len(samples)), len(cells)),
+    n, shift = len(samples), max(len(samples.tokens) - 1, 1).bit_length()
+    starts = np.arange(0, n << shift, 1 << shift,
+                       dtype=np.int32 if n << shift < 2**31 else np.intp)
+    keys = np.repeat(np.concatenate([starts] * len(cells)),
                      np.concatenate([counts for _, counts in cells]))
-    width = max(len(samples.tokens), 1)
-    keys = rows * width + np.concatenate([ids for ids, _ in cells])
+    keys |= np.concatenate([ids for ids, _ in cells])
     keys.sort()
     distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    key_rows, row_ids = np.divmod(keys[distinct], width)
-    return row_ids, np.searchsorted(key_rows, np.arange(len(samples)),
-                                    side="right")
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    kept = keys[distinct]
+    return (np.bitwise_and(kept, (1 << shift) - 1, dtype=np.intp),
+            np.searchsorted(kept, starts + (1 << shift)))
 
 
 # the agreement band outside which a pool member is aged

@@ -828,7 +828,9 @@ MALFORMED_EXTRACTORS = {
        for name, frequencies in [
            ("nan", [1, float("nan")]), ("minus-1", [1, -1]),
            ("minus-5", [1, -5]), ("above-docs", [1, 10**6]),
-           ("fraction", [1, 0.5]), ("too-few", [1]), ("too-many", [1, 1, 1])]},
+           ("fraction", [1, 0.5]), ("too-few", [1]), ("too-many", [1, 1, 1]),
+           # each of these loaded, keeping the string, bool or float
+           ("string", ["1", 1]), ("bool", [True, 1]), ("float", [1.0, 1])]},
 }
 
 

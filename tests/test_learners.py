@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream import (ArfEnsemble, DimensionMismatch, PoolMembers,
-                         SgdClassifier)
+                         SgdClassifier, ValueOutOfRange)
 from driftstream import learners
 from driftstream.learners import (ARF_POISSON_LAMBDA, POOL_MEMBER_KINDS,
                                   HoeffdingTreeClassifier, _LeafNode,
@@ -252,6 +252,37 @@ def test_tree_prediction_does_not_mutate_state():
         chatty.partial_fit(x, y)
     assert [quiet.predict(p) for p in probes] == \
         [chatty.predict(p) for p in probes]
+
+
+def tree_leaves(node):
+    if isinstance(node, _SplitNode):
+        return tree_leaves(node.left) + tree_leaves(node.right)
+    return [node]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_tree_and_forest_reject_non_finite_entries(bad):
+    """An infinite or NaN entry raises before any state changes.  A tree
+    fed ``[inf, 0.5]`` and then 3,000 samples of the concept x0 > 0.5 used
+    to stay one leaf whose class-1 mean was NaN for good."""
+    tree = HoeffdingTreeClassifier(dim=2)
+    forest = ArfEnsemble(dim=2, n_trees=3, seed=0)
+    for model in (tree, forest):
+        for call in (lambda x: model.partial_fit(x, 1), model.predict):
+            with pytest.raises(ValueOutOfRange, match="not finite"):
+                call(np.array([bad, 0.5]))
+    # the forest drew no Poisson weights for the rejected sample
+    assert (forest._poisson_rng.bit_generator.state
+            == ArfEnsemble(dim=2, n_trees=3, seed=0)
+            ._poisson_rng.bit_generator.state)
+    rng = np.random.default_rng(3)
+    for _ in range(3000):
+        x = rng.random(2)
+        tree.partial_fit(x, int(x[0] > 0.5))
+    assert isinstance(tree._root, _SplitNode)
+    assert tree._root.feature == 0
+    assert all(np.isfinite(leaf.feat_mean).all()
+               for leaf in tree_leaves(tree._root))
 
 
 GRID = [i / 10 for i in range(11)]

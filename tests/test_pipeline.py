@@ -680,13 +680,19 @@ def encode_rows(samples):
     return [ids[lo:hi].tolist() for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
-def test_encode_returns_sorted_distinct_first_seen_ids():
+def five_token_stream():
+    """Six samples over five (attribute, token) pairs, with repeats and
+    empty lists."""
     rows = [dict(api=["z", "y", "z"], perm=["y", "x"]),
             dict(api=["w", "z"], perm=["x", "x"]),
             dict(api=["y"], perm=[]), dict(api=[], perm=["y"]),
             dict(api=[], perm=[]), dict(api=["z", "y", "z"], perm=["y", "x"])]
-    stream = stream_from_samples(RawSample(f"s{i}", i, 0, attributes)
-                                 for i, attributes in enumerate(rows))
+    return stream_from_samples(RawSample(f"s{i}", i, 0, attributes)
+                               for i, attributes in enumerate(rows))
+
+
+def test_encode_returns_sorted_distinct_first_seen_ids():
+    stream = five_token_stream()
     first, *rest = encode_rows(stream)
     assert first == [0, 1, 2, 3]
     # ids in first-seen order: api z, api y, perm y, perm x, then api w
@@ -694,12 +700,28 @@ def test_encode_returns_sorted_distinct_first_seen_ids():
     assert len(stream.tokens) == 5
 
 
+@pytest.mark.parametrize("table", [2**29, 2**30, 2**31, 2**32 + 1])
+def test_encode_keys_fit_any_table_size(table):
+    """The keys widen from int32 to ``np.intp`` once ``n << shift`` reaches
+    ``2**31``: with a stand-in token table of ``table`` entries (the
+    encoder reads only its length), six rows and their one-row views encode
+    as with the stream's own five-token table.  Int32 keys would overflow
+    from row 4 (shift 29), row 2 (shift 30) or row 1 (shift 31 and 33)."""
+    stream = five_token_stream()
+    wide = stream[:]
+    wide.tokens = range(table)
+    assert encode_rows(wide) == encode_rows(stream)
+    assert ([encode_rows(wide[i:i + 1]) for i in range(len(stream))]
+            == [encode_rows(stream[i:i + 1]) for i in range(len(stream))])
+
+
 @st.composite
 def encoder_case(draw):
     """(samples, chunk) over 1-4 attributes drawing on one shared token
     pool, so token lists repeat tokens, may be empty and hold tokens that
     other attributes hold too.  Tokens no other sample holds are first seen
-    in the last sample of the first chunk and at drawn steps."""
+    in the last sample of the first chunk and at drawn steps.  Two thirds
+    of the streams are padded to a table of 2**k or 2**k + 1 entries."""
     names = [f"a{j}" for j in range(draw(st.integers(1, 4)))]
     n = draw(st.sampled_from([1, 2, 63, 64, 65, 129]))
     chunk = draw(st.integers(1, n))
@@ -709,6 +731,17 @@ def encoder_case(draw):
     for step in [chunk - 1, *draw(st.lists(st.integers(0, n - 1),
                                            max_size=3))]:
         rows[step][draw(st.sampled_from(names))].append(f"new{step}")
+    # tokens padded in at drawn places so that the table holds 2**k or
+    # 2**k + 1 (attribute, token) pairs: its largest id is then 2**k - 1,
+    # the largest that ``shift`` bits hold, or 2**k, which needs one more
+    pad = draw(st.sampled_from([None, 0, 1]))
+    if pad is not None:
+        size = len({(name, token) for row in rows
+                    for name, tokens in row.items() for token in tokens})
+        table = (1 << max(size - 1 - pad, 0).bit_length()) + pad
+        for i in range(table - size):
+            rows[draw(st.integers(0, n - 1))][
+                draw(st.sampled_from(names))].append(f"pad{i}")
     return [RawSample(f"s{i:03d}", i, 0, attributes)
             for i, attributes in enumerate(rows)], chunk
 
