@@ -381,19 +381,22 @@ class PoolMembers:
     def score_many(self, ids: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """``w.x + b`` of every member (axis 0) and row (axis 1).
 
-        Members of equal size are scored together.  A row's kept ids are
-        its first ones.  Rows are ordered by their number ``n`` of kept
-        ids, their weights gathered once, and the rows keeping ``n`` summed
-        as ``(members, rows, n)`` blocks whose rows of ``n`` are contiguous,
-        so that ``sum(axis=2)`` adds each row in the order of its own 1-D
-        ``sum()``.  Neither ``np.add.reduceat`` nor zero padding does.
+        Members of equal size are scored together.  A row keeps its first
+        ids: all but those past the size, each found in the row whose end
+        lies past its place.  Rows are ordered by their number ``n`` of kept
+        ids, their weights gathered once, and the rows keeping ``n`` reduced
+        as ``(members, rows, n)`` blocks whose rows of ``n`` are contiguous
+        (to 0.0 if ``n`` is 0), so that ``add.reduce(axis=2)`` adds each row
+        in the order of its own 1-D ``sum()``, and one scatter puts them
+        back in row order.  Neither ``reduceat`` nor zero padding does.
         """
         starts = np.concatenate(([0], ends[:-1]))
         scores = np.empty((len(self.kinds), len(ends)))
         for size in set(self.sizes):
             group = [m for m, s in enumerate(self.sizes) if s == size]
-            below = np.concatenate(([0], np.cumsum(ids < size)))
-            kept = below[ends] - below[starts]
+            past = (ids >= size).nonzero()[0]  # ids a row does not keep
+            kept = (ends - starts) - np.bincount(
+                ends.searchsorted(past, side="right"), minlength=len(ends))
             # rows in order of kept count, their kept weights gathered in turn
             order = np.argsort(kept, kind="stable")
             lengths = kept[order]
@@ -403,16 +406,16 @@ class PoolMembers:
             matrix = (self.weights if len(group) == len(self.kinds)
                       else self.weights[group])
             gathered = matrix.take(ids[picks], axis=1)
-            sums = np.zeros((len(group), len(ends)))
+            ordered = np.empty((len(group), len(ends)))  # in kept order
             n_of, first_of = lengths.tolist(), firsts.tolist()
             cuts = [i for i in range(1, len(n_of)) if n_of[i] != n_of[i - 1]]
             for lo, hi in zip([0, *cuts], [*cuts, len(n_of)]):
-                n = n_of[lo]
-                if n:
-                    first = first_of[lo]
-                    rows = gathered[:, first:first + (hi - lo) * n]
-                    sums[:, order[lo:hi]] = rows.reshape(
-                        len(group), hi - lo, n).sum(axis=2)
+                n, first = n_of[lo], first_of[lo]
+                rows = gathered[:, first:first + (hi - lo) * n]
+                np.add.reduce(rows.reshape(len(group), hi - lo, n), axis=2,
+                              out=ordered[:, lo:hi])
+            sums = np.empty_like(ordered)
+            sums[:, order] = ordered
             biases = np.array([self.biases[m] for m in group])
             scores[group] = sums + biases[:, None]
         return scores

@@ -428,7 +428,8 @@ def _encode_token_ids(samples: SampleStream
     The ids are the stream's own token ids, which are numbered first-seen
     over the stream with one counter across attributes.  One sort of the
     keys ``row << shift | id``, int32 while ``n << shift < 2**31`` (n
-    rows), orders each row's ids and puts its repeats side by side.
+    rows), orders each row's ids and puts its repeats side by side; an
+    index gather (cheaper than a mask's) keeps the first key of each run.
     """
     cells = samples._cells()
     n, shift = len(samples), max(len(samples.tokens) - 1, 1).bit_length()
@@ -440,7 +441,7 @@ def _encode_token_ids(samples: SampleStream
     keys.sort()
     distinct = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    kept = keys[distinct]
+    kept = keys[distinct.nonzero()[0]]
     return (np.bitwise_and(kept, (1 << shift) - 1, dtype=np.intp),
             np.searchsorted(kept, starts + (1 << shift)))
 

@@ -7,7 +7,10 @@ deliberate behaviour change updates the digests of the runs it changes and
 says which runs changed, and why, in CHANGES.md.
 """
 
+import ctypes
+import glob
 import hashlib
+import os
 
 import numpy
 import pytest
@@ -163,6 +166,19 @@ GOLDEN = {
 }
 
 
+def openblas_core() -> str:
+    """The kernel that numpy's bundled OpenBLAS picked for this CPU (or
+    ``OPENBLAS_CORETYPE``), or ``unknown`` without that library."""
+    libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__) + ".libs",
+                                  "libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 @pytest.fixture(scope="module")
 def stream_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden") / "stream.jsonl"
@@ -189,5 +205,6 @@ def test_report_digests_are_unchanged(run_name, stream_file, tmp_path,
     assert run_digests(stream_file, tmp_path / "out", run_name) \
         == GOLDEN[run_name], (f"reports written with numpy "
                               f"{numpy.__version__} on BLAS "
-                              f"{blas.get('name')} {blas.get('version')}; "
-                              f"the digests were made with numpy 2.4.6")
+                              f"{blas.get('name')} {blas.get('version')}, "
+                              f"OpenBLAS core {openblas_core()}; the digests "
+                              f"were made with numpy 2.4.6 on core SkylakeX")

@@ -599,9 +599,20 @@ def diverging_batches():
             (rows(400, 150, 4), [0, 1, 2])]
 
 
+def boundary_batches():
+    """Member 0 replays one row of ids 0-4; the second batch is scored at
+    sizes 5, 0 and 0.  Member 0 keeps both ids of the first row, none of
+    the second, whose first id is its size, and one of the third: an id
+    past a size counts against the row whose end lies past the id's place,
+    also when it is the row's first id."""
+    return [([([0, 1, 2, 3, 4], 1)], [0]),
+            ([([1, 3], 0), ([5, 7], 1), ([2, 6], 1)], [])]
+
+
 @settings(max_examples=100, deadline=None)
 @given(pool_batches())
 @example(diverging_batches())
+@example(boundary_batches())
 def test_pool_member_batches_are_bit_identical_to_reference(batches):
     """Each batch is scored, then replayed into some members, by one call
     each; one reference member per kind scores and updates one row at a
