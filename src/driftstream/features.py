@@ -152,14 +152,10 @@ class FeatureExtractorModel:
         at its flat index ``row * dim + attribute * k + column``.
         """
         n, dim = len(samples), self.dim
-        cells = samples._cells()
-        columns = self._column_ids(samples)[
-            np.concatenate([ids for ids, _ in cells])]
-        rows = np.repeat(np.tile(np.arange(n), len(cells)),
-                         np.concatenate([counts for _, counts in cells]))
+        rows, ids = samples.token_rows(dim)
+        columns = self._column_ids(samples)[ids]
         known = columns >= 0
-        counts = np.bincount(rows[known] * dim + columns[known],
-                             minlength=n * dim)
+        counts = np.bincount(rows[known] + columns[known], minlength=n * dim)
         raw = counts.reshape(n, dim) * self._idf
         blocks = raw.reshape(n, self.schema.n_attributes, self.k)
         norms = np.sqrt(np.vecdot(blocks, blocks))
@@ -301,8 +297,11 @@ def fit_extractor(samples: SampleStream, k: int) -> FeatureExtractorModel:
     if not n:
         raise EmptyTrainingSet("fit_extractor needs at least one sample")
     schema = samples.schema
+    # token ids are unique across attributes: one count of each id's
+    # distinct samples serves every attribute
+    doc_freq = np.bincount(samples.distinct_token_ids()[0])
     vocabularies = []
-    for name, (ids, counts) in zip(schema.attribute_names, samples._cells()):
+    for name, (ids, _) in zip(schema.attribute_names, samples._cells()):
         term_freq = np.bincount(ids)
         present = np.flatnonzero(term_freq)
         if 0 < k < len(present):  # keep the k-th largest count and ties
@@ -311,11 +310,6 @@ def fit_extractor(samples: SampleStream, k: int) -> FeatureExtractorModel:
         ranked = sorted(zip((-term_freq[present]).tolist(),
                             [samples.tokens[t] for t in present.tolist()],
                             present.tolist()))[:k]
-        # distinct (sample, id) keys give each id's document count; sorted,
-        # a key is distinct where it differs from the key before it
-        width = max(len(term_freq), 1)
-        keys = np.sort(np.repeat(np.arange(n), counts) * width + ids)
-        doc_freq = np.bincount(keys[np.diff(keys, prepend=-1) != 0] % width)
         vocabularies.append(AttributeVocabulary(
             attribute_name=name,
             tokens=[tok for _, tok, _ in ranked],

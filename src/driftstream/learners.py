@@ -7,9 +7,10 @@ a batch of rows per call, as its weights change only between batches.  A
 fresh, untrained model comes only from the constructor or, for SGD and the
 forest, from ``clone_untrained()``; no model has a ``reset()``.  The
 Hoeffding tree serves only as the forest's base learner; its
-``partial_fit`` also takes the forest's Poisson draw as a weight, and it
+``partial_fit`` also takes the forest's Poisson draw as a weight, it
 scores all splits of a leaf in one array pass, bit for bit the scalar
-loops over features, thresholds and classes that it replaced.  The
+loops over features, thresholds and classes that it replaced, and a leaf
+splits in place: the tree has one node class.  The
 published defaults are module constants, not constructor options.
 Prediction never mutates model state, and all randomness is derived from
 the constructor seed: a model is a function of (seed, training sequence).
@@ -117,12 +118,16 @@ def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
     return math.sqrt(value_range * value_range * math.log(1.0 / delta) / (2.0 * n))
 
 
-class _LeafNode:
-    """Leaf with per-class Gaussian statistics per feature.  Every feature
-    is observed with the sample's weight: one weight per class serves all."""
+class _Node:
+    """Tree node with per-class Gaussian statistics per feature.  Every
+    feature is observed with the sample's weight: one weight per class
+    serves all.  A split sets ``feature``, ``threshold`` and the children
+    ``left`` (``x[feature] <= threshold``) and ``right``; a node whose
+    ``left`` is None is a leaf."""
 
     __slots__ = ("class_weights", "feat_weight", "feat_mean", "feat_m2",
-                 "feat_min", "feat_max", "weight_at_last_attempt")
+                 "feat_min", "feat_max", "weight_at_last_attempt",
+                 "feature", "threshold", "left", "right")
 
     def __init__(self, dim: int, class_weights=None):
         self.class_weights = (np.zeros(2) if class_weights is None
@@ -133,6 +138,7 @@ class _LeafNode:
         self.feat_min = np.full(dim, np.inf)
         self.feat_max = np.full(dim, -np.inf)
         self.weight_at_last_attempt = float(self.class_weights.sum())
+        self.feature = self.threshold = self.left = self.right = None
 
     def total_weight(self) -> float:
         return float(self.class_weights.sum())
@@ -152,21 +158,11 @@ class _LeafNode:
         return 1 if self.class_weights[1] > self.class_weights[0] else 0
 
 
-class _SplitNode:
-    __slots__ = ("feature", "threshold", "left", "right")
-
-    def __init__(self, feature: int, threshold: float, left, right):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-
 _erf = np.frompyfunc(math.erf, 1, 1)
 _log2 = np.frompyfunc(math.log2, 1, 1)
 
 
-def _split_candidates(leaf: _LeafNode) -> list:
+def _split_candidates(leaf: _Node) -> list:
     """Each feature's best binary split of ``leaf``, best first, as
     ``(gain, feature, threshold, masses)``; ``masses`` holds the left and
     then the right per-class weights.  See ``HoeffdingTreeClassifier``."""
@@ -232,57 +228,48 @@ class HoeffdingTreeClassifier:
         if dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self._root = _LeafNode(dim)
+        self._root = _Node(dim)
 
     # -- prediction --------------------------------------------------------
 
-    def _find_leaf(self, x: np.ndarray):
-        """(parent, went_left, leaf) of ``x``'s path; no parent at the root."""
-        parent, went_left, node = None, False, self._root
-        while isinstance(node, _SplitNode):
-            parent = node
-            went_left = x[node.feature] <= node.threshold
-            node = node.left if went_left else node.right
-        return parent, went_left, node
+    def _find_leaf(self, x: np.ndarray) -> _Node:
+        node = self._root
+        while node.left is not None:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        return node
 
     def predict(self, x: np.ndarray) -> int:
         x = _check_finite(x, self.dim)
-        return self._find_leaf(x)[2].majority()
+        return self._find_leaf(x).majority()
 
     # -- training ----------------------------------------------------------
 
     def partial_fit(self, x: np.ndarray, y: int, weight: float = 1.0) -> None:
         x = _check_finite(x, self.dim)
-        path_parent, went_left, node = self._find_leaf(x)
-        node.observe(x, int(y), float(weight))
-        if node.total_weight() - node.weight_at_last_attempt >= HOEFFDING_GRACE_PERIOD:
-            node.weight_at_last_attempt = node.total_weight()
-            replacement = self._attempt_split(node)
-            if replacement is not None:
-                if path_parent is None:
-                    self._root = replacement
-                elif went_left:
-                    path_parent.left = replacement
-                else:
-                    path_parent.right = replacement
+        leaf = self._find_leaf(x)
+        leaf.observe(x, int(y), float(weight))
+        if leaf.total_weight() - leaf.weight_at_last_attempt >= HOEFFDING_GRACE_PERIOD:
+            leaf.weight_at_last_attempt = leaf.total_weight()
+            self._attempt_split(leaf)
 
-    def _attempt_split(self, leaf: _LeafNode) -> _SplitNode | None:
+    def _attempt_split(self, leaf: _Node) -> None:
+        """Split ``leaf`` in place when the Hoeffding test allows it."""
         n = leaf.total_weight()
         if n <= 0.0 or leaf.class_weights.min() <= 0.0:
-            return None  # pure leaf: no gain is possible
+            return  # pure leaf: no gain is possible
         candidates = _split_candidates(leaf)
         if not candidates:
-            return None
+            return
         best_gain, feature, threshold, masses = candidates[0]
         second_gain = candidates[1][0] if len(candidates) > 1 else 0.0
         if best_gain <= 1e-12:
-            return None
+            return
         eps = hoeffding_bound(1.0, HOEFFDING_SPLIT_CONFIDENCE, n)
         if best_gain - second_gain > eps or eps < HOEFFDING_TIE_THRESHOLD:
-            left, right = (_LeafNode(self.dim, class_weights=np.maximum(m, 0.0))
-                           for m in masses)
-            return _SplitNode(feature, threshold, left, right)
-        return None
+            leaf.feature, leaf.threshold = feature, threshold
+            leaf.left, leaf.right = (
+                _Node(self.dim, class_weights=np.maximum(m, 0.0))
+                for m in masses)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +347,8 @@ class PoolMembers:
     they do not disturb earlier decisions.  The members work on a batch of
     rows in CSR form ``(ids, ends)``: row ``i`` is the binary-presence ids
     ``ids[ends[i-1]:ends[i]]`` (from 0 for the first row), sorted and
-    distinct, as the pool's chunk encoder returns them; they are used as
-    given.  Update rules: "sgd-hinge" (eta * hinge subgradient),
+    distinct, as ``SampleStream.distinct_token_ids`` returns them; they
+    are used as given.  Update rules: "sgd-hinge" (eta * hinge subgradient),
     "perceptron" (mistake-driven) and "passive-aggressive" (PA-I with
     aggressiveness capped at C).  Prediction is sign(w.x + b) with 0 on
     the boundary.  Rows are gathered with ``take(axis=1)``, whose

@@ -418,34 +418,6 @@ def run_cross_validation(stream: SampleStream, config: ExperimentConfig
 # Pseudo-labeling model pool
 # ---------------------------------------------------------------------------
 
-def _encode_token_ids(samples: SampleStream
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's distinct (attribute, token) ids, sorted, in the CSR
-    form ``(ids, ends)`` that ``PoolMembers`` takes as given: sample
-    ``i``'s ids are ``ids[ends[i-1]:ends[i]]`` (from 0 for the first
-    sample).
-
-    The ids are the stream's own token ids, which are numbered first-seen
-    over the stream with one counter across attributes.  One sort of the
-    keys ``row << shift | id``, int32 while ``n << shift < 2**31`` (n
-    rows), orders each row's ids and puts its repeats side by side; an
-    index gather (cheaper than a mask's) keeps the first key of each run.
-    """
-    cells = samples._cells()
-    n, shift = len(samples), max(len(samples.tokens) - 1, 1).bit_length()
-    starts = np.arange(0, n << shift, 1 << shift,
-                       dtype=np.int32 if n << shift < 2**31 else np.intp)
-    keys = np.repeat(np.concatenate([starts] * len(cells)),
-                     np.concatenate([counts for _, counts in cells]))
-    keys |= np.concatenate([ids for ids, _ in cells])
-    keys.sort()
-    distinct = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    kept = keys[distinct.nonzero()[0]]
-    return (np.bitwise_and(kept, (1 << shift) - 1, dtype=np.intp),
-            np.searchsorted(kept, starts + (1 << shift)))
-
-
 # the agreement band outside which a pool member is aged
 POOL_TAU_LOW = 0.3
 POOL_TAU_HIGH = 0.7
@@ -464,7 +436,8 @@ class ModelPoolPipeline:
     and replays one interval (the warmup: chunks of ``pool_interval``
     samples) at a time, with one ``PoolMembers`` call for all members; a
     last, partial interval is scored but not checked.  A feature is one of
-    the stream's token ids (``SampleStream.token_ids``).  Each ``run``
+    the stream's token ids (``SampleStream.token_ids``), and a chunk is
+    encoded by ``SampleStream.distinct_token_ids``.  Each ``run``
     starts from untrained members; after it, ``members``, ``weights`` and
     ``aging_events`` hold that run's final state.
     """
@@ -482,14 +455,14 @@ class ModelPoolPipeline:
         interval = cfg.pool_interval
         for lo in range(0, len(warm), interval):
             chunk = warm[lo:lo + interval]
-            ids, ends = _encode_token_ids(chunk)
+            ids, ends = chunk.distinct_token_ids()
             self.members.partial_fit_many(ids, ends, chunk.labels.tolist(),
                                           everyone)
 
         timeline = MetricsTimeline(window=cfg.metrics_window)
         for lo in range(0, len(rest), interval):
             chunk = rest[lo:lo + interval]
-            ids, ends = _encode_token_ids(chunk)
+            ids, ends = chunk.distinct_token_ids()
             votes = self.members.score_many(ids, ends) > 0.0
             # ((0 + ±w0) + ±w1) + ±w2 per row, as the per-sample vote added
             score = sum(np.where(vote, weight, -weight)

@@ -68,14 +68,6 @@ class RawSample:
     attributes: dict[str, list[str]]
 
 
-def _gather(ids: np.ndarray, starts: np.ndarray,
-            counts: np.ndarray) -> np.ndarray:
-    """``ids[starts[i]:starts[i] + counts[i]]`` for every ``i``, joined."""
-    ends = np.cumsum(counts)
-    return ids[np.arange(ends[-1] if len(ends) else 0)
-               + np.repeat(starts - (ends - counts), counts)]
-
-
 class SampleStream:
     """Immutable samples sorted by (timestamp, id), held as columns.
 
@@ -151,14 +143,49 @@ class SampleStream:
         for ids, starts, stops in zip(self._cell_ids, self._starts,
                                       self._stops):
             counts = stops - starts
-            if not self._contiguous:
-                ids = _gather(ids, starts, counts)
+            if not self._contiguous:  # ids[starts[i]:stops[i]] of every i
+                ends = np.cumsum(counts)
+                ids = ids[np.arange(ends[-1] if len(ends) else 0)
+                          + np.repeat(starts - (ends - counts), counts)]
             elif len(counts):
                 ids = ids[starts[0]:stops[-1]]
             else:
                 ids = ids[:0]
             out.append((ids, counts))
         return out
+
+    def token_rows(self, step: int = 1,
+                   dtype=np.intp) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, ids)`` of every token occurrence, attribute by
+        attribute and sample by sample: ``ids`` are the token ids and
+        ``rows`` their sample's number times ``step``, of ``dtype`` (which
+        must hold ``len(self) * step``)."""
+        cells = self._cells()
+        rows = np.arange(0, len(self) * step, step, dtype=dtype)
+        return (np.repeat(np.concatenate([rows] * len(cells)),
+                          np.concatenate([counts for _, counts in cells])),
+                np.concatenate([ids for ids, _ in cells]))
+
+    def distinct_token_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each sample's distinct token ids, sorted, in the CSR form
+        ``(ids, ends)``: sample ``i``'s ids are ``ids[ends[i-1]:ends[i]]``
+        (from 0 for the first sample).
+
+        One sort of the keys ``row << shift | id``, int32 while ``n <<
+        shift < 2**31`` (n samples), orders each sample's ids and puts its
+        repeats side by side; an index gather (cheaper than a mask's)
+        keeps the first key of each run.
+        """
+        n, shift = len(self), max(len(self.tokens) - 1, 1).bit_length()
+        dtype = np.int32 if n << shift < 2**31 else np.intp
+        keys, ids = self.token_rows(1 << shift, dtype)
+        keys |= ids
+        keys.sort()
+        distinct = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        kept = keys[distinct.nonzero()[0]]
+        return (np.bitwise_and(kept, (1 << shift) - 1, dtype=np.intp),
+                np.searchsorted(kept, np.arange(1, n + 1, dtype=dtype) << shift))
 
 
 def _first_seen(cells: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -241,9 +268,9 @@ class _Columns:
     def stream(self) -> SampleStream:
         """The samples sorted by (timestamp, id), file order kept among
         equal keys, with token ids first-seen over that order."""
-        n, n_tokens = len(self), len(self.tokens)
+        n_tokens, schema = len(self.tokens), StreamSchema(self.names)
         timestamps = np.array(self.timestamps, dtype=np.int64)
-        ids = np.empty(n, dtype=object)
+        ids = np.empty(len(self), dtype=object)
         ids[:] = self.sample_ids
         labels = np.array(self.labels, dtype=np.int8)
         cells = [(np.fromiter(tok_ids, np.int32, len(tok_ids)),
@@ -253,14 +280,13 @@ class _Columns:
         if (steps < 0).any() or any(
                 ids[i] > ids[i + 1] for i in np.flatnonzero(steps == 0)):
             keys = list(zip(self.timestamps, self.sample_ids))
-            order = np.array(sorted(range(n), key=keys.__getitem__))
-            timestamps, ids, labels = (timestamps[order], ids[order],
-                                       labels[order])
-            sorted_cells = []
-            for tok_ids, ends in cells:
-                counts = np.diff(ends)[order]
-                sorted_cells.append((_gather(tok_ids, ends[:-1][order], counts),
-                                     np.concatenate(([0], np.cumsum(counts)))))
+            order = np.array(sorted(range(len(self)), key=keys.__getitem__))
+            arrived = SampleStream(schema, tuple(self.tokens), self.token_ids,
+                                   ids, timestamps, labels, cells)[order]
+            timestamps, ids, labels = (arrived.timestamps, arrived.ids,
+                                       arrived.labels)
+            sorted_cells = [(tok_ids, np.concatenate(([0], np.cumsum(counts))))
+                            for tok_ids, counts in arrived._cells()]
             old_of_new = _first_seen(sorted_cells)
             new_of_old = np.empty(n_tokens, dtype=np.int32)
             new_of_old[old_of_new] = np.arange(n_tokens)
@@ -271,17 +297,17 @@ class _Columns:
             self.token_ids = {
                 name: {tok: renumbered[tid] for tok, tid in table.items()}
                 for name, table in self.token_ids.items()}
-        return SampleStream(StreamSchema(self.names), tuple(self.tokens),
-                            self.token_ids, ids, timestamps, labels, cells)
+        return SampleStream(schema, tuple(self.tokens), self.token_ids, ids,
+                            timestamps, labels, cells)
 
 
 def stream_from_samples(samples: Iterable[RawSample]) -> SampleStream:
     """Sort samples into a stream, inferring the schema from the first one.
 
     Every sample must carry exactly the schema's attribute-name set, in
-    any order, an int timestamp and a label of 0, 1 or None (the columns
-    hold no other).  Tokens are normalized as ``load_stream`` normalizes
-    them.
+    any order, an int timestamp from 0 to ``MAX_TIMESTAMP`` and a label
+    of 0, 1 or None, not a bool: the records ``load_stream`` admits.
+    Tokens are normalized as ``load_stream`` normalizes them.
     """
     columns = None
     for sample in samples:
@@ -296,13 +322,14 @@ def stream_from_samples(samples: Iterable[RawSample]) -> SampleStream:
             raise SchemaMismatch(
                 f"sample {sample.id!r}: attributes {sorted(attrs)} != "
                 f"schema {sorted(columns.names)}")
-        if sample.label not in (0, 1, None):
+        label, ts = sample.label, sample.timestamp
+        if isinstance(label, bool) or label not in (0, 1, None):
             raise ValueOutOfRange(f"sample {sample.id!r}: label "
-                                  f"{sample.label!r} is not 0, 1 or None")
-        if not isinstance(sample.timestamp, int):
-            raise ValueOutOfRange(f"sample {sample.id!r}: timestamp "
-                                  f"{sample.timestamp!r} is not an int")
-        columns.add(sample.id, sample.timestamp, sample.label, cells)
+                                  f"{label!r} is not 0, 1 or None")
+        if type(ts) is not int or not 0 <= ts <= MAX_TIMESTAMP:
+            raise ValueOutOfRange(f"sample {sample.id!r}: timestamp {ts!r} "
+                                  f"is not an int from 0 to {MAX_TIMESTAMP}")
+        columns.add(sample.id, ts, label, cells)
     if columns is None:
         raise EmptyStream("cannot build a stream from zero samples")
     return columns.stream()

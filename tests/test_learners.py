@@ -9,8 +9,8 @@ from driftstream import (ArfEnsemble, DimensionMismatch, PoolMembers,
                          SgdClassifier, ValueOutOfRange)
 from driftstream import learners
 from driftstream.learners import (ARF_POISSON_LAMBDA, POOL_MEMBER_KINDS,
-                                  HoeffdingTreeClassifier, _LeafNode,
-                                  _SplitNode, hoeffding_bound)
+                                  HoeffdingTreeClassifier, _Node,
+                                  hoeffding_bound)
 
 from .oracles import (ReferencePoolMember, ReferenceSgdClassifier,
                       reference_split_candidates)
@@ -215,7 +215,7 @@ def test_hoeffding_bound_vanishes_with_data():
 def test_tree_untrained_predicts_zero():
     t = HoeffdingTreeClassifier(dim=2)
     assert t.predict(np.array([0.3, 0.9])) == 0
-    assert isinstance(t._root, _LeafNode)
+    assert t._root.left is None
 
 
 def test_tree_learns_single_threshold_concept():
@@ -224,10 +224,29 @@ def test_tree_learns_single_threshold_concept():
     for _ in range(3000):
         x = rng.random(3)
         t.partial_fit(x, int(x[0] > 0.5))
-    assert isinstance(t._root, _SplitNode)
+    assert t._root.left is not None
     checks = rng.random((500, 3))
     acc = np.mean([t.predict(x) == int(x[0] > 0.5) for x in checks])
     assert acc > 0.95
+
+
+def test_tree_routes_the_threshold_itself_left():
+    """A split sends ``x[feature] == threshold`` to the left child and the
+    next float up to the right one; the children predict differently."""
+    rng = np.random.default_rng(3)
+    t = HoeffdingTreeClassifier(dim=3)
+    while t._root.left is None:
+        x = rng.random(3)
+        t.partial_fit(x, int(x[0] > 0.5))
+    root = t._root
+    assert root.feature == 0
+    assert root.left.majority() != root.right.majority()
+    at = np.array([root.threshold, 0.5, 0.5])
+    above = np.array([np.nextafter(root.threshold, 1.0), 0.5, 0.5])
+    assert t._find_leaf(at) is root.left
+    assert t._find_leaf(above) is root.right
+    assert t.predict(at) == root.left.majority()
+    assert t.predict(above) == root.right.majority()
 
 
 def test_tree_never_splits_on_pure_labels():
@@ -235,7 +254,7 @@ def test_tree_never_splits_on_pure_labels():
     t = HoeffdingTreeClassifier(dim=3)
     for _ in range(2000):
         t.partial_fit(rng.random(3), 0)
-    assert isinstance(t._root, _LeafNode)
+    assert t._root.left is None
     assert t.predict(rng.random(3)) == 0
 
 
@@ -255,7 +274,7 @@ def test_tree_prediction_does_not_mutate_state():
 
 
 def tree_leaves(node):
-    if isinstance(node, _SplitNode):
+    if node.left is not None:
         return tree_leaves(node.left) + tree_leaves(node.right)
     return [node]
 
@@ -279,7 +298,7 @@ def test_tree_and_forest_reject_non_finite_entries(bad):
     for _ in range(3000):
         x = rng.random(2)
         tree.partial_fit(x, int(x[0] > 0.5))
-    assert isinstance(tree._root, _SplitNode)
+    assert tree._root.left is not None
     assert tree._root.feature == 0
     assert all(np.isfinite(leaf.feat_mean).all()
                for leaf in tree_leaves(tree._root))
@@ -291,7 +310,7 @@ GRID = [i / 10 for i in range(11)]
 def stats_leaf(class_weights, feat_weight, features):
     """A leaf holding the given statistics: per feature ``(lo, hi, (mean,
     m2) of class 0, (mean, m2) of class 1)``."""
-    leaf = _LeafNode(len(features), class_weights)
+    leaf = _Node(len(features), class_weights)
     leaf.feat_weight[:] = feat_weight
     for f, (lo, hi, *stats) in enumerate(features):
         leaf.feat_min[f], leaf.feat_max[f] = lo, hi

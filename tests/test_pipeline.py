@@ -27,8 +27,8 @@ from driftstream import (CLASSIFIERS, DETECTORS, AdwinDetector, ArfEnsemble,
                          stream_from_samples)
 from driftstream import drift, features, learners
 from driftstream.cli import main as cli_main
-from driftstream.pipeline import (_chunk_sizes, _encode_token_ids,
-                                  build_classifier, build_detector)
+from driftstream.pipeline import (_chunk_sizes, build_classifier,
+                                  build_detector)
 
 from .oracles import (ReferenceTokenIndexer, reference_fnf_run,
                       reference_pool_run)
@@ -674,8 +674,8 @@ def test_pool_interval_boundary_events():
 
 
 def encode_rows(samples):
-    """``_encode_token_ids`` of ``samples``, split into one list per row."""
-    ids, ends = _encode_token_ids(samples)
+    """``distinct_token_ids`` of ``samples``, split into one list per row."""
+    ids, ends = samples.distinct_token_ids()
     assert ids.dtype == np.intp and ids.ndim == 1 and len(ends) == len(samples)
     return [ids[lo:hi].tolist() for lo, hi in zip([0, *ends[:-1]], ends)]
 

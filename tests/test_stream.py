@@ -79,15 +79,28 @@ def test_duplicate_ids_are_kept_as_distinct_samples():
     assert len(stream) == 2
 
 
-@pytest.mark.parametrize("label, timestamp", [(-1, 1), (2, 1), (0.5, 1),
-                                              (0, 1.5), (None, "1")])
+@pytest.mark.parametrize("label, timestamp", [
+    (-1, 1), (2, 1), (0.5, 1), (0, 1.5), (None, "1"),
+    (0, -1), (0, MAX_TIMESTAMP + 1), (0, 2**63), (0, True), (True, 1)])
 def test_stream_from_samples_rejects_what_its_columns_cannot_hold(
         label, timestamp):
     """Labels are int8 with -1 for None and timestamps int64, so another
-    label would read back changed or as None, and a float timestamp cut."""
+    label would read back changed or as None, a float timestamp cut and
+    ``2**63`` overflow.  A negative timestamp or one past
+    ``MAX_TIMESTAMP`` would be saved to a file that ``load_stream``
+    rejects, and the JSONL loader takes no bool label or timestamp."""
     with pytest.raises(ValueOutOfRange, match="sample 'b'"):
         stream_from_samples([make_sample("a", 1),
                              make_sample("b", timestamp, label=label)])
+
+
+def test_extreme_timestamps_survive_save_and_load(tmp_path):
+    stream = stream_from_samples([make_sample("a", MAX_TIMESTAMP),
+                                  make_sample("b", 0)])
+    save_stream(stream, tmp_path / "s.jsonl")
+    loaded = load_stream(tmp_path / "s.jsonl")
+    assert loaded.timestamps.tolist() == [0, MAX_TIMESTAMP]
+    assert [s.id for s in loaded] == ["b", "a"]
 
 
 def test_mismatched_attribute_set_raises():
